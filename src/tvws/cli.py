@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,13 +35,14 @@ from tvws.availability import (
     AvailabilityResult,
     adjacent_filter,
     availability,
+    availability_batch,
     availability_grid,
     availability_lowpower,
     power_sweep,
 )
 from tvws.channel_plan import ChannelPlan, default_plan, load_plan, plan_hash
 from tvws.errors import ParseError
-from tvws.geo import BoundingBox, NgPoint, parse_location
+from tvws.geo import OSGB_ENVELOPE, BoundingBox, NgPoint, parse_location
 from tvws.keepout import DEFAULT_ALPHA, DEFAULT_BETA_TH, PropagationParams, QueryParams
 from tvws.txdb import TransmitterDb, generate_synthetic, load_txdb, parse_watts, serialize
 
@@ -48,8 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-UK_ENVELOPE = BoundingBox(0.0, 0.0, 700_000.0, 1_300_000.0)
 
 
 @dataclass
@@ -76,8 +76,8 @@ def _watts(text: str) -> float:
         value = parse_watts(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"power must be >= 0, got {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"power must be finite and >= 0, got {text!r}")
     return value
 
 
@@ -86,8 +86,19 @@ def _positive(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _decibels(text: str) -> float:
+    """A power ratio in dB, returned linear (finite and positive)."""
+    try:
+        value = 10.0 ** (float(text) / 10.0)
+    except (ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} dB is not a finite positive ratio")
     return value
 
 
@@ -101,6 +112,8 @@ def _region(text: str) -> BoundingBox:
         vals = [float(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad region numbers {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"region numbers must be finite, got {text!r}")
     try:
         box = BoundingBox(*vals)
     except ValueError as exc:
@@ -140,9 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha", type=_positive, default=DEFAULT_ALPHA,
                         help="pathloss exponent (default %(default)s)")
     beta = common.add_mutually_exclusive_group()
-    beta.add_argument("--beta", type=_positive, default=None,
-                      help=f"TV protection ratio, linear (default {DEFAULT_BETA_TH})")
-    beta.add_argument("--beta-db", type=float, default=None,
+    beta.add_argument("--beta", type=_positive, default=DEFAULT_BETA_TH,
+                      help="TV protection ratio, linear (default %(default)s)")
+    beta.add_argument("--beta-db", dest="beta", type=_decibels, metavar="DB",
                       help="TV protection ratio in dB (converted to linear)")
     common.add_argument("--power", type=_watts, default=0.0, metavar="P",
                         help="transmit power; accepts mW/W/kW suffixes (default 0)")
@@ -209,13 +222,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if coverage_dir is None and data_root:
         coverage_dir = Path(data_root) / "coverage"
 
-    if args.beta_db is not None:
-        beta_th = 10.0 ** (args.beta_db / 10.0)
-    elif args.beta is not None:
-        beta_th = args.beta
-    else:
-        beta_th = DEFAULT_BETA_TH
-
     if args.plan:
         plan_path = Path(args.plan)
         plan = load_plan(plan_path.read_text(), source=str(plan_path))
@@ -227,7 +233,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         coverage_dir=coverage_dir,
         plan=plan,
         alpha=args.alpha,
-        beta_th=beta_th,
+        beta_th=args.beta,
         power_watts=args.power,
         out_dir=Path(args.out) if args.out else None,
         mode=args.mode,
@@ -375,16 +381,29 @@ def cmd_batch(args: argparse.Namespace) -> int:
     db, coverage_dir = _require_data(cfg)
     model = _load_model(cfg, db, coverage_dir)
 
-    def run_one(entry: tuple[str, NgPoint]) -> rep.LocationReport:
-        label, loc = entry
-        result = _evaluate(cfg, db, model, loc)
-        return rep.build_report(label, result, cfg.plan, cfg.alpha, cfg.beta_th)
+    digest = plan_hash(cfg.plan)
+
+    def run_part(part: list[tuple[str, NgPoint]]) -> list[rep.LocationReport]:
+        locs = [loc for _, loc in part]
+        if cfg.mode == "raster":
+            results = [_evaluate(cfg, db, model, loc) for loc in locs]
+        else:  # the disk model takes every location of the part in one kernel call
+            results = availability_batch(db, model, cfg.plan, locs, cfg.power_watts, cfg.prop)
+            for result in results:
+                adjacent_filter(result, cfg.plan.excluded if cfg.strict_excluded else ())
+        return [
+            rep.build_report(label, result, cfg.plan, cfg.alpha, cfg.beta_th, plan_digest=digest)
+            for (label, _), result in zip(part, results)
+        ]
 
     if args.workers == 1:
-        reports = [run_one(e) for e in entries]
+        reports = run_part(entries)
     else:
+        # one contiguous part per worker, joined back in input order
+        size = -(-len(entries) // args.workers)
+        parts = [entries[i : i + size] for i in range(0, len(entries), size)]
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(run_one, entries))
+            reports = [report for part in pool.map(run_part, parts) for report in part]
 
     csv_text = rep.emit_csv(reports)
     print(csv_text, end="")
@@ -454,7 +473,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if cfg.out_dir is None:
         return _fail("synth needs --out", EXIT_USAGE)
     if args.preset == "uk81":
-        n, region = 81, UK_ENVELOPE
+        n, region = 81, OSGB_ENVELOPE
     elif args.n is not None and args.region is not None:
         n, region = args.n, args.region
     else:
@@ -517,6 +536,25 @@ def cmd_disks(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _unused_flags(args: argparse.Namespace) -> list[str]:
+    """Shared flags this subcommand would otherwise accept and ignore.
+
+    Only query and batch read the coverage model and the N+-1 filter;
+    sweep and grid run the disk model and report rho unfiltered.
+    """
+    if args.command in ("query", "batch"):
+        return []
+    return [
+        flag
+        for flag, given in (
+            ("--mode raster", args.mode == "raster"),
+            ("--adjacent-filter", args.adjacent_filter),
+            ("--strict-excluded", args.strict_excluded),
+        )
+        if given
+    ]
+
+
 _COMMANDS = {
     "query": cmd_query,
     "batch": cmd_batch,
@@ -531,6 +569,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
+    unused = _unused_flags(args)
+    if unused:
+        return _fail(f"{args.command} does not take {', '.join(unused)}", EXIT_USAGE)
     try:
         return handler(args)
     except (ParseError, FileNotFoundError) as exc:

@@ -55,8 +55,13 @@ def build_report(
     plan: ChannelPlan,
     alpha: float,
     beta_th: float,
+    *,
+    plan_digest: str | None = None,
 ) -> LocationReport:
-    """Assemble a report; applies the adjacent-channel filter if not done yet."""
+    """Assemble a report; applies the adjacent-channel filter if not done yet.
+
+    ``plan_digest``, if given, is ``plan_hash(plan)`` computed once for many reports.
+    """
     if result.filtered_vacant is None:
         adjacent_filter(result)
     runs, max_mhz = contiguity(result.vacant)
@@ -68,7 +73,7 @@ def build_report(
         alpha=alpha,
         beta_th=beta_th,
         power_watts=result.p_cr_watts,
-        plan_digest=plan_hash(plan),
+        plan_digest=plan_digest or plan_hash(plan),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from tvws.channel_plan import CHANNEL_MAX, CHANNEL_MIN, ChannelPlan
 from tvws.errors import ParseError
-from tvws.geo import BoundingBox, NgPoint, distance
+from tvws.geo import EASTING_MAX, NORTHING_MAX, BoundingBox, NgPoint, distance
 
 CSV_HEADER = "id,easting,northing,erp_watts,antenna_height_m,channels"
 
@@ -229,8 +229,8 @@ def generate_synthetic(
 
     for i in range(1, n + 1):
         position = NgPoint(
-            rng.uniform(region.min_e, min(region.max_e, 700_000.0 - 1e-6)),
-            rng.uniform(region.min_n, min(region.max_n, 1_300_000.0 - 1e-6)),
+            rng.uniform(region.min_e, min(region.max_e, EASTING_MAX - 1e-6)),
+            rng.uniform(region.min_n, min(region.max_n, NORTHING_MAX - 1e-6)),
         )
         erp = math.exp(rng.uniform(math.log(ERP_TYPICAL_MIN_W), math.log(ERP_TYPICAL_MAX_W)))
         height = rng.uniform(50.0, 300.0)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from oracles import occupied_by_enumeration, rho_by_enumeration
 from tvws.availability import (
     AvailabilityResult,
+    KeepoutDisks,
     adjacent_filter,
     availability,
+    availability_batch,
     availability_grid,
     availability_lowpower,
     contiguity,
@@ -18,7 +21,7 @@ from tvws.availability import (
 from tvws.channel_plan import default_plan, load_plan
 from tvws.coverage import CoverageDisk, enclosing_disk, synth_coverage
 from tvws.geo import BoundingBox, NgPoint, distance
-from tvws.keepout import PropagationParams, QueryParams
+from tvws.keepout import PropagationParams, QueryParams, keepout_radius
 from tvws.txdb import Transmitter, TransmitterDb
 
 PLAN = default_plan()
@@ -358,3 +361,182 @@ class TestCustomPlan:
         result = availability(db, disks, plan, QueryParams(tx.position, 0.0, PROP))
         assert result.occupied == {21, 22, 23}
         assert result.rho == 3
+
+
+def ulp_neighbours(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+def boundary_instance(rng: random.Random, power: float, bearings: int = 12):
+    """Transmitters plus points at, and an ulp either side of, their keep-out radii.
+
+    At power 0, R' is the disk radius itself, so each disk is sized to put
+    a chosen point within an ulp of its boundary; the other bearings land
+    near it too.  At positive power, points go on several bearings at R',
+    nudged by an ulp in each coordinate.
+    """
+    db, disks, _, _ = random_instance(rng, max_tx=6)
+    points = []
+    for tx in db:
+        r = keepout_radius(power, tx.erp_watts, disks[tx.id].radius_m, PROP)
+        ring = []
+        for _ in range(bearings):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            e = tx.position.easting + r * math.cos(theta)
+            n = tx.position.northing + r * math.sin(theta)
+            if 0 < e < 699_000 and 0 < n < 1_299_000:
+                ring += [(float(a), float(b)) for a in ulp_neighbours(e) for b in ulp_neighbours(n)]
+        if ring and power == 0.0:
+            anchor = NgPoint(*rng.choice(ring))
+            radius = rng.choice(ulp_neighbours(distance(anchor, tx.position)))
+            disks[tx.id] = disk_for(tx, float(radius))
+        points += [NgPoint(e, n) for e, n in ring]
+    return db, disks, points
+
+
+class TestKernelAtTheBoundary:
+    """Every wrapper of the kernel against the oracle where d is within an ulp of R'."""
+
+    POWERS = (0.0, 0.0, 0.05, 1.0, 3.7)
+
+    def test_grid_cell_centre_exactly_at_keepout_radius_is_vacant(self):
+        # np.hypot puts this centre one ulp inside R'; math.hypot puts it on R'
+        tx = make_tx("a", 25184.628857372485, 72300.72848647062, 1000, {21})
+        db = TransmitterDb((tx,))
+        disks = {"a": disk_for(tx, 31903.452360785737)}
+        region = BoundingBox(0, 0, 100_000, 100_000)
+        grid = availability_grid(db, disks, PLAN, region, 1000, 0.0, PROP)
+        centre = grid.cell_center(41, 33)
+        assert distance(centre, tx.position) == 31903.452360785737
+        assert availability(db, disks, PLAN, QueryParams(centre, 0.0, PROP)).rho == 30
+        assert grid.values[41, 33] == 30
+
+    @pytest.mark.parametrize("power", POWERS)
+    def test_batch_matches_oracle_and_single_queries(self, power):
+        rng = random.Random(int(power * 1000) + 17)
+        for _ in range(8):
+            db, disks, points = boundary_instance(rng, power)
+            results = availability_batch(db, disks, PLAN, points, power, PROP)
+            assert [r.location for r in results] == points
+            for loc, result in zip(points, results):
+                single = availability(db, disks, PLAN, QueryParams(loc, power, PROP))
+                assert result.occupied == single.occupied
+                assert result.vacant == single.vacant
+                assert result.rho == rho_by_enumeration(
+                    db, disks, PLAN, loc, power, PROP.alpha, PROP.beta_th
+                )
+
+    def test_power_sweep_matches_oracle(self):
+        rng = random.Random(99)
+        for _ in range(4):
+            db, disks, points = boundary_instance(rng, 0.0, bearings=2)
+            powers = [0.0, 1e-30, 0.0, 0.05, 1.0, 3.7]
+            for loc in points:
+                sweep = power_sweep(db, disks, PLAN, loc, powers, PROP)
+                for (p, rho, filtered), power in zip(sweep, powers):
+                    assert p == power
+                    assert rho == rho_by_enumeration(
+                        db, disks, PLAN, loc, power, PROP.alpha, PROP.beta_th
+                    )
+                    result = availability(db, disks, PLAN, QueryParams(loc, power, PROP))
+                    assert filtered == len(adjacent_filter(result))
+
+    def test_power_sweep_checks_every_power(self):
+        db, disks, loc, _ = random_instance(random.Random(3))
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="transmit power"):
+                power_sweep(db, disks, PLAN, loc, [0.1, bad], PROP)
+
+    def test_grid_matches_oracle_at_every_cell_centre(self):
+        rng = random.Random(2024)
+        region = BoundingBox(200_000, 300_000, 260_000, 350_000)
+        cell = 2_500.0
+        centres = [
+            NgPoint(region.min_e + (c + 0.5) * cell, region.min_n + (r + 0.5) * cell)
+            for r in range(20) for c in range(24)
+        ]
+        for case in range(6):
+            txs, disks = [], {}
+            for i in range(4):
+                anchor = rng.choice(centres)
+                tx = make_tx(f"g{i}", rng.uniform(190_000, 270_000), rng.uniform(290_000, 360_000),
+                             rng.uniform(25, 200_000), rng.sample(sorted(PLAN.interleaved), 3))
+                txs.append(tx)
+                # the anchor cell centre sits within an ulp of R' at power 0
+                radius = float(rng.choice(ulp_neighbours(distance(anchor, tx.position))))
+                disks[tx.id] = disk_for(tx, max(radius, 1.0))
+            db = TransmitterDb(tuple(txs))
+            power = 0.0 if case % 2 == 0 else rng.uniform(0.0, 4.0)
+            grid = availability_grid(db, disks, PLAN, region, cell, power, PROP)
+            assert grid.values.shape == (20, 24)
+            for row in range(20):
+                for col in range(24):
+                    assert grid.values[row, col] == rho_by_enumeration(
+                        db, disks, PLAN, grid.cell_center(row, col), power,
+                        PROP.alpha, PROP.beta_th,
+                    )
+
+    def test_batch_of_no_locations_is_empty(self):
+        db, disks, _, _ = random_instance(random.Random(5))
+        assert availability_batch(db, disks, PLAN, [], 0.1, PROP) == []
+
+
+class TestTieRule:
+    """Inputs where numpy and the scalar definitions round differently.
+
+    numpy's hypot and ** can land an ulp away from math.hypot and Python's
+    **.  Each case is searched for so that the fast path alone would call
+    a point exactly on R' occupied; the strict rule says vacant.  Where
+    this numpy build never disagrees, there is nothing to test.
+    """
+
+    def test_hypot_rounding_at_the_boundary(self):
+        rng = np.random.default_rng(7)
+        point = NgPoint(33_500.0, 41_500.0)  # a 1 km grid cell centre
+        tx_e = rng.uniform(0, 100_000, 20_000)
+        tx_n = rng.uniform(0, 100_000, 20_000)
+        fast = np.hypot(point.easting - tx_e, point.northing - tx_n)
+        cases = [
+            (e, n) for e, n, d in zip(tx_e.tolist(), tx_n.tolist(), fast.tolist())
+            if d < math.hypot(point.easting - e, point.northing - n)
+        ][:8]
+        if not cases:
+            pytest.skip("np.hypot agrees with math.hypot on every sample")
+        region = BoundingBox(0, 0, 100_000, 100_000)
+        for e, n in cases:
+            tx = make_tx("a", e, n, 1000, {21, 44})
+            db = TransmitterDb((tx,))
+            disks = {"a": disk_for(tx, distance(point, tx.position))}  # R' = d exactly
+            assert availability(db, disks, PLAN, QueryParams(point, 0.0, PROP)).rho == 30
+            assert availability_batch(db, disks, PLAN, [point], 0.0, PROP)[0].rho == 30
+            assert power_sweep(db, disks, PLAN, point, [0.0], PROP)[0][1] == 30
+            grid = availability_grid(db, disks, PLAN, region, 1000, 0.0, PROP)
+            assert grid.cell_center(41, 33) == point
+            assert grid.values[41, 33] == 30
+
+    def test_power_rounding_at_the_boundary(self):
+        # Many stations share one site, so R' is computed over a long array
+        # (numpy's vector path); only station k carries an interleaved channel.
+        # The radio outpowers the stations, so the ** term is not lost
+        # against the 1 it is added to.  The point sits at the smaller of
+        # the two radii, where the two roundings disagree about d < R'.
+        rng = random.Random(11)
+        site, power, n = NgPoint(0.0, 500_000.0), 500.0, 2048
+        erps = [rng.uniform(25, 1_000) for _ in range(n)]
+        radii = [rng.uniform(5e3, 8e4) for _ in range(n)]
+        txs = [Transmitter(f"t{i}", site, erps[i], 100.0, frozenset({35})) for i in range(n)]
+        disks = {tx.id: disk_for(tx, r) for tx, r in zip(txs, radii)}
+        fast = KeepoutDisks.build(TransmitterDb(tuple(txs)), disks, [power], PROP).radii[0]
+        exact = [keepout_radius(power, erps[i], radii[i], PROP) for i in range(n)]
+        cases = [k for k in range(n) if fast[k] != exact[k]][:6]
+        if not cases:
+            pytest.skip("numpy's ** agrees with Python's on every sample")
+        for k in cases:
+            carrier = Transmitter(f"t{k}", site, erps[k], 100.0, frozenset({21, 35}))
+            db = TransmitterDb(tuple(txs[:k]) + (carrier,) + tuple(txs[k + 1 :]))
+            point = NgPoint(min(float(fast[k]), exact[k]), site.northing)
+            expected = rho_by_enumeration(db, disks, PLAN, point, power, PROP.alpha, PROP.beta_th)
+            assert expected == (29 if fast[k] < exact[k] else 30)
+            assert availability(db, disks, PLAN, QueryParams(point, power, PROP)).rho == expected
+            assert availability_batch(db, disks, PLAN, [point], power, PROP)[0].rho == expected
+            assert power_sweep(db, disks, PLAN, point, [power], PROP)[0][1] == expected

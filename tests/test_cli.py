@@ -318,3 +318,130 @@ class TestPlanFlag:
             + ["--loc", "1,2", "--plan", str(plan_file)]
         )
         assert code == 3
+
+
+class TestFlagMatrix:
+    """Every subcommand x --mode x --adjacent-filter: used, or refused with exit 2."""
+
+    SUBCOMMANDS = {
+        "query": ["--loc", "300000,300000"],
+        "batch": ["--locations", "LOCS"],
+        "sweep": ["--loc", "300000,300000", "--powers", "0.01,1"],
+        "grid": ["--region", "250000,250000,350000,350000", "--cell", "25000"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    @pytest.mark.parametrize("mode", [None, "disk", "raster"])
+    @pytest.mark.parametrize("adjacent", [False, True])
+    def test_flag_is_used_or_refused(
+        self, small_fixture, tmp_path, capsys, command, mode, adjacent
+    ):
+        locs = tmp_path / "locs.csv"
+        locs.write_text("a,300000,300000\nb,SP 513 061\n")
+        argv = [command] + base_args(small_fixture) + [
+            str(locs) if a == "LOCS" else a for a in self.SUBCOMMANDS[command]
+        ]
+        if mode is not None:
+            argv += ["--mode", mode]
+        if adjacent:
+            argv.append("--adjacent-filter")
+        refused = command in ("sweep", "grid") and (mode == "raster" or adjacent)
+        if refused:
+            assert main(argv) == 2
+            flag = "--mode raster" if mode == "raster" else "--adjacent-filter"
+            assert flag in capsys.readouterr().err
+            return
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if command == "query":
+            assert f"mode: {mode or 'disk'}" in out
+            assert ("available for use:" in out) == adjacent
+
+    @pytest.mark.parametrize("command", ["sweep", "grid"])
+    def test_strict_excluded_refused(self, small_fixture, capsys, command):
+        argv = [command] + base_args(small_fixture) + self.SUBCOMMANDS[command]
+        assert main(argv + ["--strict-excluded"]) == 2
+        assert "--strict-excluded" in capsys.readouterr().err
+
+    def test_synth_refuses_them_too(self, tmp_path, capsys):
+        argv = ["synth", "--n", "1", "--region", "0,0,1000,1000", "--out", str(tmp_path)]
+        assert main(argv + ["--mode", "raster", "--adjacent-filter"]) == 2
+        assert not (tmp_path / "transmitters.csv").exists()
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--power", "nan"],
+            ["--power", "inf"],
+            ["--beta-db", "1e6"],
+            ["--beta-db", "nan"],
+            ["--beta-db=-1e6"],
+            ["--beta", "inf"],
+            ["--alpha", "nan"],
+        ],
+    )
+    def test_query_refuses_with_exit_2(self, small_fixture, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["query"] + base_args(small_fixture) + ["--loc", "300000,300000"] + flags)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("powers", ["0.1,nan", "inf", "0.01:nan:3"])
+    def test_sweep_refuses_non_finite_powers(self, small_fixture, powers):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"] + base_args(small_fixture) + ["--loc", "1,2", "--powers", powers])
+        assert exc.value.code == 2
+
+    def test_grid_refuses_infinite_region(self, small_fixture):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid"] + base_args(small_fixture) + ["--region", "0,0,1e5,inf"])
+        assert exc.value.code == 2
+
+
+class TestBatchRows:
+    def test_rows_equal_per_location_queries(self, uk81_dir, tmp_path, capsys):
+        data = ["--txdb", str(uk81_dir / "transmitters.csv"),
+                "--coverage", str(uk81_dir / "coverage")]
+        flags = ["--power", "0.1", "--strict-excluded"]
+        entries = [
+            line.split(",", 1)
+            for line in (uk81_dir / "locations.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        out = tmp_path / "b"
+        assert main(["batch", *data, "--locations", str(uk81_dir / "locations.csv"),
+                     "--workers", "3", "--out", str(out), *flags]) == 0
+        rows = json.loads((out / "batch.json").read_text())["reports"]
+        capsys.readouterr()
+        assert [row["label"] for row in rows] == [label for label, _ in entries]
+        for row, (_label, loc) in zip(rows, entries):
+            assert main(["query", *data, "--loc", loc, *flags]) == 0
+            text = capsys.readouterr().out
+            vacant = text.split("vacant (rho=", 1)[1].split("\n", 1)[0]
+            assert vacant.startswith(f"{row['rho']},")
+            listed = vacant.split("MHz): ", 1)[1]
+            assert listed == (" ".join(map(str, row["vacant_channels"])) or "none")
+            assert f"adjacent-filtered ({row['rho_filtered']}," in text
+
+    def test_plan_digest_computed_once(self, small_fixture, tmp_path, capsys, monkeypatch):
+        import tvws.channel_plan
+        import tvws.cli
+        import tvws.report
+
+        calls = []
+        original = tvws.channel_plan.plan_hash
+
+        def counting(plan):
+            calls.append(1)
+            return original(plan)
+
+        monkeypatch.setattr(tvws.cli, "plan_hash", counting)
+        monkeypatch.setattr(tvws.report, "plan_hash", counting)
+        locs = tmp_path / "locs.csv"
+        locs.write_text("\n".join(f"s{i},{250000 + 7000 * i},300000" for i in range(12)))
+        assert main(["batch"] + base_args(small_fixture)
+                    + ["--locations", str(locs), "--workers", "2"]) == 0
+        assert len(calls) == 1
+        assert f"plan={original(tvws.channel_plan.default_plan())}" in capsys.readouterr().out
