@@ -21,6 +21,7 @@ distances are metres.  ``TVWS_DATA_DIR`` supplies default locations for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -145,19 +146,21 @@ def _powers_list(text: str) -> list[float]:
     return powers
 
 
+@functools.cache  # built once per process: main() may be called many times
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--txdb", metavar="FILE", help="transmitter database CSV")
     common.add_argument("--coverage", metavar="DIR", help="directory of <id>.asc rasters")
     common.add_argument("--plan", metavar="FILE", help="channel plan file (default: built-in)")
-    common.add_argument("--alpha", type=_positive, default=DEFAULT_ALPHA,
-                        help="pathloss exponent (default %(default)s)")
+    # shared flags default to None so main() can tell which were given
+    common.add_argument("--alpha", type=_positive,
+                        help=f"pathloss exponent (default {DEFAULT_ALPHA})")
     beta = common.add_mutually_exclusive_group()
-    beta.add_argument("--beta", type=_positive, default=DEFAULT_BETA_TH,
-                      help="TV protection ratio, linear (default %(default)s)")
+    beta.add_argument("--beta", type=_positive,
+                      help=f"TV protection ratio, linear (default {DEFAULT_BETA_TH})")
     beta.add_argument("--beta-db", dest="beta", type=_decibels, metavar="DB",
                       help="TV protection ratio in dB (converted to linear)")
-    common.add_argument("--power", type=_watts, default=0.0, metavar="P",
+    common.add_argument("--power", type=_watts, metavar="P",
                         help="transmit power; accepts mW/W/kW suffixes (default 0)")
     common.add_argument("--mode", choices=("raster", "disk"), default="disk",
                         help="coverage model; raster is exact but power must be 0")
@@ -166,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--strict-excluded", action="store_true",
                         help="treat excluded channels as blocking neighbours in the filter")
     common.add_argument("--out", metavar="DIR", help="write CSV/JSON/SVG artifacts here")
-    common.add_argument("--seed", type=int, default=0, help="seed for synthesis")
+    common.add_argument("--seed", type=int, help="seed for synthesis (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="tvws", description="TV white space availability engine (UK UHF band)"
@@ -232,14 +235,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         txdb_path=txdb_path,
         coverage_dir=coverage_dir,
         plan=plan,
-        alpha=args.alpha,
-        beta_th=args.beta,
-        power_watts=args.power,
+        alpha=DEFAULT_ALPHA if args.alpha is None else args.alpha,
+        beta_th=DEFAULT_BETA_TH if args.beta is None else args.beta,
+        power_watts=0.0 if args.power is None else args.power,
         out_dir=Path(args.out) if args.out else None,
         mode=args.mode,
         adjacent_filter=args.adjacent_filter,
         strict_excluded=args.strict_excluded,
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
     )
 
 
@@ -281,11 +284,16 @@ def _load_model(cfg: RunConfig, db: TransmitterDb, coverage_dir: Path) -> dict:
     return cov.load_disks(coverage_dir, db)
 
 
-def _write_artifacts(cfg: RunConfig, stem: str, reports: list[rep.LocationReport]) -> None:
+def _write_artifacts(
+    cfg: RunConfig, stem: str, reports: list[rep.LocationReport], csv_text: str | None = None
+) -> None:
+    """Write the CSV/JSON(/SVG) artifacts; ``csv_text`` is ``emit_csv(reports)`` if known."""
     if cfg.out_dir is None:
         return
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / f"{stem}.csv").write_text(rep.emit_csv(reports))
+    if csv_text is None:
+        csv_text = rep.emit_csv(reports)
+    (cfg.out_dir / f"{stem}.csv").write_text(csv_text)
     (cfg.out_dir / f"{stem}.json").write_text(rep.emit_json(reports))
     if len(reports) == 1:
         (cfg.out_dir / f"{stem}.svg").write_text(
@@ -407,7 +415,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     csv_text = rep.emit_csv(reports)
     print(csv_text, end="")
-    _write_artifacts(cfg, "batch", reports)
+    _write_artifacts(cfg, "batch", reports, csv_text)
     return EXIT_OK
 
 
@@ -536,23 +544,40 @@ def cmd_disks(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _unused_flags(args: argparse.Namespace) -> list[str]:
-    """Shared flags this subcommand would otherwise accept and ignore.
+# The shared flags each subcommand reads.  Only query and batch read the
+# coverage model and the N+-1 filter; sweep and grid run the disk model and
+# report rho unfiltered, and sweep takes its powers from --powers.
+_DATA_FLAGS = ("--txdb", "--coverage")
+_MODEL_FLAGS = ("--plan", "--alpha", "--beta/--beta-db")
+_QUERY_FLAGS = (*_DATA_FLAGS, *_MODEL_FLAGS, "--power", "--mode raster",
+                "--adjacent-filter", "--strict-excluded", "--out")
+_FLAGS_READ = {
+    "query": _QUERY_FLAGS,
+    "batch": _QUERY_FLAGS,
+    "sweep": (*_DATA_FLAGS, *_MODEL_FLAGS, "--out"),
+    "grid": (*_DATA_FLAGS, *_MODEL_FLAGS, "--power", "--out"),
+    "synth": (*_MODEL_FLAGS, "--out", "--seed"),
+    "disks": _DATA_FLAGS,
+}
 
-    Only query and batch read the coverage model and the N+-1 filter;
-    sweep and grid run the disk model and report rho unfiltered.
-    """
-    if args.command in ("query", "batch"):
-        return []
-    return [
-        flag
-        for flag, given in (
-            ("--mode raster", args.mode == "raster"),
-            ("--adjacent-filter", args.adjacent_filter),
-            ("--strict-excluded", args.strict_excluded),
-        )
-        if given
-    ]
+
+def _unused_flags(args: argparse.Namespace) -> list[str]:
+    """Shared flags given to a subcommand that would otherwise ignore them."""
+    given = (
+        ("--txdb", args.txdb is not None),
+        ("--coverage", args.coverage is not None),
+        ("--plan", args.plan is not None),
+        ("--alpha", args.alpha is not None),
+        ("--beta/--beta-db", args.beta is not None),
+        ("--power", args.power is not None),
+        ("--mode raster", args.mode == "raster"),  # --mode disk is what all of them run
+        ("--adjacent-filter", args.adjacent_filter),
+        ("--strict-excluded", args.strict_excluded),
+        ("--out", args.out is not None),
+        ("--seed", args.seed is not None),
+    )
+    reads = _FLAGS_READ[args.command]
+    return [flag for flag, was_given in given if was_given and flag not in reads]
 
 
 _COMMANDS = {

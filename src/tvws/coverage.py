@@ -206,10 +206,51 @@ def synth_coverage(
 # ---------------------------------------------------------------------------
 # File formats: ESRI-ASCII-style rasters and one-line disk cache files.
 
+# rows formatted per block in write_asc_grid hold about this many cells, so
+# its numpy temporaries stay a few hundred kB whatever the grid's size
+_FORMAT_BLOCK = 1 << 12
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    """``str(int(v))`` of each cell, space-separated, a newline after each row.
+
+    Digits are written right-aligned into a fixed-width byte array whose
+    zero padding is then dropped.
+    """
+    if rows.dtype.kind in "bu":
+        negative = None
+        mag = rows.ravel().astype(np.uint64)
+    else:
+        flat = rows.ravel().astype(np.int64)
+        negative = flat < 0
+        # -(-2**63) wraps to itself, which as uint64 is 2**63
+        mag = np.where(negative, -flat, flat).astype(np.uint64)
+    ndigits = len(str(int(mag.max())))
+    width = ndigits + (negative is not None) + 1  # sign, digits, separator
+    out = np.zeros((mag.size, width), dtype=np.uint8)
+    length = np.ones(mag.size, dtype=np.intp)  # digits written per cell
+    out[:, width - 2] = 48 + mag % 10
+    for k in range(1, ndigits):
+        mag //= 10
+        more = mag > 0
+        out[:, width - 2 - k] = np.where(more, 48 + mag % 10, 0)
+        length += more
+    if negative is not None and negative.any():
+        cells = np.flatnonzero(negative)
+        out[cells, width - 2 - length[cells]] = ord("-")
+    out[:, -1] = ord(" ")
+    out.reshape(rows.shape[0], rows.shape[1], width)[:, -1, -1] = ord("\n")
+    out = out.ravel()
+    return out[out != 0].tobytes().decode("ascii")
+
+
 def write_asc_grid(
     origin: NgPoint, cell_size_m: float, values: np.ndarray, nodata: int = ASC_NODATA
 ) -> str:
     """Serialize an integer grid (row 0 = south) as ESRI-ASCII-style text."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        raise TypeError(f"write_asc_grid takes an integer grid, got {values.dtype}")
     nrows, ncols = values.shape
     out = io.StringIO()
     out.write(f"ncols        {ncols}\n")
@@ -218,46 +259,77 @@ def write_asc_grid(
     out.write(f"yllcorner    {origin.northing!r}\n")
     out.write(f"cellsize     {cell_size_m!r}\n")
     out.write(f"NODATA_value {nodata}\n")
-    for row in range(nrows - 1, -1, -1):  # northernmost row first
-        out.write(" ".join(str(int(v)) for v in values[row]))
-        out.write("\n")
+    if values.size == 0:
+        out.write("\n" * nrows)
+        return out.getvalue()
+    step = max(1, _FORMAT_BLOCK // ncols)
+    for top in range(nrows, 0, -step):  # northernmost row first
+        out.write(_format_rows(values[max(0, top - step) : top][::-1]))
     return out.getvalue()
 
 
 def write_asc(raster: CoverageRaster) -> str:
-    return write_asc_grid(raster.origin, raster.cell_size_m, raster.cells.astype(int))
+    return write_asc_grid(raster.origin, raster.cell_size_m, raster.cells)
+
+
+# header line -> (test its value must pass, what the test asks for)
+_ASC_HEADER_RULES = {
+    "ncols": (lambda v: v > 0 and v.is_integer(), "a positive integer"),
+    "nrows": (lambda v: v > 0 and v.is_integer(), "a positive integer"),
+    "xllcorner": (lambda v: 0 <= v < EASTING_MAX, f"within the OSGB envelope [0, {EASTING_MAX})"),
+    "yllcorner": (lambda v: 0 <= v < NORTHING_MAX, f"within the OSGB envelope [0, {NORTHING_MAX})"),
+    "cellsize": (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+}
+
+
+def _body_cells(body: str, source: str) -> np.ndarray:
+    """Cell values of the .asc body in file order.
+
+    A body of one-byte ``0``/``1`` tokens (what :func:`write_asc` emits) is
+    decoded from its bytes; any other body goes through ``float`` token by
+    token, so every spelling ``float`` takes is read as before.
+    """
+    if body.isascii():
+        raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+        digit = (raw | 1) == ord("1")
+        # the ASCII characters str.split separates on: 9-13 and 28-32
+        space = ((raw - 9) <= 4) | ((raw - 28) <= 4)
+        if (digit | space).all() and not (digit[1:] & digit[:-1]).any():
+            return raw[np.flatnonzero(digit)] - ord("0")
+    try:
+        return np.array(body.split(), dtype=float)
+    except ValueError:
+        raise ParseError("non-numeric cell value", source=source) from None
 
 
 def read_asc(text: str, transmitter_id: str, source: str = "raster") -> CoverageRaster:
     """Parse an ESRI-ASCII-style coverage grid (1 = covered)."""
-    lines = text.splitlines()
-    header: dict[str, float] = {}
+    header: dict[str, tuple[float, int]] = {}
     body_start = 0
-    expected = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"}
-    for i, line in enumerate(lines):
+    expected = {*_ASC_HEADER_RULES, "nodata_value"}
+    for i, line in enumerate(text.splitlines(keepends=True)):
         parts = line.split()
         if len(parts) == 2 and parts[0].lower() in expected:
             try:
-                header[parts[0].lower()] = float(parts[1])
+                header[parts[0].lower()] = (float(parts[1]), i + 1)
             except ValueError:
                 raise ParseError(
                     f"bad header value {parts[1]!r}", source=source, line=i + 1
                 ) from None
-            body_start = i + 1
+            body_start += len(line)
         else:
             break
-    for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+    for key, (valid, what) in _ASC_HEADER_RULES.items():
         if key not in header:
             raise ParseError(f"missing header line {key!r}", source=source)
+        value, line = header[key]
+        if not valid(value):
+            raise ParseError(f"{key} must be {what}, got {value!r}", source=source, line=line)
 
-    ncols = int(header["ncols"])
-    nrows = int(header["nrows"])
-    nodata = header.get("nodata_value", float(ASC_NODATA))
-    body = " ".join(lines[body_start:])
-    try:
-        flat = np.array(body.split(), dtype=float)
-    except ValueError:
-        raise ParseError("non-numeric cell value", source=source) from None
+    ncols = int(header["ncols"][0])
+    nrows = int(header["nrows"][0])
+    nodata = header["nodata_value"][0] if "nodata_value" in header else float(ASC_NODATA)
+    flat = _body_cells(text[body_start:], source)
     if flat.size != nrows * ncols:
         raise ParseError(
             f"expected {nrows * ncols} cell values, got {flat.size}", source=source
@@ -268,8 +340,8 @@ def read_asc(text: str, transmitter_id: str, source: str = "raster") -> Coverage
         raise ParseError("cell values must be 0, 1 or NODATA", source=source)
     return CoverageRaster(
         transmitter_id=transmitter_id,
-        origin=NgPoint(header["xllcorner"], header["yllcorner"]),
-        cell_size_m=header["cellsize"],
+        origin=NgPoint(header["xllcorner"][0], header["yllcorner"][0]),
+        cell_size_m=header["cellsize"][0],
         cells=cells,
     )
 
@@ -291,6 +363,13 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
     return CoverageDisk(transmitter_id=transmitter_id, center=NgPoint(e, n), radius_m=r)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not text: {exc.reason} at byte {exc.start}", source=str(path)) from None
+
+
 def load_rasters(coverage_dir: str | Path, db: TransmitterDb) -> dict[str, CoverageRaster]:
     """Read ``<id>.asc`` for every transmitter in the database."""
     coverage_dir = Path(coverage_dir)
@@ -299,7 +378,7 @@ def load_rasters(coverage_dir: str | Path, db: TransmitterDb) -> dict[str, Cover
         path = coverage_dir / f"{tx.id}.asc"
         if not path.is_file():
             raise FileNotFoundError(f"no coverage raster for {tx.id!r}: {path}")
-        rasters[tx.id] = read_asc(path.read_text(), tx.id, source=str(path))
+        rasters[tx.id] = read_asc(_read_text(path), tx.id, source=str(path))
     return rasters
 
 
@@ -312,14 +391,14 @@ def load_disks(
     for tx in db:
         disk_path = coverage_dir / f"{tx.id}.disk"
         if disk_path.is_file():
-            disks[tx.id] = read_disk(disk_path.read_text(), tx.id, source=str(disk_path))
+            disks[tx.id] = read_disk(_read_text(disk_path), tx.id, source=str(disk_path))
             continue
         asc_path = coverage_dir / f"{tx.id}.asc"
         if not asc_path.is_file():
             raise FileNotFoundError(
                 f"neither disk cache nor raster found for {tx.id!r} in {coverage_dir}"
             )
-        raster = read_asc(asc_path.read_text(), tx.id, source=str(asc_path))
+        raster = read_asc(_read_text(asc_path), tx.id, source=str(asc_path))
         disk = enclosing_disk(raster, tx)
         disks[tx.id] = disk
         if write_cache:

@@ -62,3 +62,23 @@ def min_containing_radius(raster, tx) -> float:
             math.hypot(e - tx.position.easting, n - tx.position.northing),
         )
     return best
+
+
+def asc_text(easting: float, northing: float, cell: float, values, nodata: int = -9999) -> str:
+    """An integer grid (row 0 = south) as ESRI-ASCII text, one ``str`` per cell."""
+    lines = [
+        f"ncols        {len(values[0])}",
+        f"nrows        {len(values)}",
+        f"xllcorner    {easting!r}",
+        f"yllcorner    {northing!r}",
+        f"cellsize     {cell!r}",
+        f"NODATA_value {nodata}",
+    ]
+    for row in reversed(list(values)):  # northernmost row first
+        lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def asc_cell_tokens(body: str) -> list[float]:
+    """The cell values of an ASC body, token by token (raises ValueError)."""
+    return [float(token) for token in body.split()]

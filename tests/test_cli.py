@@ -368,6 +368,48 @@ class TestFlagMatrix:
         assert main(argv + ["--mode", "raster", "--adjacent-filter"]) == 2
         assert not (tmp_path / "transmitters.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("sweep", ["--power", "5"], "--power"),
+            ("disks", ["--out", "OUT"], "--out"),
+            ("query", ["--seed", "3"], "--seed"),
+            ("batch", ["--seed", "3"], "--seed"),
+            ("sweep", ["--seed", "0"], "--seed"),
+            ("grid", ["--seed", "3"], "--seed"),
+            ("disks", ["--seed", "3"], "--seed"),
+            ("disks", ["--alpha", "3", "--beta-db", "10"], "--alpha, --beta/--beta-db"),
+            ("disks", ["--power", "1"], "--power"),
+        ],
+    )
+    def test_ignored_shared_flags_refused(
+        self, small_fixture, tmp_path, capsys, command, flags, named
+    ):
+        locs = tmp_path / "locs.csv"
+        locs.write_text("a,300000,300000\n")
+        args = self.SUBCOMMANDS.get(command, [])
+        argv = [command] + base_args(small_fixture) + [
+            str(locs) if a == "LOCS" else a for a in args
+        ] + [str(tmp_path / "out") if f == "OUT" else f for f in flags]
+        assert main(argv) == 2
+        assert f"{command} does not take {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["--txdb", "t.csv"], ["--coverage", "c"], ["--power", "1"]])
+    def test_synth_refuses_data_flags(self, tmp_path, capsys, flags):
+        argv = ["synth", "--n", "1", "--region", "0,0,1000,1000", "--out", str(tmp_path)]
+        assert main(argv + flags) == 2
+        assert f"synth does not take {flags[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "transmitters.csv").exists()
+
+    def test_flags_a_subcommand_reads_are_accepted(self, small_fixture, tmp_path, capsys):
+        region = ["--region", "250000,250000,350000,350000", "--cell", "25000"]
+        assert main(["grid"] + base_args(small_fixture) + region + ["--power", "1"]) == 0
+        assert main(["sweep"] + base_args(small_fixture) + self.SUBCOMMANDS["sweep"]
+                    + ["--mode", "disk", "--alpha", "3"]) == 0
+        assert main(["synth", "--n", "1", "--region", "0,0,1000,1000", "--seed", "4",
+                     "--alpha", "3", "--out", str(tmp_path / "s")]) == 0
+
 
 class TestBadNumbers:
     @pytest.mark.parametrize(
@@ -445,3 +487,101 @@ class TestBatchRows:
                     + ["--locations", str(locs), "--workers", "2"]) == 0
         assert len(calls) == 1
         assert f"plan={original(tvws.channel_plan.default_plan())}" in capsys.readouterr().out
+
+
+    def test_csv_rendered_once(self, small_fixture, tmp_path, capsys, monkeypatch):
+        import tvws.report
+
+        calls = []
+        original = tvws.report.emit_csv
+
+        def counting(reports):
+            calls.append(1)
+            return original(reports)
+
+        monkeypatch.setattr(tvws.report, "emit_csv", counting)
+        locs = tmp_path / "locs.csv"
+        locs.write_text("a,300000,300000\nb,SP 513 061\n")
+        out = tmp_path / "out"
+        assert main(["batch"] + base_args(small_fixture)
+                    + ["--locations", str(locs), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert (out / "batch.csv").read_text() == capsys.readouterr().out
+
+
+class TestParserReuse:
+    """The parser is built once per process; reusing it changes no output."""
+
+    def test_back_to_back_calls_match_fresh_processes(self, small_fixture, tmp_path, capsys):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tvws
+
+        data = base_args(small_fixture)
+        loc = ["--loc", "300000,300000"]
+        runs = [
+            ["query"] + data + loc + ["--power", "0.1"],
+            ["sweep"] + data + loc + ["--powers", "0.01,1", "--beta-db", "3"],
+            ["query"] + data + loc + ["--mode", "raster", "--adjacent-filter"],
+            ["sweep"] + data + loc + ["--powers", "0.01,1", "--power", "5"],
+            ["query"] + data + ["--loc", "ZZ 1 2"],
+            ["grid"] + data + ["--region", "250000,250000,350000,350000", "--cell", "25000"],
+            ["query"] + data + loc + ["--power", "nan"],
+            ["query"] + data + loc + ["--strict-excluded", "--alpha", "3.5"],
+        ]
+
+        def in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        reused = [in_process(argv) for argv in runs]
+        env = dict(os.environ, PYTHONPATH=str(Path(tvws.__file__).parents[1]))
+        for argv, got in zip(runs, reused):
+            fresh = subprocess.run([sys.executable, "-m", "tvws.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0, 2, 0]
+
+
+class TestRasterDataErrors:
+    """A bad raster exits 3 and names the file, whichever way it is bad."""
+
+    @pytest.mark.parametrize(
+        "lineno, line, message",
+        [
+            (5, "cellsize 0", "cellsize must be finite and positive"),
+            (5, "cellsize nan", "cellsize must be finite and positive"),
+            (1, "ncols 1.5", "ncols must be a positive integer"),
+            (7, "\xe9", "non-numeric cell value"),
+        ],
+    )
+    def test_query_raster_exit_3(self, small_fixture, tmp_path, capsys, lineno, line, message):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(small_fixture, data)
+        asc = sorted((data / "coverage").glob("*.asc"))[0]
+        lines = asc.read_text().split("\n")
+        lines[lineno - 1] = line
+        asc.write_text("\n".join(lines), encoding="utf-8")
+        argv = ["query"] + base_args(data) + ["--loc", "300000,300000", "--mode", "raster"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(asc) in err and message in err and "Traceback" not in err
+
+    def test_undecodable_raster_names_the_file(self, small_fixture, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(small_fixture, data)
+        asc = sorted((data / "coverage").glob("*.asc"))[0]
+        asc.write_bytes(asc.read_bytes() + b"\xff\xfe")
+        argv = ["query"] + base_args(data) + ["--loc", "300000,300000", "--mode", "raster"]
+        assert main(argv) == 3
+        assert str(asc) in capsys.readouterr().err
