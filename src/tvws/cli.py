@@ -536,7 +536,9 @@ def _synthetic_locations(seed: int) -> str:
 def cmd_disks(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     db, coverage_dir = _require_data(cfg)
-    rasters = cov.load_rasters(coverage_dir, db)
+    # the tree synth and disks leave holds no pack: a pack's stat keys differ
+    # from one build of the same tree to the next
+    rasters = cov.load_rasters(coverage_dir, db, write_cache=False)
     for tx in db:
         disk = cov.enclosing_disk(rasters[tx.id], tx)
         (coverage_dir / f"{tx.id}.disk").write_text(cov.write_disk(disk))

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import random
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -360,50 +362,240 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
         e, n, r = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"bad disk numbers {text.strip()!r}", source=source) from None
-    return CoverageDisk(transmitter_id=transmitter_id, center=NgPoint(e, n), radius_m=r)
-
-
-def _read_text(path: Path) -> str:
     try:
-        return path.read_text()
+        return CoverageDisk(transmitter_id=transmitter_id, center=NgPoint(e, n), radius_m=r)
+    except ValueError as exc:  # a radius <= 0 or not finite, a centre off the envelope
+        raise ParseError(str(exc), source=source) from None
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not text: {exc.reason} at byte {exc.start}", source=str(path)) from None
+        raise ParseError(f"not text: {exc.reason} at byte {exc.start}", source=path) from None
 
 
-def load_rasters(coverage_dir: str | Path, db: TransmitterDb) -> dict[str, CoverageRaster]:
-    """Read ``<id>.asc`` for every transmitter in the database."""
-    coverage_dir = Path(coverage_dir)
-    rasters: dict[str, CoverageRaster] = {}
+# ---------------------------------------------------------------------------
+# Coverage packs.  load_disks and load_rasters keep the entries they read in
+# one binary file per coverage directory and model kind, each beside its
+# source file's stat key (size, mtime, ctime, inode), so a later call reads
+# one file instead of one per transmitter.  An entry is taken from the pack
+# only while its key matches and its source is strictly older than the pack:
+# a source changed within the timestamp tick the pack was written in can
+# still show its old key (git's racy-clean rule).  Any other entry is read
+# from its file, after which the pack is rewritten.  A pack that is missing,
+# unreadable or not in this format is ignored.
+
+_PACK_NAMES = {"disks": ".tvws-disks.pack", "rasters": ".tvws-rasters.pack"}
+_PACK_FORMAT = "tvws coverage pack 1"
+_U64 = (1 << 64) - 1  # keys are stored as uint64; times wrap modulo 2**64 ns
+
+
+def _stat_key(path: str) -> tuple[tuple[int, int, int, int], int] | None:
+    """(stat key, newest of mtime and ctime in ns) of a regular file, else None."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    key = (st.st_size, st.st_mtime_ns & _U64, st.st_ctime_ns & _U64, st.st_ino)
+    return key, max(st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _pack_columns(kind: str, entries: list) -> list[np.ndarray]:
+    if kind == "disks":
+        rows = [(d.center.easting, d.center.northing, d.radius_m) for d in entries]
+        return [np.array(rows, dtype=np.float64).reshape(-1, 3)]
+    rows = [(r.origin.easting, r.origin.northing, r.cell_size_m) for r in entries]
+    return [
+        np.array(rows, dtype=np.float64).reshape(-1, 3),
+        np.array([r.cells.shape for r in entries], dtype=np.int64).reshape(-1, 2),
+        np.concatenate([r.cells.ravel() for r in entries]),
+    ]
+
+
+def _unpack_columns(
+    kind: str, ids: list[str], columns: list[np.ndarray], rows: list[int]
+) -> list:
+    """The entries ``_pack_columns`` stored at ``rows``; ValueError if the columns do not fit."""
+    n = len(ids)
+    if kind == "disks":
+        (floats,) = columns
+        if floats.dtype != np.float64 or floats.shape != (n, 3):
+            raise ValueError("bad disk columns")
+        return [
+            CoverageDisk(ids[i], NgPoint(e, north), r)
+            for i, (e, north, r) in zip(rows, floats[rows].tolist())
+        ]
+    floats, shapes, cells = columns
+    if (
+        floats.dtype != np.float64 or floats.shape != (n, 3)
+        or shapes.dtype != np.int64 or shapes.shape != (n, 2) or (shapes < 1).any()
+        or cells.dtype != bool or cells.ndim != 1
+    ):
+        raise ValueError("bad raster columns")
+    ends = np.cumsum(shapes.prod(axis=1))
+    if (ends[-1] if n else 0) != cells.size:
+        raise ValueError("bad raster cell count")
+    return [
+        CoverageRaster(
+            ids[i], NgPoint(e, north), cell, cells[end - nr * nc : end].reshape(nr, nc)
+        )
+        for i, (e, north, cell), (nr, nc), end in zip(
+            rows, floats[rows].tolist(), shapes[rows].tolist(), ends[rows].tolist()
+        )
+    ]
+
+
+def _fresh_entries(path: str, kind: str, stat_keys: dict[str, tuple | None]) -> dict:
+    """The pack's entries whose source, by ``stat_keys``, is unchanged and older than it.
+
+    ``stat_keys`` maps each wanted id to ``_stat_key`` of its source.  Empty
+    if there is no usable pack.
+    """
+    try:
+        with open(path, "rb") as f:
+            mtime_ns = os.fstat(f.fileno()).st_mtime_ns
+            arrays = [np.lib.format.read_array(f, allow_pickle=False)]
+            if arrays[0].shape != () or arrays[0].item() != f"{_PACK_FORMAT} {kind}":
+                return {}
+            for _ in range(3 if kind == "disks" else 5):  # ids, keys, columns
+                arrays.append(np.lib.format.read_array(f, allow_pickle=False))
+            if f.read(1):
+                return {}
+        _, ids, keys, *columns = arrays
+        if ids.dtype.kind != "U" or ids.ndim != 1:
+            return {}
+        if keys.dtype != np.uint64 or keys.shape != (ids.size, 4):
+            return {}
+        ids = ids.tolist()
+        fresh = []
+        for i, (tx_id, key) in enumerate(zip(ids, keys.tolist())):
+            now = stat_keys.get(tx_id)
+            if now is not None and now[0] == tuple(key) and now[1] < mtime_ns:
+                fresh.append(i)
+        entries = _unpack_columns(kind, ids, columns, fresh)
+    except (OSError, ValueError, EOFError, MemoryError):
+        return {}
+    return {entry.transmitter_id: entry for entry in entries}
+
+
+def _write_pack(path: str, kind: str, packed: dict[str, tuple]) -> None:
+    """Write ``{id: (stat key, entry)}`` atomically: a temp file, then ``os.replace``."""
+    arrays = [
+        np.array(f"{_PACK_FORMAT} {kind}"),
+        np.array(list(packed), dtype=str),
+        np.array([key for key, _ in packed.values()], dtype=np.uint64).reshape(-1, 4),
+        *_pack_columns(kind, [entry for _, entry in packed.values()]),
+    ]
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            for array in arrays:
+                np.save(f, array, allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _load_packed(
+    coverage_dir: Path, db: TransmitterDb, kind: str, read_file, write_cache: bool
+) -> dict:
+    """Every transmitter's entry: from the pack while fresh, else ``read_file``.
+
+    ``read_file(tx, path, is_file)`` gets the source's path and whether it
+    was a regular file, and returns the entry and whether it is that file's
+    content, whose stat key, taken before the read, then goes into the pack.
+    """
+    # what str(coverage_dir / name) gives, without building a Path per file
+    prefix = str(coverage_dir / "_")[:-1]
+    suffix = ".disk" if kind == "disks" else ".asc"
+    pack_path = prefix + _PACK_NAMES[kind]
+    paths = {tx.id: prefix + tx.id + suffix for tx in db}
+    stat_keys = {tx_id: _stat_key(path) for tx_id, path in paths.items()}
+    fresh = _fresh_entries(pack_path, kind, stat_keys)
+    entries: dict = {}
+    repack: dict[str, tuple] = {}  # the next pack: {id: (stat key, entry)}
+    stale = False
     for tx in db:
-        path = coverage_dir / f"{tx.id}.asc"
-        if not path.is_file():
+        stat_key = stat_keys[tx.id]
+        if tx.id in fresh:
+            entries[tx.id] = fresh[tx.id]
+            repack[tx.id] = (stat_key[0], fresh[tx.id])
+            continue
+        entries[tx.id], from_source = read_file(tx, paths[tx.id], stat_key is not None)
+        if from_source and stat_key is not None:
+            repack[tx.id] = (stat_key[0], entries[tx.id])
+            stale = True
+    if stale and write_cache:
+        try:
+            _write_pack(pack_path, kind, repack)
+        except OSError:
+            pass  # read-only data dir; the files are read again next time
+    return entries
+
+
+def load_rasters(
+    coverage_dir: str | Path, db: TransmitterDb, write_cache: bool = True
+) -> dict[str, CoverageRaster]:
+    """Read ``<id>.asc`` for every transmitter in the database.
+
+    Fresh entries come from the directory's raster pack; with
+    ``write_cache`` the pack is rewritten when any raster was read from its file.
+    """
+
+    def read_file(tx: Transmitter, path: str, is_file: bool) -> tuple[CoverageRaster, bool]:
+        if not is_file:
             raise FileNotFoundError(f"no coverage raster for {tx.id!r}: {path}")
-        rasters[tx.id] = read_asc(_read_text(path), tx.id, source=str(path))
-    return rasters
+        return read_asc(_read_text(path), tx.id, source=path), True
+
+    return _load_packed(Path(coverage_dir), db, "rasters", read_file, write_cache)
 
 
 def load_disks(
     coverage_dir: str | Path, db: TransmitterDb, write_cache: bool = True
 ) -> dict[str, CoverageDisk]:
-    """Read ``<id>.disk`` caches, deriving (and caching) from rasters as needed."""
+    """Read ``<id>.disk`` caches, deriving (and caching) from rasters as needed.
+
+    Fresh entries come from the directory's disk pack.  With ``write_cache``
+    derived disks are written to ``<id>.disk`` and the pack is rewritten when
+    any disk was read from its file.  A disk whose centre is not its
+    transmitter's position is a ParseError naming the file.
+    """
     coverage_dir = Path(coverage_dir)
-    disks: dict[str, CoverageDisk] = {}
-    for tx in db:
-        disk_path = coverage_dir / f"{tx.id}.disk"
-        if disk_path.is_file():
-            disks[tx.id] = read_disk(_read_text(disk_path), tx.id, source=str(disk_path))
-            continue
+
+    def read_file(tx: Transmitter, path: str, is_file: bool) -> tuple[CoverageDisk, bool]:
+        if is_file:
+            return read_disk(_read_text(path), tx.id, source=path), True
         asc_path = coverage_dir / f"{tx.id}.asc"
         if not asc_path.is_file():
             raise FileNotFoundError(
                 f"neither disk cache nor raster found for {tx.id!r} in {coverage_dir}"
             )
-        raster = read_asc(_read_text(asc_path), tx.id, source=str(asc_path))
+        raster = read_asc(_read_text(str(asc_path)), tx.id, source=str(asc_path))
         disk = enclosing_disk(raster, tx)
-        disks[tx.id] = disk
         if write_cache:
             try:
-                disk_path.write_text(write_disk(disk))
+                Path(path).write_text(write_disk(disk))
             except OSError:
                 pass  # read-only data dir; recomputing next time is fine
+        return disk, False
+
+    disks = _load_packed(coverage_dir, db, "disks", read_file, write_cache)
+    for tx in db:
+        center = disks[tx.id].center
+        if center != tx.position:
+            raise ParseError(
+                f"disk centre ({center.easting!r}, {center.northing!r}) is not the "
+                f"position of {tx.id!r} in the transmitter database "
+                f"({tx.position.easting!r}, {tx.position.northing!r}); "
+                "delete the file or rerun `tvws disks`",
+                source=str(coverage_dir / f"{tx.id}.disk"),
+            )
     return disks

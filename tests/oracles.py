@@ -2,12 +2,17 @@
 
 Everything here is written from the definitions, not by calling the
 engine: step-function evaluation over every (transmitter, channel) pair,
-and exhaustive corner scans for disk containment.  Keep it dumb.
+and exhaustive corner scans for disk containment.  The one exception is
+``coverage_from_files``, which reads each coverage file with the engine's
+per-file parsers: it is the reference for packed loads.  Keep it dumb.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
+
+from tvws.coverage import enclosing_disk, read_asc, read_disk
 
 
 def step(x: float) -> float:
@@ -82,3 +87,37 @@ def asc_text(easting: float, northing: float, cell: float, values, nodata: int =
 def asc_cell_tokens(body: str) -> list[float]:
     """The cell values of an ASC body, token by token (raises ValueError)."""
     return [float(token) for token in body.split()]
+
+
+def coverage_from_files(coverage_dir, db, kind: str) -> dict:
+    """What ``load_disks``/``load_rasters`` must return, read file by file.
+
+    Each transmitter's own ``<id>.disk`` or ``<id>.asc`` goes through the
+    per-file parser; a missing ``.disk`` is derived from the ``.asc``.  No
+    pack is read, so this is the reference for every packed load.
+    """
+    out = {}
+    for tx in db:
+        disk = Path(coverage_dir) / f"{tx.id}.disk"
+        raster = Path(coverage_dir) / f"{tx.id}.asc"
+        if kind == "disks" and disk.is_file():
+            out[tx.id] = read_disk(disk.read_text(), tx.id)
+        elif kind == "disks":
+            out[tx.id] = enclosing_disk(read_asc(raster.read_text(), tx.id), tx)
+        else:
+            out[tx.id] = read_asc(raster.read_text(), tx.id)
+    return out
+
+
+def coverage_values(entries: dict) -> dict:
+    """Loaded disks or rasters as plain comparable values, each number with its type."""
+    out = {}
+    for tx_id, entry in entries.items():
+        if hasattr(entry, "cells"):
+            numbers = (entry.origin.easting, entry.origin.northing, entry.cell_size_m)
+            cells = (entry.cells.dtype.str, entry.cells.shape, entry.cells.tobytes())
+        else:
+            numbers = (entry.center.easting, entry.center.northing, entry.radius_m)
+            cells = None
+        out[tx_id] = (entry.transmitter_id, [(type(v), v) for v in numbers], cells)
+    return out

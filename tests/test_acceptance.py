@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import shutil
 import time
 from pathlib import Path
 
@@ -218,7 +219,9 @@ def test_criterion_8_disk_construction_on_random_rasters():
 
 def test_criterion_9_manchester_sweep_matches_golden(tmp_path):
     """Committed fixture: golden bytes, plateau, sharp decrease, positive at 2 W."""
-    fixture = DATA_DIR / "manchester"
+    # a copy, so the coverage pack a sweep writes stays out of tests/data
+    fixture = tmp_path / "manchester"
+    shutil.copytree(DATA_DIR / "manchester", fixture)
     out = tmp_path / "sweep"
     code = main(
         [

@@ -250,6 +250,31 @@ class TestDiskFile:
         with pytest.raises(ParseError):
             read_disk("a b c\n", "t1")
 
+    @pytest.mark.parametrize("text", [
+        "1 2 -1", "1 2 0", "1 2 -0.0", "1 2 nan", "1 2 inf", "1 2 1e999",
+        "1e9 0 5", "0 1300000 5", "-1 0 5", "700000 0 5", "nan 0 5", "0 -inf 5",
+    ])
+    def test_bad_values_name_the_file(self, text):
+        with pytest.raises(ParseError, match=r"^a\.disk: "):
+            read_disk(text, "x", source="a.disk")
+
+    @given(st.one_of(
+        st.text(max_size=60),
+        st.lists(
+            st.one_of(st.floats(), st.floats(0, 1.4e6),
+                      st.sampled_from(["nan", "-inf", "1e999", "x"])),
+            min_size=2, max_size=4,
+        ).map(lambda vs: " ".join(map(str, vs))),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_only_parse_error_escapes(self, text):
+        try:
+            disk = read_disk(text, "t", source="fuzz.disk")
+        except ParseError as exc:
+            assert str(exc).startswith("fuzz.disk: ")
+        else:
+            assert math.isfinite(disk.radius_m) and disk.radius_m > 0
+
 
 class TestDirectoryLoaders:
     @pytest.fixture
