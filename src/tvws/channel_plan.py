@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tvws.errors import ParseError
 
@@ -71,7 +71,6 @@ class ChannelPlan:
     interleaved: frozenset[int]
     cleared: frozenset[int]
     excluded: frozenset[int]
-    channel_width_mhz: int = field(default=CHANNEL_WIDTH_MHZ)
 
     def __post_init__(self) -> None:
         sets = (self.interleaved, self.cleared, self.excluded)

@@ -43,7 +43,7 @@ from tvws.availability import (
 )
 from tvws.channel_plan import ChannelPlan, default_plan, load_plan, plan_hash
 from tvws.errors import ParseError
-from tvws.geo import OSGB_ENVELOPE, BoundingBox, NgPoint, parse_location
+from tvws.geo import EASTING_MAX, NORTHING_MAX, OSGB_ENVELOPE, BoundingBox, NgPoint, parse_location
 from tvws.keepout import DEFAULT_ALPHA, DEFAULT_BETA_TH, PropagationParams, QueryParams
 from tvws.txdb import TransmitterDb, generate_synthetic, load_txdb, parse_watts, serialize
 
@@ -113,8 +113,13 @@ def _region(text: str) -> BoundingBox:
         vals = [float(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad region numbers {text!r}") from None
-    if not all(math.isfinite(v) for v in vals):
-        raise argparse.ArgumentTypeError(f"region numbers must be finite, got {text!r}")
+    # also refuses nan and inf
+    min_e, min_n, max_e, max_n = vals
+    if not (0 <= min_e and 0 <= min_n and max_e <= EASTING_MAX and max_n <= NORTHING_MAX):
+        raise argparse.ArgumentTypeError(
+            f"region {text!r} must lie inside the OSGB envelope "
+            f"0,0,{EASTING_MAX:.0f},{NORTHING_MAX:.0f}"
+        )
     try:
         box = BoundingBox(*vals)
     except ValueError as exc:
@@ -263,19 +268,20 @@ def _require_data(cfg: RunConfig) -> tuple[TransmitterDb, Path]:
 
 
 def _evaluate(
-    cfg: RunConfig,
-    db: TransmitterDb,
-    model: dict,
-    loc: NgPoint,
-) -> AvailabilityResult:
+    cfg: RunConfig, db: TransmitterDb, model: dict, locs: list[NgPoint]
+) -> list[AvailabilityResult]:
+    """Each location's result under ``--mode``, with its N+-1 filtered set."""
     if cfg.mode == "raster":
-        result = availability_lowpower(db, model, cfg.plan, loc)
-    else:
-        q = QueryParams(loc, cfg.power_watts, cfg.prop)
-        result = availability(db, model, cfg.plan, q)
+        results = [availability_lowpower(db, model, cfg.plan, loc) for loc in locs]
+    elif len(locs) == 1:  # one point also lists its blockers
+        q = QueryParams(locs[0], cfg.power_watts, cfg.prop)
+        results = [availability(db, model, cfg.plan, q)]
+    else:  # every location in one kernel call
+        results = availability_batch(db, model, cfg.plan, locs, cfg.power_watts, cfg.prop)
     extra = cfg.plan.excluded if cfg.strict_excluded else ()
-    adjacent_filter(result, extra)
-    return result
+    for result in results:
+        adjacent_filter(result, extra)
+    return results
 
 
 def _load_model(cfg: RunConfig, db: TransmitterDb, coverage_dir: Path) -> dict:
@@ -301,6 +307,10 @@ def _write_artifacts(
         )
 
 
+def _channels(channels: frozenset[int]) -> str:
+    return " ".join(str(c) for c in sorted(channels)) or "none"
+
+
 def _format_runs(runs: list[tuple[int, int]]) -> str:
     if not runs:
         return "none"
@@ -313,39 +323,27 @@ def cmd_query(args: argparse.Namespace) -> int:
         loc = parse_location(args.loc)
     except ParseError as exc:
         return _fail(f"bad location: {exc}", EXIT_USAGE)
-    if cfg.mode == "raster" and cfg.power_watts != 0:
-        return _fail("--mode raster is the zero-power model; use --power 0", EXIT_USAGE)
 
     db, coverage_dir = _require_data(cfg)
     model = _load_model(cfg, db, coverage_dir)
-    result = _evaluate(cfg, db, model, loc)
+    [result] = _evaluate(cfg, db, model, [loc])
     report = rep.build_report(args.loc, result, cfg.plan, cfg.alpha, cfg.beta_th)
 
     filtered = result.filtered_vacant or frozenset()
-    headline = filtered if cfg.adjacent_filter else result.vacant
     print(f"location: {args.loc} -> {loc.easting:g},{loc.northing:g}")
     print(
         f"mode: {cfg.mode}   power: {cfg.power_watts!r} W   "
         f"alpha: {cfg.alpha!r}   beta_th: {cfg.beta_th!r}   plan: {report.plan_digest}"
     )
-    print(
-        f"vacant (rho={result.rho}, {8 * result.rho} MHz): "
-        + (" ".join(str(c) for c in sorted(result.vacant)) or "none")
-    )
-    print("occupied: " + (" ".join(str(c) for c in sorted(result.occupied)) or "none"))
+    print(f"vacant (rho={result.rho}, {8 * result.rho} MHz): {_channels(result.vacant)}")
+    print(f"occupied: {_channels(result.occupied)}")
     print(
         f"contiguous runs: {_format_runs(report.runs)}   "
         f"max contiguous: {report.max_contiguous_mhz} MHz"
     )
-    print(
-        f"adjacent-filtered ({len(filtered)}, {8 * len(filtered)} MHz): "
-        + (" ".join(str(c) for c in sorted(filtered)) or "none")
-    )
+    print(f"adjacent-filtered ({len(filtered)}, {8 * len(filtered)} MHz): {_channels(filtered)}")
     if cfg.adjacent_filter:
-        print(
-            "available for use: "
-            + (" ".join(str(c) for c in sorted(headline)) or "none")
-        )
+        print(f"available for use: {_channels(filtered)}")
     _write_artifacts(cfg, "query", [report])
     return EXIT_OK
 
@@ -380,8 +378,6 @@ def _read_locations_file(path: Path) -> list[tuple[str, NgPoint]]:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if cfg.mode == "raster" and cfg.power_watts != 0:
-        return _fail("--mode raster is the zero-power model; use --power 0", EXIT_USAGE)
     if args.workers < 1:
         return _fail("--workers must be >= 1", EXIT_USAGE)
 
@@ -392,26 +388,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
     digest = plan_hash(cfg.plan)
 
     def run_part(part: list[tuple[str, NgPoint]]) -> list[rep.LocationReport]:
-        locs = [loc for _, loc in part]
-        if cfg.mode == "raster":
-            results = [_evaluate(cfg, db, model, loc) for loc in locs]
-        else:  # the disk model takes every location of the part in one kernel call
-            results = availability_batch(db, model, cfg.plan, locs, cfg.power_watts, cfg.prop)
-            for result in results:
-                adjacent_filter(result, cfg.plan.excluded if cfg.strict_excluded else ())
+        results = _evaluate(cfg, db, model, [loc for _, loc in part])
         return [
             rep.build_report(label, result, cfg.plan, cfg.alpha, cfg.beta_th, plan_digest=digest)
             for (label, _), result in zip(part, results)
         ]
 
-    if args.workers == 1:
-        reports = run_part(entries)
-    else:
-        # one contiguous part per worker, joined back in input order
-        size = -(-len(entries) // args.workers)
-        parts = [entries[i : i + size] for i in range(0, len(entries), size)]
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            reports = [report for part in pool.map(run_part, parts) for report in part]
+    # one contiguous part per worker, joined back in input order
+    size = -(-len(entries) // args.workers)
+    parts = [entries[i : i + size] for i in range(0, len(entries), size)]
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        reports = [report for part in pool.map(run_part, parts) for report in part]
 
     csv_text = rep.emit_csv(reports)
     print(csv_text, end="")
@@ -599,13 +586,11 @@ def main(argv: list[str] | None = None) -> int:
     unused = _unused_flags(args)
     if unused:
         return _fail(f"{args.command} does not take {', '.join(unused)}", EXIT_USAGE)
+    if args.mode == "raster" and args.power:  # only query and batch get here with raster
+        return _fail("--mode raster is the zero-power model; use --power 0", EXIT_USAGE)
     try:
         return handler(args)
-    except (ParseError, FileNotFoundError) as exc:
-        return _fail(str(exc), EXIT_DATA)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_DATA)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         return _fail(str(exc), EXIT_DATA)
     except (AssertionError, RuntimeError) as exc:
         return _fail(f"internal invariant violated: {exc}", EXIT_INTERNAL)

@@ -510,8 +510,8 @@ def _load_packed(
     """Every transmitter's entry: from the pack while fresh, else ``read_file``.
 
     ``read_file(tx, path, is_file)`` gets the source's path and whether it
-    was a regular file, and returns the entry and whether it is that file's
-    content, whose stat key, taken before the read, then goes into the pack.
+    was a regular file, and returns the entry.  An entry read from a regular
+    file goes into the pack with that file's stat key, taken before the read.
     """
     # what str(coverage_dir / name) gives, without building a Path per file
     prefix = str(coverage_dir / "_")[:-1]
@@ -529,8 +529,8 @@ def _load_packed(
             entries[tx.id] = fresh[tx.id]
             repack[tx.id] = (stat_key[0], fresh[tx.id])
             continue
-        entries[tx.id], from_source = read_file(tx, paths[tx.id], stat_key is not None)
-        if from_source and stat_key is not None:
+        entries[tx.id] = read_file(tx, paths[tx.id], stat_key is not None)
+        if stat_key is not None:
             repack[tx.id] = (stat_key[0], entries[tx.id])
             stale = True
     if stale and write_cache:
@@ -550,10 +550,10 @@ def load_rasters(
     ``write_cache`` the pack is rewritten when any raster was read from its file.
     """
 
-    def read_file(tx: Transmitter, path: str, is_file: bool) -> tuple[CoverageRaster, bool]:
+    def read_file(tx: Transmitter, path: str, is_file: bool) -> CoverageRaster:
         if not is_file:
             raise FileNotFoundError(f"no coverage raster for {tx.id!r}: {path}")
-        return read_asc(_read_text(path), tx.id, source=path), True
+        return read_asc(_read_text(path), tx.id, source=path)
 
     return _load_packed(Path(coverage_dir), db, "rasters", read_file, write_cache)
 
@@ -570,9 +570,9 @@ def load_disks(
     """
     coverage_dir = Path(coverage_dir)
 
-    def read_file(tx: Transmitter, path: str, is_file: bool) -> tuple[CoverageDisk, bool]:
+    def read_file(tx: Transmitter, path: str, is_file: bool) -> CoverageDisk:
         if is_file:
-            return read_disk(_read_text(path), tx.id, source=path), True
+            return read_disk(_read_text(path), tx.id, source=path)
         asc_path = coverage_dir / f"{tx.id}.asc"
         if not asc_path.is_file():
             raise FileNotFoundError(
@@ -585,7 +585,7 @@ def load_disks(
                 Path(path).write_text(write_disk(disk))
             except OSError:
                 pass  # read-only data dir; recomputing next time is fine
-        return disk, False
+        return disk
 
     disks = _load_packed(coverage_dir, db, "disks", read_file, write_cache)
     for tx in db:

@@ -88,9 +88,6 @@ class TransmitterDb:
     def __iter__(self):
         return iter(self.transmitters)
 
-    def by_id(self) -> dict[str, Transmitter]:
-        return {tx.id: tx for tx in self.transmitters}
-
 
 def _check_erp_range(erp: float, *, source: str, line: int) -> None:
     if not ERP_TYPICAL_MIN_W <= erp <= ERP_TYPICAL_MAX_W:

@@ -118,6 +118,17 @@ class TestQuery:
         assert code == 2
         assert "bad location" in capsys.readouterr().err
 
+    def test_no_disk_or_raster_exit_3(self, small_fixture, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(small_fixture, data)
+        for path in (data / "coverage").glob("tx1.*"):
+            path.unlink()
+        code = main(["query"] + base_args(data) + ["--loc", "300000,300000"])
+        assert code == 3
+        assert "neither disk cache nor raster found for 'tx1'" in capsys.readouterr().err
+
     def test_missing_txdb_exit_3(self, tmp_path, capsys):
         code = main(
             ["query", "--txdb", str(tmp_path / "nope.csv"),
@@ -134,12 +145,13 @@ class TestQuery:
         assert main(["query", "--loc", "300000,300000"]) == 0
         assert "vacant" in capsys.readouterr().out
 
-    def test_raster_mode_needs_zero_power(self, small_fixture, capsys):
-        code = main(
-            ["query"] + base_args(small_fixture)
-            + ["--loc", "300000,300000", "--mode", "raster", "--power", "1"]
-        )
-        assert code == 2
+    def test_raster_mode_needs_zero_power(self, small_fixture, tmp_path, capsys):
+        locs = tmp_path / "locs.csv"
+        locs.write_text("a,300000,300000\n")
+        for where in (["query", "--loc", "300000,300000"], ["batch", "--locations", str(locs)]):
+            code = main(where + base_args(small_fixture) + ["--mode", "raster", "--power", "1"])
+            assert code == 2
+            assert "zero-power model" in capsys.readouterr().err
 
     def test_raster_mode_at_zero_power(self, small_fixture, capsys):
         code = main(
@@ -441,31 +453,54 @@ class TestBadNumbers:
             main(["grid"] + base_args(small_fixture) + ["--region", "0,0,1e5,inf"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["grid", "synth"])
+    @pytest.mark.parametrize(
+        "region", ["0,0,1e15,10", "-1,0,1000,1000", "0,0,700000,1300001", "nan,0,1,1"]
+    )
+    def test_region_outside_envelope_refused(
+        self, small_fixture, tmp_path, capsys, command, region
+    ):
+        args = {"grid": base_args(small_fixture) + ["--cell", "1"],
+                "synth": ["--n", "1", "--out", str(tmp_path)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, f"--region={region}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = [line for line in err.splitlines() if "error" in line]
+        assert "argument --region" in line and "OSGB envelope" in line
+
+    def test_region_may_reach_the_envelope_max(self, small_fixture, capsys):
+        region = ["--region", "0,0,700000,1300000", "--cell", "100000"]
+        assert main(["grid"] + base_args(small_fixture) + region) == 0
+        assert capsys.readouterr().out.startswith("grid 13x7 cells")
+
 
 class TestBatchRows:
     def test_rows_equal_per_location_queries(self, uk81_dir, tmp_path, capsys):
         data = ["--txdb", str(uk81_dir / "transmitters.csv"),
                 "--coverage", str(uk81_dir / "coverage")]
-        flags = ["--power", "0.1", "--strict-excluded"]
         entries = [
             line.split(",", 1)
             for line in (uk81_dir / "locations.csv").read_text().splitlines()
             if line and not line.startswith("#")
         ]
-        out = tmp_path / "b"
-        assert main(["batch", *data, "--locations", str(uk81_dir / "locations.csv"),
-                     "--workers", "3", "--out", str(out), *flags]) == 0
-        rows = json.loads((out / "batch.json").read_text())["reports"]
-        capsys.readouterr()
-        assert [row["label"] for row in rows] == [label for label, _ in entries]
-        for row, (_label, loc) in zip(rows, entries):
-            assert main(["query", *data, "--loc", loc, *flags]) == 0
-            text = capsys.readouterr().out
-            vacant = text.split("vacant (rho=", 1)[1].split("\n", 1)[0]
-            assert vacant.startswith(f"{row['rho']},")
-            listed = vacant.split("MHz): ", 1)[1]
-            assert listed == (" ".join(map(str, row["vacant_channels"])) or "none")
-            assert f"adjacent-filtered ({row['rho_filtered']}," in text
+        disk, raster = ["--power", "0.1", "--strict-excluded"], ["--mode", "raster", "--power", "0"]
+        for i, flags in enumerate((disk, raster)):
+            out = tmp_path / f"b{i}"
+            assert main(["batch", *data, "--locations", str(uk81_dir / "locations.csv"),
+                         "--workers", "3", "--out", str(out), *flags]) == 0
+            rows = json.loads((out / "batch.json").read_text())["reports"]
+            capsys.readouterr()
+            assert [row["label"] for row in rows] == [label for label, _ in entries]
+            for row, (_label, loc) in zip(rows, entries):
+                assert main(["query", *data, "--loc", loc, *flags]) == 0
+                text = capsys.readouterr().out
+                vacant = text.split("vacant (rho=", 1)[1].split("\n", 1)[0]
+                assert vacant.startswith(f"{row['rho']},")
+                listed = vacant.split("MHz): ", 1)[1]
+                assert listed == (" ".join(map(str, row["vacant_channels"])) or "none")
+                assert f"adjacent-filtered ({row['rho_filtered']}," in text
 
     def test_plan_digest_computed_once(self, small_fixture, tmp_path, capsys, monkeypatch):
         import tvws.channel_plan

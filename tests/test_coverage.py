@@ -309,6 +309,12 @@ class TestDirectoryLoaders:
         again = load_disks(cov_dir, db)
         assert again == disks
 
+    def test_load_disks_without_disk_or_raster(self, tree):
+        db, cov_dir = tree
+        (cov_dir / "s1.asc").unlink()
+        with pytest.raises(FileNotFoundError, match="neither disk cache nor raster.*'s1'"):
+            load_disks(cov_dir, db)
+
     def test_load_disks_prefers_cache(self, tree):
         db, cov_dir = tree
         fake = CoverageDisk("s0", db.transmitters[0].position, 123.0)
