@@ -37,8 +37,12 @@ from tvws.geo import BoundingBox, NgPoint
 from tvws.keepout import PropagationParams, QueryParams, keepout_radius
 from tvws.txdb import TransmitterDb
 
-# Kernel temporaries hold about this many (power, point, transmitter) pairs.
-_CHUNK_PAIRS = 1 << 14
+# The kernel tests about this many (power, point, transmitter) pairs at a time,
+# and lays one lattice over at most _BLOCK_POINTS points.
+_CHUNK_PAIRS = 1 << 12
+_BLOCK_POINTS = 1 << 12
+# power_sweep computes R' for at most this many (power, transmitter) pairs at a time.
+_SWEEP_PAIRS = 1 << 14
 # numpy's hypot and ** can differ from math.hypot and Python's ** in the
 # last place, so a distance this close to R' (relative) is re-decided with
 # the scalar definitions, geo.distance's arithmetic and keepout_radius.
@@ -59,13 +63,14 @@ class AvailabilityResult:
     filtered_vacant: frozenset[int] | None = None
 
 
-def _bits(channels: Iterable[int]) -> int:
+def channel_mask(channels: Iterable[int]) -> int:
+    """Bit ``ch - 21`` set for each channel ``ch``: the mask form of a channel set."""
     return sum(1 << (ch - CHANNEL_MIN) for ch in channels)
 
 
 def channel_bits(db: TransmitterDb, plan: ChannelPlan) -> np.ndarray:
     """Per transmitter, bit ``ch - 21`` set for each interleaved channel ``ch`` it carries."""
-    return np.array([_bits(tx.channels & plan.interleaved) for tx in db], dtype=np.uint64)
+    return np.array([channel_mask(tx.channels & plan.interleaved) for tx in db], dtype=np.uint64)
 
 
 @dataclass(eq=False)
@@ -112,47 +117,96 @@ class KeepoutDisks:
         radii *= coverage
         return cls([float(p) for p in powers], prop, east, north, erp, coverage, radii)
 
-    def inside(self, east: np.ndarray, north: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """d < R' for every power x point x transmitter in ``keep``."""
-        d = np.hypot(
-            east[:, np.newaxis] - self.east[keep], north[:, np.newaxis] - self.north[keep]
-        )
-        r = self.radii[:, np.newaxis, keep]
+    def inside(self, east: np.ndarray, north: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """d < R' at every power, pairing point (``east[k]``, ``north[k]``) with ``t[k]``."""
+        d = np.hypot(east - self.east[t], north - self.north[t])
+        r = self.radii[:, t]
         inside = d < r
         gap = d / r  # |d / R' - 1|, computed in place
         gap -= 1.0
-        for p, i, k in zip(*np.nonzero(np.abs(gap, out=gap) <= _TIE_BAND)):
-            t = keep[k]
-            exact = math.hypot(east[i] - self.east[t], north[i] - self.north[t])
-            inside[p, i, k] = exact < keepout_radius(
-                self.powers[p], float(self.erp[t]), float(self.coverage[t]), self.prop
+        for p, k in zip(*np.nonzero(np.abs(gap, out=gap) <= _TIE_BAND)):
+            tk = t[k]
+            exact = math.hypot(east[k] - self.east[tk], north[k] - self.north[tk])
+            inside[p, k] = exact < keepout_radius(
+                self.powers[p], float(self.erp[tk]), float(self.coverage[tk]), self.prop
             )
         return inside
 
 
+def _lattice(
+    east: np.ndarray, north: np.ndarray, reach: np.ndarray
+) -> tuple[float, float, float, int, int]:
+    """``(e0, n0, edge, nx, ny)``: square buckets over the points' bounding box.
+
+    edge = cbrt(2r * area / points), for the mean reach r, balances buckets
+    listed per transmitter (~(2r / edge)^2) against pairs per point
+    (~(2r + edge)^2 / area); it never leaves many more buckets than points.
+    """
+    e0, n0 = float(east.min()), float(north.min())
+    width, height = float(east.max()) - e0, float(north.max()) - n0
+    r = float(np.minimum(reach, max(width, height)).mean())
+    area, n = width * height, east.size
+    edge = max((2.0 * r * area / n) ** (1 / 3), math.sqrt(area / n), width / n, height / n, 1.0)
+    nx = int(math.floor(width / edge)) + 1
+    ny = int(math.floor(height / edge)) + 1
+    return e0, n0, edge, nx, ny
+
+
 def occupied_masks(
-    kd: KeepoutDisks,
-    bits: np.ndarray,
-    east: np.ndarray,
-    north: np.ndarray,
-    keep: Sequence[int] | None = None,
+    kd: KeepoutDisks, bits: np.ndarray, east: np.ndarray, north: np.ndarray
 ) -> np.ndarray:
     """The disk-model kernel: ``uint64`` occupied-channel masks, shape (powers, points).
 
     A transmitter blocks its channels ``bits`` (see :func:`channel_bits`)
     where a point is strictly inside its keep-out radius; the boundary
-    itself is permitted.  ``keep`` limits the transmitters compared
-    (default: all with a bit set).  Points go a chunk at a time, so no
-    points x transmitters matrix is built.
+    itself is permitted.  Only pairs that can be that close are compared, by
+    a cell-list join (Bentley & Friedman, ACM Comput. Surv. 11(4), 1979):
+    each transmitter is listed in the buckets of :func:`_lattice` that its
+    reach box touches, and each point meets the transmitters listed in its
+    own bucket.  The box is R' at the largest power, widened past the tie
+    band and by a metre for the rounding of its ends, so every pair the tie
+    rule re-decides is a candidate.  Points go a block at a time, each block
+    on its own lattice, and their candidates about ``_CHUNK_PAIRS`` at a time.
     """
-    keep = np.flatnonzero(bits) if keep is None else np.asarray(keep)
-    masks = np.zeros((kd.radii.shape[0], east.size), dtype=np.uint64)
-    step = max(1, _CHUNK_PAIRS // (kd.radii.shape[0] * max(1, keep.size)))
-    for i in range(0, east.size, step):
-        inside = kd.inside(east[i : i + step], north[i : i + step], keep)
-        masks[:, i : i + step] = np.bitwise_or.reduce(
-            np.where(inside, bits[keep], np.uint64(0)), axis=2
-        )
+    masks = np.zeros((len(kd.powers), east.size), dtype=np.uint64)
+    keep = np.flatnonzero(bits)
+    if not keep.size:
+        return masks
+    reach = kd.radii[:, keep].max(axis=0) * (1.0 + 4 * _TIE_BAND) + 1.0
+    budget = max(1, _CHUNK_PAIRS // len(kd.powers))
+    for i in range(0, east.size, _BLOCK_POINTS):
+        e, n = east[i : i + _BLOCK_POINTS], north[i : i + _BLOCK_POINTS]
+        e0, n0, edge, nx, ny = _lattice(e, n, reach)
+        # every (bucket, transmitter) listing, sorted by bucket
+        centre = np.stack([kd.east[keep], kd.north[keep]]) - np.array([[e0], [n0]])
+        lo = np.floor((centre - reach) / edge).clip(0, [[nx], [ny]]).astype(np.int64)
+        hi = np.floor((centre + reach) / edge).clip(-1, [[nx - 1], [ny - 1]]).astype(np.int64)
+        (x0, y0), (wx, wy) = lo, np.maximum(hi - lo + 1, 0)
+        cells = wx * wy
+        listed = np.repeat(keep, cells)
+        j = np.arange(listed.size) - np.repeat(np.cumsum(cells) - cells, cells)
+        wx = np.repeat(wx, cells)
+        bucket = (np.repeat(y0, cells) + j // wx) * nx + np.repeat(x0, cells) + j % wx
+        order = np.argsort(bucket, kind="stable")
+        bucket, listed = bucket[order], listed[order]
+        # each point's run of listings, taken in chunks of about `budget` pairs
+        at = (np.floor((n - n0) / edge) * nx + np.floor((e - e0) / edge)).astype(np.int64)
+        first = np.searchsorted(bucket, at, "left")
+        counts = np.searchsorted(bucket, at, "right") - first
+        ends = np.cumsum(counts)
+        a = 0
+        while a < e.size:
+            done = ends[a - 1] if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + budget, "right")))
+            c, starts = counts[a:b], ends[a:b] - counts[a:b] - done
+            if ends[b - 1] > done:
+                t = listed[np.arange(ends[b - 1] - done) + np.repeat(first[a:b] - starts, c)]
+                inside = kd.inside(np.repeat(e[a:b], c), np.repeat(n[a:b], c), t)
+                hit = np.flatnonzero(c)
+                masks[:, i + a + hit] = np.bitwise_or.reduceat(
+                    np.where(inside, bits[t], np.uint64(0)), starts[hit], axis=1
+                )
+            a = b
     return masks
 
 
@@ -182,11 +236,11 @@ def availability(
     permitted.  Also lists each channel's blocking transmitters.
     """
     kd = KeepoutDisks.build(db, disks, [q.p_cr_watts], q.prop)
-    east, north = np.array([q.location.easting]), np.array([q.location.northing])
-    keep = np.arange(len(db))
+    t = np.arange(len(db))
+    east, north = np.full(t.size, q.location.easting), np.full(t.size, q.location.northing)
     blockers: dict[int, list[str]] = {}
-    for t in keep[kd.inside(east, north, keep)[0, 0]]:
-        tx = db.transmitters[t]
+    for k in np.flatnonzero(kd.inside(east, north, t)[0]):
+        tx = db.transmitters[k]
         for ch in tx.channels:
             blockers.setdefault(ch, []).append(tx.id)
     return _result(q.location, q.p_cr_watts, plan, blockers, blockers)
@@ -199,16 +253,12 @@ def availability_batch(
     locations: Sequence[NgPoint],
     p_cr_watts: float,
     prop: PropagationParams,
-) -> list[AvailabilityResult]:
-    """:func:`availability` at many locations in one kernel call, without blockers."""
+) -> np.ndarray:
+    """:func:`availability`'s occupied channels at many locations, one :func:`channel_mask` each."""
     kd = KeepoutDisks.build(db, disks, [p_cr_watts], prop)
     east = np.array([loc.easting for loc in locations], dtype=float)
     north = np.array([loc.northing for loc in locations], dtype=float)
-    masks = occupied_masks(kd, channel_bits(db, plan), east, north)[0].tolist()
-    return [
-        _result(loc, p_cr_watts, plan, (c for c in plan.interleaved if m >> (c - CHANNEL_MIN) & 1))
-        for loc, m in zip(locations, masks)
-    ]
+    return occupied_masks(kd, channel_bits(db, plan), east, north)[0]
 
 
 def availability_lowpower(
@@ -272,6 +322,22 @@ def contiguity(vacant: Iterable[int]) -> tuple[list[tuple[int, int]], int]:
     return runs, longest * CHANNEL_WIDTH_MHZ
 
 
+def vacancy(
+    occupied: np.ndarray, plan: ChannelPlan, extra_blockers: Iterable[int] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vacant and N+-1 filtered masks for occupied ones: ``result.vacant`` and adjacent_filter."""
+    vacant = np.uint64(channel_mask(plan.interleaved)) & ~occupied
+    blocked = occupied | np.uint64(channel_mask(extra_blockers))
+    one = np.uint64(1)
+    return vacant, vacant & ~(blocked << one) & ~(blocked >> one)
+
+
+def popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits of each ``uint64`` mask, by byte table (numpy < 2 has no bitwise_count)."""
+    per_byte = _POPCOUNT8[np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)]
+    return per_byte.reshape(*masks.shape, 8).sum(axis=-1, dtype=int)
+
+
 def power_sweep(
     db: TransmitterDb,
     disks: Mapping[str, CoverageDisk],
@@ -290,18 +356,12 @@ def power_sweep(
         raise ValueError("powers must be nonempty")
     bits = channel_bits(db, plan)
     east, north = np.array([loc.easting]), np.array([loc.northing])
-    block = max(1, _CHUNK_PAIRS // max(1, len(db)))  # powers x transmitters per kernel call
-    masks: list[int] = []
-    for i in range(0, len(powers), block):
-        kd = KeepoutDisks.build(db, disks, powers[i : i + block], prop)
-        masks += occupied_masks(kd, bits, east, north)[:, 0].tolist()
-    interleaved = _bits(plan.interleaved)
-    points: list[tuple[float, int, int]] = []
-    for p, occupied in zip(powers, masks):
-        vacant = interleaved & ~occupied
-        kept = vacant & ~(occupied << 1) & ~(occupied >> 1)  # adjacent_filter
-        points.append((p, vacant.bit_count(), kept.bit_count()))
-    return points
+    block = max(1, _SWEEP_PAIRS // max(1, len(db)))  # powers per kernel call
+    kds = (KeepoutDisks.build(db, disks, powers[i : i + block], prop)
+           for i in range(0, len(powers), block))
+    masks = np.concatenate([occupied_masks(kd, bits, east, north)[:, 0] for kd in kds])
+    vacant, kept = vacancy(masks, plan)
+    return list(zip(powers, popcount(vacant).tolist(), popcount(kept).tolist()))
 
 
 @dataclass(eq=False)
@@ -352,18 +412,9 @@ def availability_grid(
     centers_n = region.min_n + (np.arange(nrows) + 0.5) * cell_size_m
 
     kd = KeepoutDisks.build(db, disks, [p_cr_watts], prop)
-    bits = channel_bits(db, plan)
-    masks = np.zeros((nrows, ncols), dtype=np.uint64)
-    for t in np.flatnonzero(bits):  # only the cells a transmitter's R' can reach
-        reach = kd.radii[0, t] + 1.0  # a metre spare, so rounding cannot clip the window
-        c0, c1 = np.searchsorted(centers_e, [kd.east[t] - reach, kd.east[t] + reach])
-        r0, r1 = np.searchsorted(centers_n, [kd.north[t] - reach, kd.north[t] + reach])
-        east, north = np.meshgrid(centers_e[c0:c1], centers_n[r0:r1])
-        window = occupied_masks(kd, bits, east.ravel(), north.ravel(), [t])
-        masks[r0:r1, c0:c1] |= window.reshape(east.shape)
-    # rho = interleaved count - popcount, by byte table (numpy < 2 has no bitwise_count)
-    per_byte = _POPCOUNT8[masks.view(np.uint8)].reshape(nrows, ncols, 8)
-    values = len(plan.interleaved) - per_byte.sum(axis=2, dtype=int)
+    centres = (a.ravel() for a in np.meshgrid(centers_e, centers_n))  # freed after the call
+    masks = occupied_masks(kd, channel_bits(db, plan), *centres)[0]
+    values = len(plan.interleaved) - popcount(masks).reshape(nrows, ncols)
     return RhoGrid(
         origin=NgPoint(region.min_e, region.min_n), cell_size_m=cell_size_m, values=values
     )

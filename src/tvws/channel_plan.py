@@ -120,7 +120,7 @@ def plan_hash(plan: ChannelPlan) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()[:12]
 
 
-def _parse_channel_token(token: str, *, source: str, line: int) -> list[int]:
+def _parse_channel_token(token: str, *, source: str, line: int) -> Iterable[int]:
     token = token.strip()
     if not token:
         raise ParseError("empty channel entry", source=source, line=line)
@@ -132,7 +132,7 @@ def _parse_channel_token(token: str, *, source: str, line: int) -> list[int]:
             raise ParseError(f"bad channel range {token!r}", source=source, line=line) from None
         if hi < lo:
             raise ParseError(f"descending channel range {token!r}", source=source, line=line)
-        numbers = list(range(lo, hi + 1))
+        numbers = range(lo, hi + 1)  # checked below up to its first bad channel
     else:
         try:
             numbers = [int(token)]

@@ -30,6 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from tvws import coverage as cov
 from tvws import report as rep
 from tvws.availability import (
@@ -39,7 +41,9 @@ from tvws.availability import (
     availability_batch,
     availability_grid,
     availability_lowpower,
+    channel_mask,
     power_sweep,
+    vacancy,
 )
 from tvws.channel_plan import ChannelPlan, default_plan, load_plan, plan_hash
 from tvws.errors import ParseError
@@ -267,21 +271,24 @@ def _require_data(cfg: RunConfig) -> tuple[TransmitterDb, Path]:
     return db, cfg.coverage_dir
 
 
-def _evaluate(
-    cfg: RunConfig, db: TransmitterDb, model: dict, locs: list[NgPoint]
-) -> list[AvailabilityResult]:
-    """Each location's result under ``--mode``, with its N+-1 filtered set."""
+def _query_result(
+    cfg: RunConfig, db: TransmitterDb, model: dict, loc: NgPoint
+) -> AvailabilityResult:
+    """The location's result under ``--mode``, with its blockers and N+-1 filtered set."""
     if cfg.mode == "raster":
-        results = [availability_lowpower(db, model, cfg.plan, loc) for loc in locs]
-    elif len(locs) == 1:  # one point also lists its blockers
-        q = QueryParams(locs[0], cfg.power_watts, cfg.prop)
-        results = [availability(db, model, cfg.plan, q)]
-    else:  # every location in one kernel call
-        results = availability_batch(db, model, cfg.plan, locs, cfg.power_watts, cfg.prop)
-    extra = cfg.plan.excluded if cfg.strict_excluded else ()
-    for result in results:
-        adjacent_filter(result, extra)
-    return results
+        result = availability_lowpower(db, model, cfg.plan, loc)
+    else:
+        result = availability(db, model, cfg.plan, QueryParams(loc, cfg.power_watts, cfg.prop))
+    adjacent_filter(result, cfg.plan.excluded if cfg.strict_excluded else ())
+    return result
+
+
+def _occupied(cfg: RunConfig, db: TransmitterDb, model: dict, locs: list[NgPoint]) -> np.ndarray:
+    """Each location's occupied-channel mask under ``--mode``."""
+    if cfg.mode == "raster":
+        results = (availability_lowpower(db, model, cfg.plan, loc) for loc in locs)
+        return np.array([channel_mask(r.occupied) for r in results], dtype=np.uint64)
+    return availability_batch(db, model, cfg.plan, locs, cfg.power_watts, cfg.prop)
 
 
 def _load_model(cfg: RunConfig, db: TransmitterDb, coverage_dir: Path) -> dict:
@@ -291,20 +298,22 @@ def _load_model(cfg: RunConfig, db: TransmitterDb, coverage_dir: Path) -> dict:
 
 
 def _write_artifacts(
-    cfg: RunConfig, stem: str, reports: list[rep.LocationReport], csv_text: str | None = None
+    cfg: RunConfig,
+    stem: str,
+    rows: rep.ChannelRows | list[rep.LocationReport],
+    csv_text: str | None = None,
 ) -> None:
-    """Write the CSV/JSON(/SVG) artifacts; ``csv_text`` is ``emit_csv(reports)`` if known."""
+    """Write the CSV/JSON(/SVG) artifacts; ``csv_text`` is ``emit_csv(rows)`` if known."""
     if cfg.out_dir is None:
         return
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    rows = rep.ChannelRows.of(rows)
     if csv_text is None:
-        csv_text = rep.emit_csv(reports)
+        csv_text = rep.emit_csv(rows)
     (cfg.out_dir / f"{stem}.csv").write_text(csv_text)
-    (cfg.out_dir / f"{stem}.json").write_text(rep.emit_json(reports))
-    if len(reports) == 1:
-        (cfg.out_dir / f"{stem}.svg").write_text(
-            rep.emit_channel_chart(reports[0], cfg.plan)
-        )
+    (cfg.out_dir / f"{stem}.json").write_text(rep.emit_json(rows))
+    if len(rows.labels) == 1:
+        (cfg.out_dir / f"{stem}.svg").write_text(rep.emit_channel_chart(rows, cfg.plan))
 
 
 def _channels(channels: frozenset[int]) -> str:
@@ -326,7 +335,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     db, coverage_dir = _require_data(cfg)
     model = _load_model(cfg, db, coverage_dir)
-    [result] = _evaluate(cfg, db, model, [loc])
+    result = _query_result(cfg, db, model, loc)
     report = rep.build_report(args.loc, result, cfg.plan, cfg.alpha, cfg.beta_th)
 
     filtered = result.filtered_vacant or frozenset()
@@ -385,24 +394,19 @@ def cmd_batch(args: argparse.Namespace) -> int:
     db, coverage_dir = _require_data(cfg)
     model = _load_model(cfg, db, coverage_dir)
 
-    digest = plan_hash(cfg.plan)
-
-    def run_part(part: list[tuple[str, NgPoint]]) -> list[rep.LocationReport]:
-        results = _evaluate(cfg, db, model, [loc for _, loc in part])
-        return [
-            rep.build_report(label, result, cfg.plan, cfg.alpha, cfg.beta_th, plan_digest=digest)
-            for (label, _), result in zip(part, results)
-        ]
-
     # one contiguous part per worker, joined back in input order
-    size = -(-len(entries) // args.workers)
-    parts = [entries[i : i + size] for i in range(0, len(entries), size)]
+    locs = [loc for _, loc in entries]
+    size = -(-len(locs) // args.workers)
+    parts = [locs[i : i + size] for i in range(0, len(locs), size)]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        reports = [report for part in pool.map(run_part, parts) for report in part]
-
-    csv_text = rep.emit_csv(reports)
+        occupied = np.concatenate([*pool.map(lambda part: _occupied(cfg, db, model, part), parts)])
+    vacant, filtered = vacancy(occupied, cfg.plan, cfg.plan.excluded if cfg.strict_excluded else ())
+    power = 0.0 if cfg.mode == "raster" else cfg.power_watts  # as availability_lowpower reports it
+    rows = rep.ChannelRows([label for label, _ in entries], vacant, filtered, cfg.alpha,
+                           cfg.beta_th, power, plan_hash(cfg.plan))
+    csv_text = rep.emit_csv(rows)
     print(csv_text, end="")
-    _write_artifacts(cfg, "batch", reports, csv_text)
+    _write_artifacts(cfg, "batch", rows, csv_text)
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ import math
 import os
 import random
 import stat
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -536,8 +537,9 @@ def _load_packed(
     if stale and write_cache:
         try:
             _write_pack(pack_path, kind, repack)
-        except OSError:
-            pass  # read-only data dir; the files are read again next time
+        except OSError as exc:  # e.g. a read-only data dir: the files are read again next time
+            print(f"tvws: warning: could not write coverage pack {pack_path}: {exc}",
+                  file=sys.stderr)
     return entries
 
 
@@ -583,8 +585,8 @@ def load_disks(
         if write_cache:
             try:
                 Path(path).write_text(write_disk(disk))
-            except OSError:
-                pass  # read-only data dir; recomputing next time is fine
+            except OSError as exc:  # e.g. a read-only data dir: derived again next time
+                print(f"tvws: warning: could not write disk cache {path}: {exc}", file=sys.stderr)
         return disk
 
     disks = _load_packed(coverage_dir, db, "disks", read_file, write_cache)

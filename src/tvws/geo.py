@@ -108,7 +108,7 @@ def parse_gridref(text: str) -> NgPoint:
         raise ParseError(f"grid reference too short: {text!r}")
     letters = compact[:2].upper()
     digits = compact[2:]
-    if not digits.isdigit():
+    if not digits.isdecimal():  # isdigit() also passes "²", which int() refuses
         raise ParseError(f"expected digits after the grid letters in {text!r}")
     if len(digits) % 2 != 0 or not 2 <= len(digits) <= 10:
         raise ParseError(

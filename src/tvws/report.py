@@ -14,8 +14,12 @@ import io
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
-from tvws.availability import AvailabilityResult, adjacent_filter, contiguity
+import numpy as np
+
+from tvws.availability import AvailabilityResult, adjacent_filter, channel_mask, contiguity
 from tvws.channel_plan import (
     CHANNEL_MAX,
     CHANNEL_MIN,
@@ -55,13 +59,8 @@ def build_report(
     plan: ChannelPlan,
     alpha: float,
     beta_th: float,
-    *,
-    plan_digest: str | None = None,
 ) -> LocationReport:
-    """Assemble a report; applies the adjacent-channel filter if not done yet.
-
-    ``plan_digest``, if given, is ``plan_hash(plan)`` computed once for many reports.
-    """
+    """Assemble a report; applies the adjacent-channel filter if not done yet."""
     if result.filtered_vacant is None:
         adjacent_filter(result)
     runs, max_mhz = contiguity(result.vacant)
@@ -73,7 +72,7 @@ def build_report(
         alpha=alpha,
         beta_th=beta_th,
         power_watts=result.p_cr_watts,
-        plan_digest=plan_digest or plan_hash(plan),
+        plan_digest=plan_hash(plan),
     )
 
 
@@ -81,55 +80,89 @@ def _params_comment(alpha: float, beta_th: float, power: float, digest: str) -> 
     return f"# alpha={alpha!r} beta_th={beta_th!r} power_watts={power!r} plan={digest}"
 
 
-def _report_row(report: LocationReport) -> list:
-    result = report.result
-    filtered = result.filtered_vacant if result.filtered_vacant is not None else frozenset()
-    return [
-        report.label,
-        result.rho,
-        len(filtered),
-        CHANNEL_WIDTH_MHZ * result.rho,
-        CHANNEL_WIDTH_MHZ * len(filtered),
-        report.max_contiguous_mhz,
-        ";".join(str(c) for c in sorted(result.vacant)),
-    ]
+@dataclass(eq=False)
+class ChannelRows:
+    """Report rows as channel masks (bit ``ch - 21`` per channel): what the emitters render."""
+
+    labels: Sequence[str]
+    vacant: np.ndarray  # uint64, one mask per row
+    filtered: np.ndarray  # uint64, the N+-1 filtered vacant set
+    alpha: float
+    beta_th: float
+    power_watts: float
+    plan_digest: str
+
+    @classmethod
+    def of(cls, reports: Sequence[LocationReport] | ChannelRows) -> ChannelRows:
+        """``reports`` as rows (rows are returned as they are); ValueError if empty."""
+        if not isinstance(reports, ChannelRows) and reports:
+            first = reports[0]
+            masks = [[channel_mask(r.result.vacant), channel_mask(r.result.filtered_vacant or ())]
+                     for r in reports]
+            reports = cls([r.label for r in reports], *np.array(masks, dtype=np.uint64).T,
+                          first.alpha, first.beta_th, first.power_watts, first.plan_digest)
+        if not isinstance(reports, ChannelRows) or not len(reports.labels):
+            raise ValueError("no reports to emit")
+        return reports
+
+    @cached_property
+    def columns(self) -> tuple[list, ...]:
+        """The CSV columns after ``label`` as lists, the last one each row's channel flags.
+
+        Counts and runs are taken on Python ints, which costs less than numpy
+        calls for the one row of a query; the widest run counts the
+        ``m &= m >> 1`` steps that leave ``m`` nonzero.
+        """
+        vacant, kept = self.vacant.tolist(), self.filtered.tolist()
+        widest = []
+        for m in vacant:
+            run = 0
+            while m:
+                m, run = m & (m >> 1), run + 1
+            widest.append(CHANNEL_WIDTH_MHZ * run)
+        rho, rho_kept = [m.bit_count() for m in vacant], [m.bit_count() for m in kept]
+        flags = np.unpackbits(
+            np.ascontiguousarray(self.vacant, dtype="<u8").view(np.uint8).reshape(-1, 8), axis=1,
+            bitorder="little",
+        )[:, : len(_CHANNEL_TEXT)]
+        return (rho, rho_kept, [CHANNEL_WIDTH_MHZ * r for r in rho],
+                [CHANNEL_WIDTH_MHZ * r for r in rho_kept], widest, flags.tolist())
 
 
-def emit_csv(reports: Sequence[LocationReport]) -> str:
+_CHANNEL_TEXT = [str(ch) for ch in range(CHANNEL_MIN, CHANNEL_MAX + 1)]
+# one emit_json entry, for json.dumps(..., indent=2) at list depth 2
+_JSON_ENTRY = "    {\n" + ",\n".join(f'      "{name}": %s' for name in CSV_COLUMNS) + "\n    }"
+_JSON_CHANNEL_SEP = ",\n        "
+
+
+def emit_csv(reports: Sequence[LocationReport] | ChannelRows) -> str:
     """One row per location with before/after-filter channel counts."""
-    if not reports:
-        raise ValueError("no reports to emit")
-    first = reports[0]
+    rows = ChannelRows.of(reports)
+    *counts, flags = rows.columns
     out = io.StringIO()
-    out.write(_params_comment(first.alpha, first.beta_th, first.power_watts, first.plan_digest))
+    out.write(_params_comment(rows.alpha, rows.beta_th, rows.power_watts, rows.plan_digest))
     out.write("\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        writer.writerow(_report_row(report))
+    channels = (";".join(compress(_CHANNEL_TEXT, f)) for f in flags)
+    writer.writerows(zip(rows.labels, *counts, channels))
     return out.getvalue()
 
 
-def emit_json(reports: Sequence[LocationReport]) -> str:
-    """JSON mirror of :func:`emit_csv` with the same field names."""
-    if not reports:
-        raise ValueError("no reports to emit")
-    first = reports[0]
-    payload = {
-        "params": {
-            "alpha": first.alpha,
-            "beta_th": first.beta_th,
-            "power_watts": first.power_watts,
-            "plan": first.plan_digest,
-        },
-        "reports": [],
-    }
-    for report in reports:
-        row = _report_row(report)
-        entry = dict(zip(CSV_COLUMNS, row))
-        entry["vacant_channels"] = sorted(report.result.vacant)
-        payload["reports"].append(entry)
-    return json.dumps(payload, indent=2) + "\n"
+def emit_json(reports: Sequence[LocationReport] | ChannelRows) -> str:
+    """JSON mirror of :func:`emit_csv` with the same field names, as ``json.dumps(indent=2)``."""
+    rows = ChannelRows.of(reports)
+    *counts, flags = rows.columns
+    params = {"alpha": rows.alpha, "beta_th": rows.beta_th,
+              "power_watts": rows.power_watts, "plan": rows.plan_digest}
+    head = json.dumps({"params": params, "reports": []}, indent=2)
+    entries = [
+        _JSON_ENTRY % (json.dumps(label), *values,
+                       f"[\n        {_JSON_CHANNEL_SEP.join(compress(_CHANNEL_TEXT, f))}\n      ]"
+                       if any(f) else "[]")
+        for label, *values, f in zip(rows.labels, *counts, flags)
+    ]
+    return head[: -len("[]\n}")] + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
 
 
 def emit_sweep(
@@ -183,32 +216,36 @@ _FILL_EXCLUDED = "#b5b5b5"
 _FILL_OCCUPIED = "#ffffff"
 
 
-def emit_channel_chart(report: LocationReport, plan: ChannelPlan) -> str:
+def emit_channel_chart(report: LocationReport | ChannelRows, plan: ChannelPlan) -> str:
     """Per-channel bar chart as a standalone SVG document.
 
     Vacant interleaved channels are solid bars, occupied ones blank slots,
     cleared and excluded channels shaded so the usable band structure is
-    visible at a glance.  Identical inputs produce identical bytes.
+    visible at a glance.  Identical inputs produce identical bytes.  Rows
+    are drawn from their first row.
     """
     n_slots = CHANNEL_MAX - CHANNEL_MIN + 1
     width = _MARGIN_L * 2 + n_slots * _SLOT_W
     height = _MARGIN_T + _BAR_H + _LABEL_H
-    result = report.result
+    rows = ChannelRows.of([report] if isinstance(report, LocationReport) else report)
+    vacant = int(rows.vacant[0])
+    rho = vacant.bit_count()
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f"<desc>{_params_comment(report.alpha, report.beta_th, report.power_watts, report.plan_digest)[2:]}</desc>",
+        f"<desc>{_params_comment(rows.alpha, rows.beta_th, rows.power_watts, rows.plan_digest)[2:]}"
+        "</desc>",
         f'<text x="{_MARGIN_L}" y="18" font-family="sans-serif" font-size="13">'
-        f"{_escape(report.label)}: {result.rho} vacant channels "
-        f"({CHANNEL_WIDTH_MHZ * result.rho} MHz)</text>",
+        f"{_escape(rows.labels[0])}: {rho} vacant channels "
+        f"({CHANNEL_WIDTH_MHZ * rho} MHz)</text>",
     ]
     for i in range(n_slots):
         ch = CHANNEL_MIN + i
         x = _MARGIN_L + i * _SLOT_W
         if ch in plan.interleaved:
-            fill = _FILL_VACANT if ch in result.vacant else _FILL_OCCUPIED
+            fill = _FILL_VACANT if vacant >> i & 1 else _FILL_OCCUPIED
         elif ch in plan.excluded:
             fill = _FILL_EXCLUDED
         else:

@@ -98,6 +98,13 @@ def _check_erp_range(erp: float, *, source: str, line: int) -> None:
         )
 
 
+def _csv_fields(raw: str, *, source: str, line: int) -> list[str]:
+    try:
+        return next(csv.reader([raw]))
+    except csv.Error as exc:  # a NUL byte, before Python 3.11
+        raise ParseError(f"bad CSV line: {exc}", source=source, line=line) from None
+
+
 def load_txdb(text: str, source: str = "txdb") -> TransmitterDb:
     """Load a transmitter database from CSV contents.
 
@@ -122,7 +129,7 @@ def load_txdb(text: str, source: str = "txdb") -> TransmitterDb:
         raise ParseError("no header row found", source=source)
 
     header_line, header_raw = rows[0]
-    header = [h.strip() for h in next(csv.reader([header_raw]))]
+    header = [h.strip() for h in _csv_fields(header_raw, source=source, line=header_line)]
     if header != CSV_HEADER.split(","):
         raise ParseError(
             f"expected header {CSV_HEADER!r}, got {','.join(header)!r}",
@@ -133,7 +140,7 @@ def load_txdb(text: str, source: str = "txdb") -> TransmitterDb:
     transmitters: list[Transmitter] = []
     first_row_of: dict[str, int] = {}
     for lineno, raw in rows[1:]:
-        fields = next(csv.reader([raw]))
+        fields = _csv_fields(raw, source=source, line=lineno)
         if len(fields) != 6:
             raise ParseError(
                 f"expected 6 fields, got {len(fields)}", source=source, line=lineno

@@ -9,6 +9,9 @@ per-file parsers: it is the reference for packed loads.  Keep it dumb.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from pathlib import Path
 
@@ -121,3 +124,53 @@ def coverage_values(entries: dict) -> dict:
             cells = None
         out[tx_id] = (entry.transmitter_id, [(type(v), v) for v in numbers], cells)
     return out
+
+
+REPORT_COLUMNS = ("label", "rho", "rho_filtered", "total_mhz", "filtered_mhz",
+                  "max_contiguous_mhz", "vacant_channels")
+
+
+def filtered_by_sets(vacant, occupied, extra_blockers=()) -> set:
+    """The N+-1 filter: vacant channels with no occupied (or extra) neighbour."""
+    blocked = set(occupied) | set(extra_blockers)
+    return {ch for ch in vacant if ch - 1 not in blocked and ch + 1 not in blocked}
+
+
+def widest_run_mhz(vacant) -> int:
+    """8 MHz times the longest run of consecutive channels."""
+    best = run = 0
+    previous = None
+    for ch in sorted(vacant):
+        run = run + 1 if previous is not None and ch == previous + 1 else 1
+        best, previous = max(best, run), ch
+    return 8 * best
+
+
+def _report_row(label, vacant, filtered) -> list:
+    return [label, len(vacant), len(filtered), 8 * len(vacant), 8 * len(filtered),
+            widest_run_mhz(vacant), ";".join(str(c) for c in sorted(vacant))]
+
+
+def report_csv(rows, alpha, beta_th, power_watts, digest) -> str:
+    """``emit_csv`` as it was written over channel sets; ``rows`` are (label, vacant, filtered)."""
+    out = io.StringIO()
+    out.write(f"# alpha={alpha!r} beta_th={beta_th!r} power_watts={power_watts!r} plan={digest}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    for row in rows:
+        writer.writerow(_report_row(*row))
+    return out.getvalue()
+
+
+def report_json(rows, alpha, beta_th, power_watts, digest) -> str:
+    """``emit_json`` as it was written over channel sets, through ``json.dumps``."""
+    payload = {
+        "params": {"alpha": alpha, "beta_th": beta_th, "power_watts": power_watts,
+                   "plan": digest},
+        "reports": [],
+    }
+    for label, vacant, filtered in rows:
+        entry = dict(zip(REPORT_COLUMNS, _report_row(label, vacant, filtered)))
+        entry["vacant_channels"] = sorted(vacant)
+        payload["reports"].append(entry)
+    return json.dumps(payload, indent=2) + "\n"

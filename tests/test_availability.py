@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from tvws.availability import (
     availability_batch,
     availability_grid,
     availability_lowpower,
+    channel_bits,
+    channel_mask,
     contiguity,
+    occupied_masks,
     power_sweep,
 )
 from tvws.channel_plan import default_plan, load_plan
@@ -26,6 +30,11 @@ from tvws.txdb import Transmitter, TransmitterDb
 
 PLAN = default_plan()
 PROP = PropagationParams()
+
+
+def rho_of(mask):
+    """rho from an occupied-channel mask of the default plan."""
+    return len(PLAN.interleaved) - int(mask).bit_count()
 
 
 def make_tx(tx_id, e, n, erp, channels):
@@ -416,13 +425,15 @@ class TestKernelAtTheBoundary:
         rng = random.Random(int(power * 1000) + 17)
         for _ in range(8):
             db, disks, points = boundary_instance(rng, power)
-            results = availability_batch(db, disks, PLAN, points, power, PROP)
-            assert [r.location for r in results] == points
-            for loc, result in zip(points, results):
+            masks = availability_batch(db, disks, PLAN, points, power, PROP)
+            assert masks.dtype == np.uint64 and masks.shape == (len(points),)
+            for loc, mask in zip(points, masks.tolist()):
                 single = availability(db, disks, PLAN, QueryParams(loc, power, PROP))
-                assert result.occupied == single.occupied
-                assert result.vacant == single.vacant
-                assert result.rho == rho_by_enumeration(
+                assert mask == channel_mask(single.occupied)
+                assert mask == channel_mask(occupied_by_enumeration(
+                    db, disks, PLAN, loc, power, PROP.alpha, PROP.beta_th
+                ))
+                assert rho_of(mask) == rho_by_enumeration(
                     db, disks, PLAN, loc, power, PROP.alpha, PROP.beta_th
                 )
 
@@ -478,7 +489,7 @@ class TestKernelAtTheBoundary:
 
     def test_batch_of_no_locations_is_empty(self):
         db, disks, _, _ = random_instance(random.Random(5))
-        assert availability_batch(db, disks, PLAN, [], 0.1, PROP) == []
+        assert availability_batch(db, disks, PLAN, [], 0.1, PROP).tolist() == []
 
 
 class TestTieRule:
@@ -508,7 +519,7 @@ class TestTieRule:
             db = TransmitterDb((tx,))
             disks = {"a": disk_for(tx, distance(point, tx.position))}  # R' = d exactly
             assert availability(db, disks, PLAN, QueryParams(point, 0.0, PROP)).rho == 30
-            assert availability_batch(db, disks, PLAN, [point], 0.0, PROP)[0].rho == 30
+            assert rho_of(availability_batch(db, disks, PLAN, [point], 0.0, PROP)[0]) == 30
             assert power_sweep(db, disks, PLAN, point, [0.0], PROP)[0][1] == 30
             grid = availability_grid(db, disks, PLAN, region, 1000, 0.0, PROP)
             assert grid.cell_center(41, 33) == point
@@ -538,5 +549,194 @@ class TestTieRule:
             expected = rho_by_enumeration(db, disks, PLAN, point, power, PROP.alpha, PROP.beta_th)
             assert expected == (29 if fast[k] < exact[k] else 30)
             assert availability(db, disks, PLAN, QueryParams(point, power, PROP)).rho == expected
-            assert availability_batch(db, disks, PLAN, [point], power, PROP)[0].rho == expected
+            assert rho_of(availability_batch(db, disks, PLAN, [point], power, PROP)[0]) == expected
             assert power_sweep(db, disks, PLAN, point, [power], PROP)[0][1] == expected
+
+    def test_scalar_keepout_two_ulps_past_numpy_reaches_the_point(self):
+        # Where keepout_radius exceeds numpy's R' by more than an ulp, a point
+        # an ulp beyond numpy's R' is still inside the scalar one: occupied.
+        # The join must list the transmitter for it although it lies outside
+        # a box of numpy's R' (here the point alone spans the lattice).
+        rng = random.Random(12)
+        site, n = NgPoint(0.0, 500_000.0), 2048
+        erps = [rng.uniform(25, 1_000) for _ in range(n)]
+        radii = [rng.uniform(5e3, 8e4) for _ in range(n)]
+        txs = [Transmitter(f"t{i}", site, erps[i], 100.0, frozenset({35})) for i in range(n)]
+        disks = {tx.id: disk_for(tx, r) for tx, r in zip(txs, radii)}
+        cases = []
+        for power in (500.0, 4.0, 1e4):
+            fast = KeepoutDisks.build(TransmitterDb(tuple(txs)), disks, [power], PROP).radii[0]
+            exact = [keepout_radius(power, erps[i], radii[i], PROP) for i in range(n)]
+            cases += [(power, k, float(np.nextafter(fast[k], math.inf)))
+                      for k in range(n) if np.nextafter(fast[k], math.inf) < exact[k]][:3]
+        if not cases:
+            pytest.skip("numpy's ** is never two ulps below Python's on these samples")
+        for power, k, beyond in cases:
+            carrier = Transmitter(f"t{k}", site, erps[k], 100.0, frozenset({21, 35}))
+            db = TransmitterDb((carrier,))
+            point = NgPoint(beyond, site.northing)
+            assert rho_by_enumeration(db, disks, PLAN, point, power, PROP.alpha, PROP.beta_th) == 29
+            assert rho_of(availability_batch(db, disks, PLAN, [point], power, PROP)[0]) == 29
+            assert power_sweep(db, disks, PLAN, point, [power / 2, power], PROP)[1][1] == 29
+
+
+def oracle_masks(db, disks, points, powers):
+    """Occupied-channel masks by pair enumeration, shape (powers, points)."""
+    return np.array([
+        [channel_mask(occupied_by_enumeration(db, disks, PLAN, loc, p, PROP.alpha, PROP.beta_th))
+         for loc in points]
+        for p in powers
+    ], dtype=np.uint64).reshape(len(powers), len(points))
+
+
+def kernel_masks(db, disks, points, powers):
+    kd = KeepoutDisks.build(db, disks, powers, PROP)
+    east = np.array([p.easting for p in points], dtype=float)
+    north = np.array([p.northing for p in points], dtype=float)
+    return occupied_masks(kd, channel_bits(db, PLAN), east, north)
+
+
+KERNEL = sys.modules["tvws.availability"]  # the package re-exports a function by that name
+
+
+@pytest.fixture(params=[None, (5, 7, 5)], ids=["default-steps", "tiny-steps"])
+def steps(request, monkeypatch):
+    """Run with the kernel's own step sizes, and with tiny blocks and pair budgets."""
+    if request.param:
+        for name, value in zip(("_CHUNK_PAIRS", "_BLOCK_POINTS", "_SWEEP_PAIRS"), request.param):
+            monkeypatch.setattr(KERNEL, name, value)
+
+
+class TestBucketJoin:
+    """The bucket join against the oracle where buckets, reach boxes and R' meet."""
+
+    @staticmethod
+    def spy_lattice(monkeypatch):
+        seen = []
+        original = KERNEL._lattice
+
+        def spy(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(KERNEL, "_lattice", spy)
+        return seen
+
+    def test_points_on_bucket_edges_and_keepout_circles(self, monkeypatch):
+        seen = self.spy_lattice(monkeypatch)
+        rng = random.Random(31)
+        for case in range(6):
+            power = (0.0, 0.2, 2.5)[case % 3]
+            txs = [make_tx(f"b{i}", rng.uniform(180_000, 320_000), rng.uniform(180_000, 320_000),
+                           rng.uniform(25, 200_000), rng.sample(sorted(PLAN.interleaved), 3))
+                   for i in range(5)]
+            db = TransmitterDb(tuple(txs))
+            disks = {tx.id: disk_for(tx, rng.uniform(4_000, 40_000)) for tx in txs}
+            box = [NgPoint(200_000.0, 200_000.0), NgPoint(300_000.0, 300_000.0)]
+            base = box + [NgPoint(rng.uniform(2e5, 3e5), rng.uniform(2e5, 3e5)) for _ in range(98)]
+            kernel_masks(db, disks, base, [power])
+            e0, n0, edge, nx, ny = lattice = seen[-1]
+            assert nx * ny > 1
+            # the same bounding box, count and transmitters give the same lattice
+            on_edges = []
+            for k in range(1, nx):  # vertical bucket edges, where they cross a keep-out circle
+                x = e0 + k * edge
+                for tx in txs:
+                    r = keepout_radius(power, tx.erp_watts, disks[tx.id].radius_m, PROP)
+                    dx = x - tx.position.easting
+                    if abs(dx) < r:
+                        for s in (-1, 1):
+                            y = tx.position.northing + s * math.sqrt(r * r - dx * dx)
+                            on_edges += [(x, float(b)) for b in ulp_neighbours(y)]
+            for k in range(1, ny):  # horizontal ones, with some points anywhere along them
+                y = n0 + k * edge
+                on_edges += [(rng.uniform(2e5, 3e5), y) for _ in range(3)]
+            inside = [NgPoint(e, n) for e, n in on_edges if 2e5 <= e <= 3e5 and 2e5 <= n <= 3e5]
+            points = box + (inside + base[2:])[:98]
+            masks = kernel_masks(db, disks, points, [power])
+            assert seen[-1] == lattice
+            assert (masks == oracle_masks(db, disks, points, [power])).all()
+
+    def test_keepout_disks_ending_on_the_lattice_edge(self):
+        # The lattice starts at the points' smallest easting and northing, so
+        # a disk that ends there ends on a bucket edge.  Each station's R' ends
+        # on the line e = 200 km (or n = 200 km), an ulp short of it, or an ulp
+        # past it; the points sit on that line.
+        rng = random.Random(5)
+        e0 = n0 = 200_000.0
+        txs, disks, points = [], {}, [NgPoint(e0, n0), NgPoint(260_000.0, 260_000.0)]
+        for i in range(12):
+            r = float(rng.randrange(4_000, 40_000)) + 0.5
+            along = float(rng.randrange(210_000, 250_000))
+            pos = (e0 - r, along) if i % 2 else (along, n0 - r)
+            tx = make_tx(f"e{i}", *pos, rng.uniform(25, 200_000),
+                         rng.sample(sorted(PLAN.interleaved), 2))
+            txs.append(tx)
+            disks[tx.id] = disk_for(tx, float(rng.choice(ulp_neighbours(r))))
+            touch = (e0, along) if i % 2 else (along, n0)
+            points += [NgPoint(*touch)] + [
+                NgPoint(touch[0], touch[1] + d) if i % 2 else NgPoint(touch[0] + d, touch[1])
+                for d in (-1e-6, 1e-6, 0.5)
+            ]
+        db = TransmitterDb(tuple(txs))
+        masks = kernel_masks(db, disks, points, [0.0])
+        assert (masks == oracle_masks(db, disks, points, [0.0])).all()
+        assert masks.any()  # some ulp-inside points are occupied
+
+    def test_osgb_envelope_corners(self, steps):
+        top_e, top_n = float(np.nextafter(700_000.0, 0)), float(np.nextafter(1_300_000.0, 0))
+        corners = [(0.0, 0.0), (0.0, top_n), (top_e, 0.0), (top_e, top_n)]
+        rng = random.Random(77)
+        txs, disks = [], {}
+        for i, (ce, cn) in enumerate(corners * 2):
+            tx = make_tx(f"c{i}", abs(ce - rng.uniform(1_000, 60_000)),
+                         abs(cn - rng.uniform(1_000, 60_000)), rng.uniform(25, 200_000),
+                         rng.sample(sorted(PLAN.interleaved), 3))
+            txs.append(tx)
+            r = distance(NgPoint(ce, cn), tx.position)
+            disks[tx.id] = disk_for(tx, float(rng.choice(ulp_neighbours(r))))
+        db = TransmitterDb(tuple(txs))
+        points = [NgPoint(float(a), float(b)) for ce, cn in corners
+                  for a in ulp_neighbours(ce) for b in ulp_neighbours(cn)
+                  if 0 <= a < 700_000 and 0 <= b < 1_300_000]
+        for powers in ([0.0], [0.0, 0.01, 1.0]):
+            masks = kernel_masks(db, disks, points, powers)
+            assert (masks == oracle_masks(db, disks, points, powers)).all()
+        envelope = BoundingBox(0, 0, 700_000, 1_300_000)
+        grid = availability_grid(db, disks, PLAN, envelope, 50_000, 0.0, PROP)
+        for row in range(grid.nrows):
+            for col in range(grid.ncols):
+                assert grid.values[row, col] == rho_by_enumeration(
+                    db, disks, PLAN, grid.cell_center(row, col), 0.0, PROP.alpha, PROP.beta_th
+                )
+
+    def test_random_points_and_powers(self, steps):
+        rng = random.Random(404)
+        for _ in range(12):
+            db, disks, _, _ = random_instance(rng, max_tx=10)
+            points = [NgPoint(rng.uniform(0, 699_999), rng.uniform(0, 1_299_999))
+                      for _ in range(rng.randint(1, 60))] + [tx.position for tx in db][:3]
+            powers = sorted(rng.choice([0.0, rng.uniform(0, 100)])
+                            for _ in range(rng.randint(1, 4)))
+            masks = kernel_masks(db, disks, points, powers)
+            assert (masks == oracle_masks(db, disks, points, powers)).all()
+
+    def test_multi_power_sweeps(self, steps):
+        rng = random.Random(606)
+        for _ in range(10):
+            db, disks, loc, _ = random_instance(rng, max_tx=10)
+            powers = [rng.choice([0.0, 1e-3, rng.uniform(0, 4.0), rng.uniform(0, 1e4)])
+                      for _ in range(rng.randint(1, 40))]
+            sweep = power_sweep(db, disks, PLAN, loc, powers, PROP)
+            assert [p for p, _, _ in sweep] == powers
+            for (p, rho, filtered) in sweep:
+                result = availability(db, disks, PLAN, QueryParams(loc, p, PROP))
+                assert rho == rho_by_enumeration(db, disks, PLAN, loc, p, PROP.alpha, PROP.beta_th)
+                assert filtered == len(adjacent_filter(result))
+
+    def test_one_point_is_one_bucket(self):
+        east, north = np.array([123_456.0]), np.array([654_321.0])
+        assert KERNEL._lattice(east, north, np.array([5e4, np.inf]))[3:] == (1, 1)
+        line = np.linspace(0, 600_000, 50)
+        _, _, edge, nx, ny = KERNEL._lattice(line, np.full(50, 7.0), np.array([2e4]))
+        assert ny == 1 and nx <= 51

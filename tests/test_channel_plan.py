@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvws.channel_plan import (
@@ -182,3 +182,27 @@ class TestPlanHash:
     def test_differs_between_plans(self):
         other = load_plan("interleaved = 21\n")
         assert plan_hash(other) != plan_hash(default_plan())
+
+
+# Ranges far past channel 68 (the range is checked without being listed),
+# descending and half-open ranges, digits int() refuses or accepts.
+PLAN_TOKENS = ["21", "68", "69", "20", "21-30", "30-21", "61-62", "21-1000000000000",
+               "1000000000000-2000000000000", "-5", "5-", "-", "", " ", "x", "²", "٣٥",
+               "1" * 5000]
+
+
+def plan_texts():
+    entries = st.lists(st.one_of(st.sampled_from(PLAN_TOKENS), st.text(max_size=5)), max_size=5)
+    name = st.sampled_from(["interleaved", "cleared", "excluded", "Excluded", "bogus", ""])
+    directive = st.tuples(name, entries).map(lambda t: f"{t[0]} = {','.join(t[1])}")
+    line = st.one_of(directive, st.sampled_from(["# note", "", "= 21", "=="]), st.text(max_size=10))
+    return st.one_of(st.text(), st.lists(line, max_size=6).map("\n".join))
+
+
+@given(plan_texts())
+@settings(max_examples=400, deadline=None)
+def test_fuzz_only_parse_error_escapes(text):
+    try:
+        load_plan(text, source="fuzz")
+    except ParseError:
+        pass

@@ -477,6 +477,45 @@ class TestBadNumbers:
 
 
 class TestBatchRows:
+    def test_rows_equal_the_set_path_oracle(self, small_fixture, tmp_path, capsys):
+        import oracles
+        from tvws.availability import availability, availability_lowpower
+        from tvws.channel_plan import default_plan, plan_hash
+        from tvws.coverage import load_disks, load_rasters
+        from tvws.geo import NgPoint
+        from tvws.keepout import PropagationParams, QueryParams
+
+        plan, prop = default_plan(), PropagationParams()
+        db = load_txdb((small_fixture / "transmitters.csv").read_text())
+        models = {"disk": load_disks(small_fixture / "coverage", db),
+                  "raster": load_rasters(small_fixture / "coverage", db)}
+        labels = ["plain", 'quo"ted', "back\\slash", "naïve €", "漢字"]
+        points = [NgPoint(200_000.0 + 40_000 * i, 230_000.0 + 37_000 * i) for i in range(5)]
+        locs = tmp_path / "locs.csv"
+        locs.write_text("".join(f"{lab},{p.easting},{p.northing}\n"
+                                for lab, p in zip(labels, points)))
+        runs = [(mode, power, flags)
+                for mode, power in (("disk", "0"), ("disk", "0.5"), ("raster", "0"))
+                for flags in ([], ["--adjacent-filter"], ["--strict-excluded"],
+                              ["--adjacent-filter", "--strict-excluded"])]
+        for i, (mode, power, flags) in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            assert main(["batch", *base_args(small_fixture), "--locations", str(locs),
+                         "--mode", mode, "--power", power, *flags, "--out", str(out)]) == 0
+            extra = plan.excluded if "--strict-excluded" in flags else ()
+            rows = []
+            for label, loc in zip(labels, points):
+                if mode == "raster":
+                    result = availability_lowpower(db, models[mode], plan, loc)
+                else:
+                    q = QueryParams(loc, float(power), prop)
+                    result = availability(db, models[mode], plan, q)
+                rows.append((label, result.vacant,
+                             oracles.filtered_by_sets(result.vacant, result.occupied, extra)))
+            params = (3.0, 1.0, float(power), plan_hash(plan))
+            assert capsys.readouterr().out == oracles.report_csv(rows, *params), (mode, flags)
+            assert (out / "batch.json").read_text() == oracles.report_json(rows, *params)
+
     def test_rows_equal_per_location_queries(self, uk81_dir, tmp_path, capsys):
         data = ["--txdb", str(uk81_dir / "transmitters.csv"),
                 "--coverage", str(uk81_dir / "coverage")]

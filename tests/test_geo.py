@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvws.errors import ParseError
@@ -120,3 +120,26 @@ class TestBoundingBox:
     def test_empty(self):
         assert BoundingBox(5, 5, 5, 10).is_empty()
         assert not BoundingBox(0, 0, 1, 1).is_empty()
+
+
+# Grid letters (valid, 'I', ones that upper() turns into two), digit groups,
+# digits int() refuses or accepts, and coordinate pairs at and past the envelope.
+GRID_LETTERS = ["SP", "sp", "TQ", "HP", "IA", "ZZ", "ßP", "ﬃ"]
+GRID_DIGITS = ["513", "061", "51", "0", "²", "٣", " "]
+LOCATION_TOKENS = [*GRID_LETTERS, *GRID_DIGITS, ",", "1e309", "nan", "-1", "699999.9", "1300000",
+                   "inf", "1" * 5000]
+
+
+@given(st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from(GRID_LETTERS), st.lists(st.sampled_from(GRID_DIGITS), max_size=5))
+    .map(lambda t: t[0] + "".join(t[1])),
+    st.lists(st.one_of(st.sampled_from(LOCATION_TOKENS), st.text(max_size=3)), max_size=6)
+    .map("".join),
+))
+@settings(max_examples=400, deadline=None)
+def test_fuzz_parse_location_only_parse_error_escapes(text):
+    try:
+        parse_location(text)
+    except ParseError:
+        pass

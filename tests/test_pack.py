@@ -437,3 +437,79 @@ class TestDiskCentre:
                      "--loc", "250000,250000"])
         assert code == 3
         assert f"{row[0]}.disk" in capsys.readouterr().err
+
+
+class TestWriteWarnings:
+    """A pack or ``.disk`` write that fails warns once on stderr, naming the file.
+
+    The load itself, stdout and the exit code are as if the write had worked.
+    """
+
+    @staticmethod
+    def refuse_disk_writes(monkeypatch):
+        real = cov.Path.write_text
+
+        def write_text(path, *args, **kwargs):
+            if path.suffix == ".disk":
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(cov.Path, "write_text", write_text)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_failed_pack_write(self, kind, tree, monkeypatch, capsys):
+        db, cov_dir = tree
+
+        def refuse(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cov.os, "replace", refuse)
+        check(kind, cov_dir, db)
+        assert capsys.readouterr().err.splitlines() == [
+            f"tvws: warning: could not write coverage pack {pack_path(cov_dir, kind)}: "
+            "[Errno 28] No space left on device"
+        ]
+        check(kind, cov_dir, db, write_cache=False)  # nothing to write, nothing to say
+        assert capsys.readouterr().err == ""
+
+    def test_failed_disk_write(self, tree, monkeypatch, capsys):
+        db, cov_dir = tree
+        for tx in db:
+            (cov_dir / f"{tx.id}.disk").unlink()
+        self.refuse_disk_writes(monkeypatch)
+        check("disks", cov_dir, db)
+        assert capsys.readouterr().err.splitlines() == [
+            f"tvws: warning: could not write disk cache {cov_dir / f'{tx.id}.disk'}: "
+            f"[Errno 13] Permission denied: '{cov_dir / f'{tx.id}.disk'}'"
+            for tx in db
+        ]
+        assert not list(cov_dir.glob("*.disk"))
+
+    def test_cli_stdout_and_exit_code_unchanged(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "tree"
+        assert main(["synth", "--n", "3", "--region", "200000,200000,300000,300000",
+                     "--seed", "9", "--cell", "2000", "--out", str(out)]) == 0
+        for disk in (out / "coverage").glob("*.disk"):
+            disk.unlink()
+        query = ["query", "--txdb", str(out / "transmitters.csv"),
+                 "--coverage", str(out / "coverage"), "--loc", "250000,250000"]
+        raster = [*query, "--mode", "raster", "--power", "0"]
+        capsys.readouterr()
+        with monkeypatch.context() as failing:
+            self.refuse_disk_writes(failing)
+            failing.setattr(cov.os, "replace", lambda *args: (_ for _ in ()).throw(OSError("full")))
+            assert main(query) == 0  # derives three disks, and cannot write them
+            disk_run = capsys.readouterr()
+            assert main(raster) == 0  # reads three rasters, and cannot pack them
+            raster_run = capsys.readouterr()
+        assert [line.split()[7] for line in disk_run.err.splitlines()] == [
+            f"{out / 'coverage' / f'tx{i}.disk'}:" for i in (1, 2, 3)
+        ]
+        assert raster_run.err.splitlines() == [
+            f"tvws: warning: could not write coverage pack "
+            f"{out / 'coverage' / '.tvws-rasters.pack'}: full"
+        ]
+        for argv, refused in ((query, disk_run), (raster, raster_run)):
+            assert main(argv) == 0
+            written = capsys.readouterr()
+            assert (written.out, written.err) == (refused.out, "")

@@ -3,15 +3,27 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tvws.availability import AvailabilityResult, adjacent_filter, availability, power_sweep
-from tvws.channel_plan import default_plan, plan_hash
+import oracles
+from tvws.availability import (
+    AvailabilityResult,
+    adjacent_filter,
+    availability,
+    channel_mask,
+    power_sweep,
+    vacancy,
+)
+from tvws.channel_plan import CHANNEL_MAX, CHANNEL_MIN, ChannelPlan, default_plan, plan_hash
 from tvws.coverage import CoverageDisk
 from tvws.geo import NgPoint
 from tvws.keepout import PropagationParams, QueryParams
 from tvws.report import (
     CSV_COLUMNS,
+    ChannelRows,
     build_report,
     emit_channel_chart,
     emit_csv,
@@ -198,3 +210,48 @@ class TestBuildReport:
         report = build_report("x", make_result({21}, set()), PLAN, 2.5, 0.5)
         assert (report.alpha, report.beta_th) == (2.5, 0.5)
         assert report.plan_digest == plan_hash(PLAN)
+
+
+def plans():
+    """Every channel interleaved, cleared or excluded, at least one interleaved."""
+    def plan(kinds):
+        channels = range(CHANNEL_MIN, CHANNEL_MAX + 1)
+        sets = {k: frozenset(ch for ch, kk in zip(channels, kinds) if kk == k) for k in "ice"}
+        return ChannelPlan(interleaved=sets["i"], cleared=sets["c"], excluded=sets["e"])
+    size = CHANNEL_MAX - CHANNEL_MIN + 1
+    return st.lists(st.sampled_from("ice"), min_size=size, max_size=size).filter(
+        lambda kinds: "i" in kinds).map(plan)
+
+
+# labels with CSV quotes, backslashes, separators and non-ASCII text
+LABELS = st.text(alphabet=st.one_of(st.sampled_from('"\\,;\n\t é€ü漢😀'), st.characters()),
+                 max_size=8)
+
+
+class TestMaskRowsAgainstTheSetPath:
+    """The mask renderer writes the bytes the set-based emitters wrote (``oracles``)."""
+
+    @given(plan=plans(), data=st.data(), strict=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_masks_and_plans(self, plan, data, strict):
+        n = data.draw(st.integers(1, 10))
+        labels = data.draw(st.lists(LABELS, min_size=n, max_size=n))
+        interleaved = channel_mask(plan.interleaved)
+        occupied = [data.draw(st.integers(0, 2**48 - 1)) & interleaved for _ in range(n)]
+        params = (data.draw(st.sampled_from([3.0, 2.5, 4])), 1.0,
+                  data.draw(st.sampled_from([0.0, 0.1, 1e-3, 4.0, -0.0])), plan_hash(plan))
+        extra = plan.excluded if strict else ()
+        sets, reports = [], []
+        for label, mask in zip(labels, occupied):
+            occ = frozenset(c for c in plan.interleaved if mask >> (c - CHANNEL_MIN) & 1)
+            vacant = plan.interleaved - occ
+            sets.append((label, vacant, oracles.filtered_by_sets(vacant, occ, extra)))
+            result = AvailabilityResult(NgPoint(1.0, 2.0), params[2], vacant, occ, len(vacant))
+            adjacent_filter(result, extra)
+            reports.append(build_report(label, result, plan, params[0], params[1]))
+        vacant, filtered = vacancy(np.array(occupied, dtype=np.uint64), plan, extra)
+        rows = ChannelRows(labels, vacant, filtered, *params)
+        csv_text = oracles.report_csv(sets, *params)
+        json_text = oracles.report_json(sets, *params)
+        assert emit_csv(rows) == csv_text and emit_json(rows) == json_text
+        assert emit_csv(reports) == csv_text and emit_json(reports) == json_text

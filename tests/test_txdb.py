@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,3 +156,37 @@ class TestValidation:
         tx = load_txdb(make_csv(VALID_ROW)).transmitters[0]
         with pytest.raises(ValueError, match="nonempty"):
             Transmitter("x", tx.position, 100.0, 10.0, frozenset())
+
+
+# Tokens near the parser's decisions: numbers at and past the limits, unit
+# suffixes, CSV quoting, NUL (a csv.Error before Python 3.11), digits int()
+# refuses, and an integer past int()'s digit limit.
+TXDB_TOKENS = ["", " ", "0", "-1", "21", "68", "69", "35;41", "21;;", "1e309", "nan", "inf",
+               "-0", "250000", "1299999.5", "700000", "10kW", "5mW", "0W", "w", "x", '"', '""',
+               '"a,b"', ";", "\x00", "²", "٣٥", "1" * 5000]
+
+
+def txdb_texts():
+    field = st.one_of(st.sampled_from(TXDB_TOKENS), st.text(max_size=8))
+    line = st.one_of(
+        st.lists(field, max_size=8).map(",".join),
+        st.sampled_from([CSV_HEADER, "# source: fuzz", "#", ""]),
+        st.text(max_size=20),
+    )
+    lines = st.lists(line, max_size=8)
+    return st.one_of(
+        st.text(),
+        lines.map("\n".join),
+        lines.map(lambda rest: "\n".join([CSV_HEADER, *rest])),
+    )
+
+
+@given(txdb_texts())
+@settings(max_examples=400, deadline=None)
+def test_fuzz_only_parse_error_escapes(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ERP outside the typical range
+        try:
+            load_txdb(text, source="fuzz")
+        except ParseError:
+            pass
