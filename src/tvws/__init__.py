@@ -30,6 +30,7 @@ from tvws.coverage import (
     enclosing_disk,
     load_disks,
     load_rasters,
+    load_stations,
     nominal_coverage_radius,
     read_asc,
     synth_coverage,
@@ -102,6 +103,7 @@ __all__ = [
     "load_disks",
     "load_plan",
     "load_rasters",
+    "load_stations",
     "load_txdb",
     "margin",
     "nominal_coverage_radius",

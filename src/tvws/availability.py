@@ -24,15 +24,14 @@ availability is accounted over the interleaved plan only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from tvws.channel_plan import CHANNEL_MIN, CHANNEL_WIDTH_MHZ, ChannelPlan
-from tvws.coverage import CoverageDisk, CoverageRaster, covers
+from tvws.channel_plan import CHANNEL_WIDTH_MHZ, ChannelPlan, channel_mask, mask_channels
+from tvws.coverage import CoverageDisk, CoverageRaster, DiskSet, covers
 from tvws.geo import BoundingBox, NgPoint
 from tvws.keepout import PropagationParams, QueryParams, keepout_radius
 from tvws.txdb import TransmitterDb
@@ -63,14 +62,19 @@ class AvailabilityResult:
     filtered_vacant: frozenset[int] | None = None
 
 
-def channel_mask(channels: Iterable[int]) -> int:
-    """Bit ``ch - 21`` set for each channel ``ch``: the mask form of a channel set."""
-    return sum(1 << (ch - CHANNEL_MIN) for ch in channels)
-
-
 def channel_bits(db: TransmitterDb, plan: ChannelPlan) -> np.ndarray:
     """Per transmitter, bit ``ch - 21`` set for each interleaved channel ``ch`` it carries."""
-    return np.array([channel_mask(tx.channels & plan.interleaved) for tx in db], dtype=np.uint64)
+    return db.channels & np.uint64(channel_mask(plan.interleaved))
+
+
+def _radii(db: TransmitterDb, disks: Mapping[str, CoverageDisk]) -> np.ndarray:
+    """Each station's coverage radius, in ``db`` order."""
+    if isinstance(disks, DiskSet) and disks.ids == db.ids:
+        return disks.radii
+    try:
+        return np.array([disks[tx_id].radius_m for tx_id in db.ids], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"no coverage disk for transmitter {exc.args[0]!r}") from None
 
 
 @dataclass(eq=False)
@@ -101,15 +105,7 @@ class KeepoutDisks:
         for p in powers:
             if not (math.isfinite(p) and p >= 0.0):
                 raise ValueError(f"transmit power must be >= 0 W, got {p}")
-        try:
-            rows = [
-                (tx.position.easting, tx.position.northing, tx.erp_watts, disks[tx.id].radius_m)
-                for tx in db
-            ]
-        except KeyError as exc:
-            raise ValueError(f"no coverage disk for transmitter {exc.args[0]!r}") from None
-        flat = np.fromiter(itertools.chain.from_iterable(rows), float, 4 * len(rows))
-        east, north, erp, coverage = flat.reshape(-1, 4).T
+        east, north, erp, coverage = db.east, db.north, db.erp, _radii(db, disks)
         with np.errstate(over="ignore"):  # overflow gives R' = inf, as in keepout_radius
             radii = prop.beta_th * np.array(powers, dtype=float)[:, np.newaxis] / erp
             np.power(radii, 1.0 / prop.alpha, out=radii)
@@ -239,10 +235,9 @@ def availability(
     t = np.arange(len(db))
     east, north = np.full(t.size, q.location.easting), np.full(t.size, q.location.northing)
     blockers: dict[int, list[str]] = {}
-    for k in np.flatnonzero(kd.inside(east, north, t)[0]):
-        tx = db.transmitters[k]
-        for ch in tx.channels:
-            blockers.setdefault(ch, []).append(tx.id)
+    for k in np.flatnonzero(kd.inside(east, north, t)[0]).tolist():
+        for ch in mask_channels(int(db.channels[k])):
+            blockers.setdefault(ch, []).append(db.ids[k])
     return _result(q.location, q.p_cr_watts, plan, blockers, blockers)
 
 
@@ -274,13 +269,13 @@ def availability_lowpower(
     can have; any positive transmit power only removes channels.
     """
     blockers: dict[int, list[str]] = {}
-    for tx in db:
-        raster = rasters.get(tx.id)
+    for tx_id, mask in zip(db.ids, db.channels.tolist()):
+        raster = rasters.get(tx_id)
         if raster is None:
-            raise ValueError(f"no coverage raster for transmitter {tx.id!r}")
+            raise ValueError(f"no coverage raster for transmitter {tx_id!r}")
         if covers(raster, loc):
-            for ch in tx.channels:
-                blockers.setdefault(ch, []).append(tx.id)
+            for ch in mask_channels(mask):
+                blockers.setdefault(ch, []).append(tx_id)
     return _result(loc, 0.0, plan, blockers, blockers)
 
 

@@ -59,6 +59,16 @@ def channel_to_band(channel: int) -> tuple[int, int]:
     return low, low + CHANNEL_WIDTH_MHZ
 
 
+def channel_mask(channels: Iterable[int]) -> int:
+    """Bit ``ch - 21`` set for each channel ``ch``: the mask form of a channel set."""
+    return sum(1 << (ch - CHANNEL_MIN) for ch in channels)
+
+
+def mask_channels(mask: int) -> list[int]:
+    """The channels whose bits are set in ``mask``, ascending: the inverse of :func:`channel_mask`."""
+    return [ch for ch in range(CHANNEL_MIN, CHANNEL_MAX + 1) if mask >> (ch - CHANNEL_MIN) & 1]
+
+
 def bandwidth_mhz(channels: Iterable[int]) -> int:
     """Total bandwidth of a channel set in MHz (8 MHz per channel)."""
     return CHANNEL_WIDTH_MHZ * len(frozenset(channels))

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,12 +37,14 @@ from tvws import coverage as cov
 from tvws import report as rep
 from tvws.availability import (
     AvailabilityResult,
+    KeepoutDisks,
     adjacent_filter,
     availability,
-    availability_batch,
     availability_grid,
     availability_lowpower,
+    channel_bits,
     channel_mask,
+    occupied_masks,
     power_sweep,
     vacancy,
 )
@@ -260,19 +263,25 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _require_data(cfg: RunConfig) -> tuple[TransmitterDb, Path]:
+def _data_paths(cfg: RunConfig) -> tuple[Path, Path]:
     if cfg.txdb_path is None:
         raise FileNotFoundError("no transmitter database: pass --txdb or set TVWS_DATA_DIR")
     if cfg.coverage_dir is None:
         raise FileNotFoundError("no coverage directory: pass --coverage or set TVWS_DATA_DIR")
     if not cfg.txdb_path.is_file():
         raise FileNotFoundError(f"transmitter database not found: {cfg.txdb_path}")
-    db = load_txdb(cfg.txdb_path.read_text(), source=str(cfg.txdb_path))
-    return db, cfg.coverage_dir
+    return cfg.txdb_path, cfg.coverage_dir
+
+
+def _load_data(cfg: RunConfig, mode: str) -> tuple[TransmitterDb, Mapping]:
+    """The txdb and its coverage model for ``mode`` ("disk" or "raster"), through the packs."""
+    txdb_path, coverage_dir = _data_paths(cfg)
+    db, disks = cov.load_stations(txdb_path, coverage_dir, disks=mode == "disk")
+    return db, cov.load_rasters(coverage_dir, db) if mode == "raster" else disks
 
 
 def _query_result(
-    cfg: RunConfig, db: TransmitterDb, model: dict, loc: NgPoint
+    cfg: RunConfig, db: TransmitterDb, model: Mapping, loc: NgPoint
 ) -> AvailabilityResult:
     """The location's result under ``--mode``, with its blockers and N+-1 filtered set."""
     if cfg.mode == "raster":
@@ -283,18 +292,29 @@ def _query_result(
     return result
 
 
-def _occupied(cfg: RunConfig, db: TransmitterDb, model: dict, locs: list[NgPoint]) -> np.ndarray:
-    """Each location's occupied-channel mask under ``--mode``."""
-    if cfg.mode == "raster":
-        results = (availability_lowpower(db, model, cfg.plan, loc) for loc in locs)
-        return np.array([channel_mask(r.occupied) for r in results], dtype=np.uint64)
-    return availability_batch(db, model, cfg.plan, locs, cfg.power_watts, cfg.prop)
+def _masks_of_part(
+    cfg: RunConfig, db: TransmitterDb, model: Mapping
+) -> Callable[[list[NgPoint]], np.ndarray]:
+    """Occupied-channel masks of some locations under ``--mode``.
 
-
-def _load_model(cfg: RunConfig, db: TransmitterDb, coverage_dir: Path) -> dict:
+    What every part of a batch shares, the keep-out disks and the channel
+    bits, is built here once.
+    """
     if cfg.mode == "raster":
-        return cov.load_rasters(coverage_dir, db)
-    return cov.load_disks(coverage_dir, db)
+        def raster_masks(locs: list[NgPoint]) -> np.ndarray:
+            results = (availability_lowpower(db, model, cfg.plan, loc) for loc in locs)
+            return np.array([channel_mask(r.occupied) for r in results], dtype=np.uint64)
+
+        return raster_masks
+    kd = KeepoutDisks.build(db, model, [cfg.power_watts], cfg.prop)
+    bits = channel_bits(db, cfg.plan)
+
+    def disk_masks(locs: list[NgPoint]) -> np.ndarray:
+        east = np.array([loc.easting for loc in locs], dtype=float)
+        north = np.array([loc.northing for loc in locs], dtype=float)
+        return occupied_masks(kd, bits, east, north)[0]
+
+    return disk_masks
 
 
 def _write_artifacts(
@@ -333,8 +353,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     except ParseError as exc:
         return _fail(f"bad location: {exc}", EXIT_USAGE)
 
-    db, coverage_dir = _require_data(cfg)
-    model = _load_model(cfg, db, coverage_dir)
+    db, model = _load_data(cfg, cfg.mode)
     result = _query_result(cfg, db, model, loc)
     report = rep.build_report(args.loc, result, cfg.plan, cfg.alpha, cfg.beta_th)
 
@@ -391,15 +410,15 @@ def cmd_batch(args: argparse.Namespace) -> int:
         return _fail("--workers must be >= 1", EXIT_USAGE)
 
     entries = _read_locations_file(Path(args.locations))
-    db, coverage_dir = _require_data(cfg)
-    model = _load_model(cfg, db, coverage_dir)
+    db, model = _load_data(cfg, cfg.mode)
+    masks = _masks_of_part(cfg, db, model)
 
     # one contiguous part per worker, joined back in input order
     locs = [loc for _, loc in entries]
     size = -(-len(locs) // args.workers)
     parts = [locs[i : i + size] for i in range(0, len(locs), size)]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        occupied = np.concatenate([*pool.map(lambda part: _occupied(cfg, db, model, part), parts)])
+        occupied = np.concatenate([*pool.map(masks, parts)])
     vacant, filtered = vacancy(occupied, cfg.plan, cfg.plan.excluded if cfg.strict_excluded else ())
     power = 0.0 if cfg.mode == "raster" else cfg.power_watts  # as availability_lowpower reports it
     rows = rep.ChannelRows([label for label, _ in entries], vacant, filtered, cfg.alpha,
@@ -417,8 +436,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ParseError as exc:
         return _fail(f"bad location: {exc}", EXIT_USAGE)
 
-    db, coverage_dir = _require_data(cfg)
-    disks = cov.load_disks(coverage_dir, db)
+    db, disks = _load_data(cfg, "disk")
     points = power_sweep(db, disks, cfg.plan, loc, args.powers, cfg.prop)
     digest = plan_hash(cfg.plan)
     print(
@@ -438,8 +456,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    db, coverage_dir = _require_data(cfg)
-    disks = cov.load_disks(coverage_dir, db)
+    db, disks = _load_data(cfg, "disk")
     grid = availability_grid(
         db, disks, cfg.plan, args.region, args.cell, cfg.power_watts, cfg.prop
     )
@@ -526,9 +543,10 @@ def _synthetic_locations(seed: int) -> str:
 
 def cmd_disks(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    db, coverage_dir = _require_data(cfg)
+    txdb_path, coverage_dir = _data_paths(cfg)
     # the tree synth and disks leave holds no pack: a pack's stat keys differ
     # from one build of the same tree to the next
+    db = load_txdb(txdb_path.read_text(), source=str(txdb_path))
     rasters = cov.load_rasters(coverage_dir, db, write_cache=False)
     for tx in db:
         disk = cov.enclosing_disk(rasters[tx.id], tx)

@@ -22,6 +22,8 @@ import os
 import random
 import stat
 import sys
+import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +32,7 @@ import numpy as np
 from tvws.errors import ParseError
 from tvws.geo import EASTING_MAX, NORTHING_MAX, NgPoint
 from tvws.keepout import PropagationParams
-from tvws.txdb import Transmitter, TransmitterDb
+from tvws.txdb import Transmitter, TransmitterDb, load_txdb
 
 # Closes the pathloss equation for synthetic coverage: the received power a
 # TV set at the coverage edge is assumed to just decode.  Calibrated so a
@@ -378,169 +380,160 @@ def _read_text(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Coverage packs.  load_disks and load_rasters keep the entries they read in
-# one binary file per coverage directory and model kind, each beside its
-# source file's stat key (size, mtime, ctime, inode), so a later call reads
-# one file instead of one per transmitter.  An entry is taken from the pack
-# only while its key matches and its source is strictly older than the pack:
-# a source changed within the timestamp tick the pack was written in can
-# still show its old key (git's racy-clean rule).  Any other entry is read
-# from its file, after which the pack is rewritten.  A pack that is missing,
-# unreadable or not in this format is ignored.
+# Packs.  What the loaders parse is kept in two binary files per coverage
+# directory, each a header naming the format and kind, then the kind's
+# fields below as .npy arrays (read without pickle):
+#
+# * the station pack: the txdb's parsed columns and ERP-range warnings,
+#   keyed on the CSV's path as given and its stat key; and per station its
+#   disk (centre, radius, whether it was derived from the raster), keyed on
+#   the stat keys of <id>.disk and <id>.asc;
+# * the raster pack: each <id>.asc's cells, keyed on that file's stat key.
+#
+# A stat key is (size, mtime, ctime, inode), all zeros for a path that is
+# not a regular file.  An entry is taken only while its keys match and each
+# keyed file is strictly older than the pack: a file changed within the
+# timestamp tick the pack was written in can still show its old key (git's
+# racy-clean rule).  Anything else is read from its file, after which the
+# pack is rewritten.  A pack that is missing, unreadable or not in this
+# format reads as empty.
 
-_PACK_NAMES = {"disks": ".tvws-disks.pack", "rasters": ".tvws-rasters.pack"}
-_PACK_FORMAT = "tvws coverage pack 1"
+_PACK_NAMES = {"stations": ".tvws-stations.pack", "rasters": ".tvws-rasters.pack"}
+_PACK_FORMAT = "tvws coverage pack 2"
 _U64 = (1 << 64) - 1  # keys are stored as uint64; times wrap modulo 2**64 ns
+_NO_FILE = (0, 0, 0, 0)
+# name -> (dtype, shape); arrays sharing a letter in their shape agree on that length
+_PACK_FIELDS = {
+    "stations": {
+        "txdb_text": ("U", (2,)),  # the CSV's path as given, the database's source
+        "txdb_key": (np.uint64, (4,)),
+        "tx_ids": ("U", ("t",)),
+        "tx_floats": (np.float64, ("t", 4)),  # easting, northing, ERP, antenna height
+        "tx_channels": (np.uint64, ("t",)),
+        "tx_notes": ("U", ("w",)),  # the ERP-range warnings, as issued
+        "disk_ids": ("U", ("d",)),
+        "disk_keys": (np.uint64, ("d", 8)),  # <id>.disk's stat key, then <id>.asc's
+        "disk_floats": (np.float64, ("d", 3)),  # centre easting, northing, radius
+        "disk_derived": (np.bool_, ("d",)),
+    },
+    "rasters": {
+        "ids": ("U", ("r",)),
+        "keys": (np.uint64, ("r", 4)),
+        "floats": (np.float64, ("r", 3)),  # origin easting, northing, cell size
+        "shapes": (np.int64, ("r", 2)),
+        "cells": (np.bool_, ("c",)),
+    },
+}
 
 
-def _stat_key(path: str) -> tuple[tuple[int, int, int, int], int] | None:
-    """(stat key, newest of mtime and ctime in ns) of a regular file, else None."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    if not stat.S_ISREG(st.st_mode):
-        return None
-    key = (st.st_size, st.st_mtime_ns & _U64, st.st_ctime_ns & _U64, st.st_ino)
-    return key, max(st.st_mtime_ns, st.st_ctime_ns)
+def _stat_keys(paths: list[str]) -> np.ndarray:
+    """(n, 4) ``uint64`` stat keys of ``paths``, all zeros where a path is not a regular file."""
+    keys = []
+    for path in paths:
+        try:
+            st = os.stat(path)
+        except OSError:
+            keys.append(_NO_FILE)
+            continue
+        if stat.S_ISREG(st.st_mode):
+            keys.append((st.st_size, st.st_mtime_ns & _U64, st.st_ctime_ns & _U64, st.st_ino))
+        else:
+            keys.append(_NO_FILE)
+    return np.array(keys, dtype=np.uint64).reshape(-1, 4)
 
 
-def _pack_columns(kind: str, entries: list) -> list[np.ndarray]:
-    if kind == "disks":
-        rows = [(d.center.easting, d.center.northing, d.radius_m) for d in entries]
-        return [np.array(rows, dtype=np.float64).reshape(-1, 3)]
-    rows = [(r.origin.easting, r.origin.northing, r.cell_size_m) for r in entries]
-    return [
-        np.array(rows, dtype=np.float64).reshape(-1, 3),
-        np.array([r.cells.shape for r in entries], dtype=np.int64).reshape(-1, 2),
-        np.concatenate([r.cells.ravel() for r in entries]),
-    ]
+def _newest(keys: np.ndarray) -> np.ndarray:
+    """The later of mtime and ctime of each stat key, in signed ns."""
+    return keys[:, 1:3].astype(np.int64).max(axis=1)
 
 
-def _unpack_columns(
-    kind: str, ids: list[str], columns: list[np.ndarray], rows: list[int]
-) -> list:
-    """The entries ``_pack_columns`` stored at ``rows``; ValueError if the columns do not fit."""
-    n = len(ids)
-    if kind == "disks":
-        (floats,) = columns
-        if floats.dtype != np.float64 or floats.shape != (n, 3):
-            raise ValueError("bad disk columns")
-        return [
-            CoverageDisk(ids[i], NgPoint(e, north), r)
-            for i, (e, north, r) in zip(rows, floats[rows].tolist())
-        ]
-    floats, shapes, cells = columns
-    if (
-        floats.dtype != np.float64 or floats.shape != (n, 3)
-        or shapes.dtype != np.int64 or shapes.shape != (n, 2) or (shapes < 1).any()
-        or cells.dtype != bool or cells.ndim != 1
-    ):
-        raise ValueError("bad raster columns")
-    ends = np.cumsum(shapes.prod(axis=1))
-    if (ends[-1] if n else 0) != cells.size:
-        raise ValueError("bad raster cell count")
-    return [
-        CoverageRaster(
-            ids[i], NgPoint(e, north), cell, cells[end - nr * nc : end].reshape(nr, nc)
-        )
-        for i, (e, north, cell), (nr, nc), end in zip(
-            rows, floats[rows].tolist(), shapes[rows].tolist(), ends[rows].tolist()
-        )
-    ]
+def _empty_pack(kind: str) -> dict[str, np.ndarray]:
+    return {
+        name: np.zeros([0 if isinstance(n, str) else n for n in shape],
+                       dtype="U1" if dtype == "U" else dtype)
+        for name, (dtype, shape) in _PACK_FIELDS[kind].items()
+    }
 
 
-def _fresh_entries(path: str, kind: str, stat_keys: dict[str, tuple | None]) -> dict:
-    """The pack's entries whose source, by ``stat_keys``, is unchanged and older than it.
-
-    ``stat_keys`` maps each wanted id to ``_stat_key`` of its source.  Empty
-    if there is no usable pack.
-    """
+def _read_pack(path: str, kind: str) -> tuple[int, dict[str, np.ndarray]] | None:
+    """(mtime in ns, arrays by field) of a well-formed pack of ``kind``, else None."""
+    fields = _PACK_FIELDS[kind]
     try:
         with open(path, "rb") as f:
             mtime_ns = os.fstat(f.fileno()).st_mtime_ns
-            arrays = [np.lib.format.read_array(f, allow_pickle=False)]
-            if arrays[0].shape != () or arrays[0].item() != f"{_PACK_FORMAT} {kind}":
-                return {}
-            for _ in range(3 if kind == "disks" else 5):  # ids, keys, columns
-                arrays.append(np.lib.format.read_array(f, allow_pickle=False))
+            head = np.lib.format.read_array(f, allow_pickle=False)
+            if head.shape != () or head.item() != f"{_PACK_FORMAT} {kind}":
+                return None
+            arrays = {name: np.lib.format.read_array(f, allow_pickle=False) for name in fields}
             if f.read(1):
-                return {}
-        _, ids, keys, *columns = arrays
-        if ids.dtype.kind != "U" or ids.ndim != 1:
-            return {}
-        if keys.dtype != np.uint64 or keys.shape != (ids.size, 4):
-            return {}
-        ids = ids.tolist()
-        fresh = []
-        for i, (tx_id, key) in enumerate(zip(ids, keys.tolist())):
-            now = stat_keys.get(tx_id)
-            if now is not None and now[0] == tuple(key) and now[1] < mtime_ns:
-                fresh.append(i)
-        entries = _unpack_columns(kind, ids, columns, fresh)
+                return None
     except (OSError, ValueError, EOFError, MemoryError):
-        return {}
-    return {entry.transmitter_id: entry for entry in entries}
+        return None
+    lengths: dict[str, int] = {}
+    for name, (dtype, shape) in fields.items():
+        array = arrays[name]
+        typed = array.dtype.kind == "U" if dtype == "U" else array.dtype == dtype
+        if not typed or array.ndim != len(shape):
+            return None
+        for want, got in zip(shape, array.shape):
+            if got != (lengths.setdefault(want, got) if isinstance(want, str) else want):
+                return None
+    return mtime_ns, arrays
 
 
-def _write_pack(path: str, kind: str, packed: dict[str, tuple]) -> None:
-    """Write ``{id: (stat key, entry)}`` atomically: a temp file, then ``os.replace``."""
-    arrays = [
-        np.array(f"{_PACK_FORMAT} {kind}"),
-        np.array(list(packed), dtype=str),
-        np.array([key for key, _ in packed.values()], dtype=np.uint64).reshape(-1, 4),
-        *_pack_columns(kind, [entry for _, entry in packed.values()]),
-    ]
+def _write_pack(path: str, kind: str, arrays: dict[str, np.ndarray]) -> None:
+    """Write a pack atomically (a temp file, then ``os.replace``); a failure only warns."""
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
-        with open(tmp, "xb") as f:
-            for array in arrays:
-                np.save(f, array, allow_pickle=False)
-        os.replace(tmp, path)
-    except BaseException:
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with open(tmp, "xb") as f:
+                np.save(f, np.array(f"{_PACK_FORMAT} {kind}"), allow_pickle=False)
+                for name in _PACK_FIELDS[kind]:
+                    np.save(f, arrays[name], allow_pickle=False)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:  # e.g. a read-only data dir: the files are read again next time
+        print(f"tvws: warning: could not write coverage pack {path}: {exc}", file=sys.stderr)
 
 
-def _load_packed(
-    coverage_dir: Path, db: TransmitterDb, kind: str, read_file, write_cache: bool
-) -> dict:
-    """Every transmitter's entry: from the pack while fresh, else ``read_file``.
+def _pack_rows(pack_ids: np.ndarray, ids: list[str]) -> np.ndarray:
+    """Each of ``ids``' row in ``pack_ids``, -1 where it has none."""
+    index = {tx_id: i for i, tx_id in enumerate(pack_ids.tolist())}
+    return np.array([index.get(tx_id, -1) for tx_id in ids], dtype=np.intp)
 
-    ``read_file(tx, path, is_file)`` gets the source's path and whether it
-    was a regular file, and returns the entry.  An entry read from a regular
-    file goes into the pack with that file's stat key, taken before the read.
-    """
-    # what str(coverage_dir / name) gives, without building a Path per file
-    prefix = str(coverage_dir / "_")[:-1]
-    suffix = ".disk" if kind == "disks" else ".asc"
-    pack_path = prefix + _PACK_NAMES[kind]
-    paths = {tx.id: prefix + tx.id + suffix for tx in db}
-    stat_keys = {tx_id: _stat_key(path) for tx_id, path in paths.items()}
-    fresh = _fresh_entries(pack_path, kind, stat_keys)
-    entries: dict = {}
-    repack: dict[str, tuple] = {}  # the next pack: {id: (stat key, entry)}
-    stale = False
-    for tx in db:
-        stat_key = stat_keys[tx.id]
-        if tx.id in fresh:
-            entries[tx.id] = fresh[tx.id]
-            repack[tx.id] = (stat_key[0], fresh[tx.id])
-            continue
-        entries[tx.id] = read_file(tx, paths[tx.id], stat_key is not None)
-        if stat_key is not None:
-            repack[tx.id] = (stat_key[0], entries[tx.id])
-            stale = True
-    if stale and write_cache:
-        try:
-            _write_pack(pack_path, kind, repack)
-        except OSError as exc:  # e.g. a read-only data dir: the files are read again next time
-            print(f"tvws: warning: could not write coverage pack {pack_path}: {exc}",
-                  file=sys.stderr)
-    return entries
+
+def _prefix(coverage_dir: str | Path) -> str:
+    """What ``str(coverage_dir / name)`` starts with, so paths need no Path each."""
+    return str(Path(coverage_dir) / "_")[:-1]
+
+
+def _packed_rasters(pack_path: str, ids: list[str], keys: np.ndarray) -> dict[str, CoverageRaster]:
+    """The pack's rasters whose ``.asc`` still has the packed key and is older than the pack."""
+    found = _read_pack(pack_path, "rasters")
+    if found is None:
+        return {}
+    mtime_ns, pack = found
+    shapes, cells = pack["shapes"], pack["cells"]
+    ends = np.cumsum(shapes.prod(axis=1))
+    if not ends.size or (shapes < 1).any() or ends[-1] != cells.size:
+        return {}
+    rows = _pack_rows(pack["ids"], ids)
+    fresh = (rows >= 0) & (keys == pack["keys"][rows]).all(axis=1) & (_newest(keys) < mtime_ns)
+    rasters = {}
+    try:
+        for i in np.flatnonzero(fresh).tolist():
+            row = rows[i]
+            (e, n, cell), (nr, nc), end = pack["floats"][row].tolist(), shapes[row].tolist(), ends[row]
+            raster = cells[end - nr * nc : end].reshape(nr, nc)
+            rasters[ids[i]] = CoverageRaster(ids[i], NgPoint(e, n), cell, raster)
+    except ValueError:  # values no load could have written
+        return {}
+    return rasters
 
 
 def load_rasters(
@@ -551,53 +544,199 @@ def load_rasters(
     Fresh entries come from the directory's raster pack; with
     ``write_cache`` the pack is rewritten when any raster was read from its file.
     """
+    prefix = _prefix(coverage_dir)
+    pack_path = prefix + _PACK_NAMES["rasters"]
+    paths = [prefix + tx_id + ".asc" for tx_id in db.ids]
+    keys = _stat_keys(paths)
+    rasters = _packed_rasters(pack_path, db.ids, keys)
+    read = [i for i, tx_id in enumerate(db.ids) if tx_id not in rasters]
+    for i in read:
+        if not keys[i].any():
+            raise FileNotFoundError(f"no coverage raster for {db.ids[i]!r}: {paths[i]}")
+        rasters[db.ids[i]] = read_asc(_read_text(paths[i]), db.ids[i], source=paths[i])
+    rasters = {tx_id: rasters[tx_id] for tx_id in db.ids}
+    if read and write_cache:
+        entries = list(rasters.values())
+        _write_pack(pack_path, "rasters", {
+            "ids": np.array(db.ids, dtype=str),
+            "keys": keys,
+            "floats": np.array(
+                [(r.origin.easting, r.origin.northing, r.cell_size_m) for r in entries],
+                dtype=np.float64,
+            ).reshape(-1, 3),
+            "shapes": np.array([r.cells.shape for r in entries], dtype=np.int64).reshape(-1, 2),
+            "cells": np.concatenate([r.cells.ravel() for r in entries]),
+        })
+    return rasters
 
-    def read_file(tx: Transmitter, path: str, is_file: bool) -> CoverageRaster:
-        if not is_file:
-            raise FileNotFoundError(f"no coverage raster for {tx.id!r}: {path}")
-        return read_asc(_read_text(path), tx.id, source=path)
 
-    return _load_packed(Path(coverage_dir), db, "rasters", read_file, write_cache)
+class DiskSet(Mapping):
+    """Coverage disks as columns, row ``i`` for station ``ids[i]``.
+
+    ``floats`` rows are (centre easting, centre northing, radius).  A
+    :class:`CoverageDisk` is built for each id looked up; the kernels read
+    ``radii`` instead.
+    """
+
+    def __init__(self, ids: list[str], floats: np.ndarray):
+        self.ids = ids
+        self.floats = floats
+        self._index: dict[str, int] | None = None
+
+    @property
+    def radii(self) -> np.ndarray:
+        return self.floats[:, 2]
+
+    def __getitem__(self, tx_id: str) -> CoverageDisk:
+        if self._index is None:
+            self._index = {key: i for i, key in enumerate(self.ids)}
+        e, n, radius = self.floats[self._index[tx_id]].tolist()
+        return CoverageDisk(tx_id, NgPoint(e, n), radius)
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _station_disks(
+    coverage_dir: Path, prefix: str, db: TransmitterDb, mtime_ns: int,
+    pack: dict[str, np.ndarray], write_cache: bool,
+) -> tuple[dict[str, np.ndarray], bool]:
+    """Every station's disk fields for the next station pack, and whether any was read from a file.
+
+    A disk is taken from ``pack`` while the stat keys of its ``.disk`` and
+    ``.asc`` match and both are older than the pack; a disk derived from the
+    raster also needs the station where it was derived.  Otherwise
+    ``<id>.disk`` is read, unless its ``.asc`` is strictly newer (by mtime)
+    or has changed since the pack took the same ``.disk``: then the disk is
+    derived from the raster, and with ``write_cache`` written to ``<id>.disk``.
+    """
+    n = len(db)
+    disk_paths = [prefix + tx_id + ".disk" for tx_id in db.ids]
+    asc_paths = [prefix + tx_id + ".asc" for tx_id in db.ids]
+    keys = np.hstack([_stat_keys(disk_paths), _stat_keys(asc_paths)])
+    rows = _pack_rows(pack["disk_ids"], db.ids)
+    listed = rows >= 0
+    packed_keys = np.zeros((n, 8), dtype=np.uint64)
+    floats = np.zeros((n, 3))
+    derived = np.zeros(n, dtype=bool)
+    packed_keys[listed] = pack["disk_keys"][rows[listed]]
+    floats[listed] = pack["disk_floats"][rows[listed]]
+    derived[listed] = pack["disk_derived"][rows[listed]]
+    fresh = (
+        listed
+        & (keys == packed_keys).all(axis=1)
+        & (np.maximum(_newest(keys[:, :4]), _newest(keys[:, 4:])) < mtime_ns)
+        & (~derived | ((floats[:, 0] == db.east) & (floats[:, 1] == db.north)))
+    )
+    mtimes = keys[:, [1, 5]].astype(np.int64)
+    for i in np.flatnonzero(~fresh).tolist():
+        tx_id, disk_path, asc_path = db.ids[i], disk_paths[i], asc_paths[i]
+        has_disk, has_asc = keys[i, :4].any(), keys[i, 4:].any()
+        raster_changed = has_asc and (
+            mtimes[i, 1] > mtimes[i, 0]
+            or (listed[i] and (packed_keys[i, :4] == keys[i, :4]).all()
+                and (packed_keys[i, 4:] != keys[i, 4:]).any())
+        )
+        if has_disk and not raster_changed:
+            disk = read_disk(_read_text(disk_path), tx_id, source=disk_path)
+        elif has_asc:
+            raster = read_asc(_read_text(asc_path), tx_id, source=asc_path)
+            disk = enclosing_disk(raster, db.transmitters[i])
+            if write_cache:
+                try:
+                    Path(disk_path).write_text(write_disk(disk))
+                except OSError as exc:  # e.g. a read-only data dir: derived again next time
+                    print(f"tvws: warning: could not write disk cache {disk_path}: {exc}",
+                          file=sys.stderr)
+        else:
+            raise FileNotFoundError(
+                f"neither disk cache nor raster found for {tx_id!r} in {coverage_dir}"
+            )
+        floats[i] = disk.center.easting, disk.center.northing, disk.radius_m
+        derived[i] = not has_disk or raster_changed
+    fields = {"disk_ids": np.array(db.ids, dtype=str), "disk_keys": keys,
+              "disk_floats": floats, "disk_derived": derived}
+    return fields, not fresh.all()
+
+
+def _load_stations(
+    coverage_dir: Path, db: TransmitterDb | None, txdb_path: str | None,
+    with_disks: bool, write_cache: bool,
+) -> tuple[TransmitterDb, DiskSet | None, list[str]]:
+    """``db`` (or the database read from ``txdb_path``), its disks if asked, and its ERP notes."""
+    prefix = _prefix(coverage_dir)
+    pack_path = prefix + _PACK_NAMES["stations"]
+    mtime_ns, pack = _read_pack(pack_path, "stations") or (0, _empty_pack("stations"))
+    fields = dict(pack)  # the next pack
+    notes: list[str] = []
+    stale = False
+    if db is None:
+        key = _stat_keys([txdb_path])
+        if (key.any() and pack["txdb_text"][0] == txdb_path
+                and (pack["txdb_key"] == key[0]).all() and _newest(key)[0] < mtime_ns):
+            db = TransmitterDb.from_columns(pack["tx_ids"].tolist(), pack["tx_floats"],
+                                            pack["tx_channels"], str(pack["txdb_text"][1]))
+            notes = pack["tx_notes"].tolist()
+        else:
+            db = load_txdb(_read_text(txdb_path), source=txdb_path, notes=notes)
+            fields.update(
+                txdb_text=np.array([txdb_path, db.source]), txdb_key=key[0],
+                tx_ids=np.array(db.ids, dtype=str), tx_floats=db.floats,
+                tx_channels=db.channels, tx_notes=np.array(notes, dtype=str),
+            )
+            stale = True
+    disks = None
+    if with_disks:
+        disk_fields, read = _station_disks(coverage_dir, prefix, db, mtime_ns, pack, write_cache)
+        fields.update(disk_fields)
+        stale = stale or read
+        disks = DiskSet(db.ids, disk_fields["disk_floats"])
+    if stale and write_cache:
+        _write_pack(pack_path, "stations", fields)
+    if disks is not None:
+        moved = np.flatnonzero((disks.floats[:, 0] != db.east) | (disks.floats[:, 1] != db.north))
+        if moved.size:
+            i = int(moved[0])
+            (e, n), (tx_e, tx_n) = disks.floats[i, :2].tolist(), (db.east[i], db.north[i])
+            raise ParseError(
+                f"disk centre ({e!r}, {n!r}) is not the position of {db.ids[i]!r} in the "
+                f"transmitter database ({float(tx_e)!r}, {float(tx_n)!r}); "
+                "delete the file or rerun `tvws disks`",
+                source=str(coverage_dir / f"{db.ids[i]}.disk"),
+            )
+    return db, disks, notes
+
+
+def load_stations(
+    txdb_path: str | Path, coverage_dir: str | Path, disks: bool = True, write_cache: bool = True
+) -> tuple[TransmitterDb, DiskSet | None]:
+    """The transmitter database at ``txdb_path`` and, with ``disks``, every station's disk.
+
+    Both come from the coverage directory's station pack while its keys
+    hold, else from the CSV as :func:`~tvws.txdb.load_txdb` reads it and
+    from the coverage files as :func:`load_disks` reads them; with
+    ``write_cache`` the pack is then rewritten.  ERP-range warnings are
+    issued the same way whether the database came from the pack or the CSV.
+    """
+    db, disk_set, notes = _load_stations(Path(coverage_dir), None, str(txdb_path), disks,
+                                         write_cache)
+    for note in notes:
+        warnings.warn(note, stacklevel=2)
+    return db, disk_set
 
 
 def load_disks(
     coverage_dir: str | Path, db: TransmitterDb, write_cache: bool = True
-) -> dict[str, CoverageDisk]:
-    """Read ``<id>.disk`` caches, deriving (and caching) from rasters as needed.
+) -> DiskSet:
+    """Every transmitter's disk: ``<id>.disk``, or derived (and cached) from ``<id>.asc``.
 
-    Fresh entries come from the directory's disk pack.  With ``write_cache``
-    derived disks are written to ``<id>.disk`` and the pack is rewritten when
-    any disk was read from its file.  A disk whose centre is not its
-    transmitter's position is a ParseError naming the file.
+    A ``.disk`` is read unless its ``.asc`` is strictly newer by mtime, or
+    changed since the station pack took the same ``.disk``; fresh disks come
+    from the pack.  With ``write_cache`` derived disks are written to ``<id>.disk`` and the
+    pack is rewritten when any disk was read from a file.  A disk whose
+    centre is not its transmitter's position is a ParseError naming the file.
     """
-    coverage_dir = Path(coverage_dir)
-
-    def read_file(tx: Transmitter, path: str, is_file: bool) -> CoverageDisk:
-        if is_file:
-            return read_disk(_read_text(path), tx.id, source=path)
-        asc_path = coverage_dir / f"{tx.id}.asc"
-        if not asc_path.is_file():
-            raise FileNotFoundError(
-                f"neither disk cache nor raster found for {tx.id!r} in {coverage_dir}"
-            )
-        raster = read_asc(_read_text(str(asc_path)), tx.id, source=str(asc_path))
-        disk = enclosing_disk(raster, tx)
-        if write_cache:
-            try:
-                Path(path).write_text(write_disk(disk))
-            except OSError as exc:  # e.g. a read-only data dir: derived again next time
-                print(f"tvws: warning: could not write disk cache {path}: {exc}", file=sys.stderr)
-        return disk
-
-    disks = _load_packed(coverage_dir, db, "disks", read_file, write_cache)
-    for tx in db:
-        center = disks[tx.id].center
-        if center != tx.position:
-            raise ParseError(
-                f"disk centre ({center.easting!r}, {center.northing!r}) is not the "
-                f"position of {tx.id!r} in the transmitter database "
-                f"({tx.position.easting!r}, {tx.position.northing!r}); "
-                "delete the file or rerun `tvws disks`",
-                source=str(coverage_dir / f"{tx.id}.disk"),
-            )
-    return disks
+    return _load_stations(Path(coverage_dir), db, None, True, write_cache)[1]

@@ -106,7 +106,11 @@ def parse_gridref(text: str) -> NgPoint:
     compact = "".join(text.split())
     if len(compact) < 2:
         raise ParseError(f"grid reference too short: {text!r}")
-    letters = compact[:2].upper()
+    letters = compact[:2]
+    # checked before upper(), which turns "ß" into "SS" and "ſ" into "S"
+    if not (letters.isascii() and letters.isalpha()):
+        raise ParseError(f"bad grid letters {letters!r} in {text!r}")
+    letters = letters.upper()
     digits = compact[2:]
     if not digits.isdecimal():  # isdigit() also passes "²", which int() refuses
         raise ParseError(f"expected digits after the grid letters in {text!r}")

@@ -13,9 +13,12 @@ import io
 import math
 import random
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from tvws.channel_plan import CHANNEL_MAX, CHANNEL_MIN, ChannelPlan
+import numpy as np
+
+from tvws.channel_plan import CHANNEL_MAX, CHANNEL_MIN, ChannelPlan, channel_mask, mask_channels
 from tvws.errors import ParseError
 from tvws.geo import EASTING_MAX, NORTHING_MAX, BoundingBox, NgPoint, distance
 
@@ -70,32 +73,84 @@ class Transmitter:
                 )
 
 
-@dataclass(frozen=True)
 class TransmitterDb:
-    transmitters: tuple[Transmitter, ...]
-    source: str = "unknown"
+    """The stations as columns, in file order; :class:`Transmitter` objects on first use.
 
-    def __post_init__(self) -> None:
+    ``ids`` is a list of str; ``east``, ``north``, ``erp`` and ``height`` are
+    float64 arrays, and ``channels`` holds each station's
+    :func:`~tvws.channel_plan.channel_mask` as ``uint64``.  The kernels read
+    only the columns, so a database loaded from a coverage pack builds no
+    per-station object unless something asks for ``transmitters``.
+    """
+
+    def __init__(self, transmitters: Iterable[Transmitter] = (), source: str = "unknown"):
+        transmitters = tuple(transmitters)
         seen: set[str] = set()
-        for tx in self.transmitters:
+        for tx in transmitters:
             if tx.id in seen:
                 raise ValueError(f"duplicate transmitter id {tx.id!r}")
             seen.add(tx.id)
+        rows = [(tx.position.easting, tx.position.northing, tx.erp_watts, tx.antenna_height_m)
+                for tx in transmitters]
+        self._set_columns(
+            [tx.id for tx in transmitters],
+            np.array(rows, dtype=np.float64).reshape(-1, 4),
+            np.array([channel_mask(tx.channels) for tx in transmitters], dtype=np.uint64),
+            source,
+        )
+        self._transmitters: tuple[Transmitter, ...] | None = transmitters
+
+    @classmethod
+    def from_columns(
+        cls, ids: list[str], floats: np.ndarray, channels: np.ndarray, source: str
+    ) -> TransmitterDb:
+        """A database of already validated columns; ``floats`` rows are (east, north, ERP, height)."""
+        db = cls.__new__(cls)
+        db._set_columns(ids, floats, channels, source)
+        db._transmitters = None
+        return db
+
+    def _set_columns(self, ids, floats, channels, source) -> None:
+        self.ids = ids
+        self.floats = floats
+        self.east, self.north, self.erp, self.height = floats.T
+        self.channels = channels
+        self.source = source
+
+    @property
+    def transmitters(self) -> tuple[Transmitter, ...]:
+        if self._transmitters is None:
+            self._transmitters = tuple(
+                Transmitter(tx_id, NgPoint(e, n), erp, height, frozenset(mask_channels(mask)))
+                for tx_id, (e, n, erp, height), mask in zip(
+                    self.ids, self.floats.tolist(), self.channels.tolist()
+                )
+            )
+        return self._transmitters
 
     def __len__(self) -> int:
-        return len(self.transmitters)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.transmitters)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransmitterDb):
+            return NotImplemented
+        return self.source == other.source and self.transmitters == other.transmitters
 
-def _check_erp_range(erp: float, *, source: str, line: int) -> None:
-    if not ERP_TYPICAL_MIN_W <= erp <= ERP_TYPICAL_MAX_W:
-        warnings.warn(
-            f"{source}:{line}: ERP {erp:g} W outside the typical UK DTT range "
-            f"[{ERP_TYPICAL_MIN_W:g} W, {ERP_TYPICAL_MAX_W:g} W]",
-            stacklevel=3,
-        )
+    def __repr__(self) -> str:
+        return f"TransmitterDb({len(self)} transmitters, source={self.source!r})"
+
+
+def _erp_note(erp: float, *, source: str, line: int) -> str | None:
+    """The warning for an ERP outside the typical UK DTT range, if it is."""
+    if ERP_TYPICAL_MIN_W <= erp <= ERP_TYPICAL_MAX_W:
+        return None
+    return (
+        f"{source}:{line}: ERP {erp:g} W outside the typical UK DTT range "
+        f"[{ERP_TYPICAL_MIN_W:g} W, {ERP_TYPICAL_MAX_W:g} W]"
+    )
 
 
 def _csv_fields(raw: str, *, source: str, line: int) -> list[str]:
@@ -105,13 +160,15 @@ def _csv_fields(raw: str, *, source: str, line: int) -> list[str]:
         raise ParseError(f"bad CSV line: {exc}", source=source, line=line) from None
 
 
-def load_txdb(text: str, source: str = "txdb") -> TransmitterDb:
+def load_txdb(text: str, source: str = "txdb", *, notes: list[str] | None = None) -> TransmitterDb:
     """Load a transmitter database from CSV contents.
 
     Expected header: ``id,easting,northing,erp_watts,antenna_height_m,channels``
     with channels as ``;``-separated integers.  Lines starting with ``#``
     are comments; a ``# source: ...`` comment restores the provenance
-    string written by :func:`serialize`.
+    string written by :func:`serialize`.  A row whose ERP is outside the
+    typical UK range loads with a warning; given ``notes``, the warnings'
+    texts are appended to it instead of being issued.
     """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,6 +195,7 @@ def load_txdb(text: str, source: str = "txdb") -> TransmitterDb:
         )
 
     transmitters: list[Transmitter] = []
+    found: list[str] = [] if notes is None else notes
     first_row_of: dict[str, int] = {}
     for lineno, raw in rows[1:]:
         fields = _csv_fields(raw, source=source, line=lineno)
@@ -176,11 +234,16 @@ def load_txdb(text: str, source: str = "txdb") -> TransmitterDb:
             tx = Transmitter(tx_id, position, erp, height, channels)
         except ValueError as exc:
             raise ParseError(str(exc), source=source, line=lineno) from None
-        _check_erp_range(erp, source=source, line=lineno)
+        note = _erp_note(erp, source=source, line=lineno)
+        if note is not None:
+            found.append(note)
         first_row_of[tx_id] = lineno
         transmitters.append(tx)
 
-    return TransmitterDb(tuple(transmitters), source=source)
+    if notes is None:
+        for note in found:
+            warnings.warn(note, stacklevel=2)
+    return TransmitterDb(transmitters, source=source)
 
 
 def serialize(db: TransmitterDb) -> str:

@@ -96,14 +96,18 @@ def coverage_from_files(coverage_dir, db, kind: str) -> dict:
     """What ``load_disks``/``load_rasters`` must return, read file by file.
 
     Each transmitter's own ``<id>.disk`` or ``<id>.asc`` goes through the
-    per-file parser; a missing ``.disk`` is derived from the ``.asc``.  No
-    pack is read, so this is the reference for every packed load.
+    per-file parser; a ``.disk`` that is missing, or older than its ``.asc``
+    by mtime, is derived from the ``.asc``.  No pack is read, so this is the
+    reference for every packed load.
     """
     out = {}
     for tx in db:
         disk = Path(coverage_dir) / f"{tx.id}.disk"
         raster = Path(coverage_dir) / f"{tx.id}.asc"
-        if kind == "disks" and disk.is_file():
+        stale = raster.is_file() and disk.is_file() and (
+            raster.stat().st_mtime_ns > disk.stat().st_mtime_ns
+        )
+        if kind == "disks" and disk.is_file() and not stale:
             out[tx.id] = read_disk(disk.read_text(), tx.id)
         elif kind == "disks":
             out[tx.id] = enclosing_disk(read_asc(raster.read_text(), tx.id), tx)

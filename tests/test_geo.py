@@ -49,6 +49,14 @@ class TestParseGridref:
         with pytest.raises(ParseError):
             parse_gridref(bad)
 
+    # upper() turns these into ASCII letters: "ß" into "SS", "ſ" (long s) into "S",
+    # "ﬀ" into "FF", and the Kelvin sign into "K"
+    @pytest.mark.parametrize("bad", ["ßP 51 06", "ſP 51 06", "Sſ 51 06", "ﬀ 51 06",
+                                     "\u212aP 51 06", "ÅP 51 06"])
+    def test_rejects_non_ascii_letters(self, bad):
+        with pytest.raises(ParseError, match="bad grid letters"):
+            parse_gridref(bad)
+
     @given(points, st.sampled_from([2, 4, 6, 8, 10]))
     def test_format_parse_roundtrip(self, p, digits):
         half = digits // 2
@@ -124,7 +132,7 @@ class TestBoundingBox:
 
 # Grid letters (valid, 'I', ones that upper() turns into two), digit groups,
 # digits int() refuses or accepts, and coordinate pairs at and past the envelope.
-GRID_LETTERS = ["SP", "sp", "TQ", "HP", "IA", "ZZ", "ßP", "ﬃ"]
+GRID_LETTERS = ["SP", "sp", "TQ", "HP", "IA", "ZZ", "ßP", "ſP", "Sſ", "ﬃ", "\u212aP"]
 GRID_DIGITS = ["513", "061", "51", "0", "²", "٣", " "]
 LOCATION_TOKENS = [*GRID_LETTERS, *GRID_DIGITS, ",", "1e309", "nan", "-1", "699999.9", "1300000",
                    "inf", "1" * 5000]
@@ -142,4 +150,7 @@ def test_fuzz_parse_location_only_parse_error_escapes(text):
     try:
         parse_location(text)
     except ParseError:
-        pass
+        return
+    if "," not in text:  # a grid reference: its two letters were ASCII as written
+        letters = "".join(text.split())[:2]
+        assert letters.isascii() and letters.isalpha()

@@ -1,31 +1,43 @@
 """Coverage packs: a packed load always equals a file-by-file read.
 
-``load_disks``/``load_rasters`` take an entry from the directory's pack only
-while its source file's stat key matches and the source is older than the
-pack.  Every test here changes the directory behind the pack's back and
-checks the load against ``oracles.coverage_from_files``.
+``load_stations``/``load_disks``/``load_rasters`` take an entry from the
+directory's pack only while its source files' stat keys match and the
+sources are older than the pack.  Every test here changes the directory
+behind the pack's back and checks the load against ``load_txdb`` and
+``oracles.coverage_from_files``.
 """
 
+import builtins
+import io
 import os
 import pickle
 import shutil
+import subprocess
+import sys
 import time
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tvws
 from oracles import coverage_from_files, coverage_values
 from tvws import coverage as cov
+from tvws.availability import availability, availability_lowpower
+from tvws.channel_plan import default_plan
 from tvws.cli import main
 from tvws.errors import ParseError
 from tvws.geo import NgPoint
-from tvws.keepout import PropagationParams
-from tvws.txdb import Transmitter, TransmitterDb
+from tvws.keepout import PropagationParams, QueryParams
+from tvws.txdb import Transmitter, TransmitterDb, load_txdb, serialize
 
 KINDS = ("disks", "rasters")
+PACK = {"disks": "stations", "rasters": "rasters"}  # the pack each kind is kept in
+KEYS = {"disks": "disk_keys", "rasters": "keys"}
 SUFFIX = {"disks": ".disk", "rasters": ".asc"}
 LOAD = {"disks": cov.load_disks, "rasters": cov.load_rasters}
 
@@ -42,19 +54,29 @@ def make_db(n=3):
 
 
 def write_sources(cov_dir, db):
+    """Each station's ``.asc``, and its ``.disk`` derived from it.
+
+    The ``.asc`` is stamped a minute older, as rasters are older than the
+    disks ``tvws disks`` writes, so moving a ``.disk``'s time back a little
+    never makes its raster the newer file.
+    """
     for i, tx in enumerate(db):
         raster = cov.synth_coverage(tx, PropagationParams(), 2000.0, 0.2, seed=i)
-        (cov_dir / f"{tx.id}.asc").write_text(cov.write_asc(raster))
+        asc = cov_dir / f"{tx.id}.asc"
+        asc.write_text(cov.write_asc(raster))
+        older = asc.stat().st_mtime_ns - 60 * 10**9
+        os.utime(asc, ns=(older, older))
         (cov_dir / f"{tx.id}.disk").write_text(cov.write_disk(cov.enclosing_disk(raster, tx)))
 
 
-def settle(cov_dir):
-    """Wait until a file written now is stamped later than every file in cov_dir.
+def settle(cov_dir, *more):
+    """Wait until a file written now is stamped later than every file in the directories.
 
     Without this a pack written right after its sources can share their
     timestamp tick, and the racy-clean rule then rightly re-reads them.
     """
-    newest = max(max(p.stat().st_mtime_ns, p.stat().st_ctime_ns) for p in cov_dir.iterdir())
+    newest = max(max(p.stat().st_mtime_ns, p.stat().st_ctime_ns)
+                 for d in (cov_dir, *more) for p in d.iterdir())
     probe = cov_dir.parent / "probe"
     while True:
         probe.write_bytes(b"")
@@ -64,7 +86,13 @@ def settle(cov_dir):
 
 
 def pack_path(cov_dir, kind):
-    return cov_dir / cov._PACK_NAMES[kind]
+    return cov_dir / cov._PACK_NAMES[PACK[kind]]
+
+
+def rewrite_pack(cov_dir, kind, **changes):
+    """Write the pack again with some fields replaced."""
+    _mtime, arrays = cov._read_pack(str(pack_path(cov_dir, kind)), PACK[kind])
+    cov._write_pack(str(pack_path(cov_dir, kind)), PACK[kind], {**arrays, **changes})
 
 
 @pytest.fixture
@@ -79,8 +107,8 @@ def tree(tmp_path):
 
 @pytest.fixture
 def file_reads(monkeypatch):
-    """Counts of read_disk/read_asc calls, by kind, made through the loaders."""
-    counts = {"disks": 0, "rasters": 0}
+    """Counts of read_disk/read_asc/load_txdb calls made through the loaders."""
+    counts = {"disks": 0, "rasters": 0, "txdb": 0}
 
     def counting(kind, real):
         def wrapper(*args, **kwargs):
@@ -90,6 +118,7 @@ def file_reads(monkeypatch):
 
     monkeypatch.setattr(cov, "read_disk", counting("disks", cov.read_disk))
     monkeypatch.setattr(cov, "read_asc", counting("rasters", cov.read_asc))
+    monkeypatch.setattr(cov, "load_txdb", counting("txdb", cov.load_txdb))
     return counts
 
 
@@ -255,9 +284,10 @@ class TestFreshness:
         st = source.stat()
         source.write_text(same_size_edit(source, kind))
         os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
-        forged = {tx.id: (cov._stat_key(str(cov_dir / f"{tx.id}{SUFFIX[kind]}"))[0], old[tx.id])
-                  for tx in db}
-        cov._write_pack(str(pack_path(cov_dir, kind)), kind, forged)
+        _mtime, arrays = cov._read_pack(str(pack_path(cov_dir, kind)), PACK[kind])
+        forged = arrays[KEYS[kind]].copy()
+        forged[:, :4] = cov._stat_keys([str(cov_dir / f"{tx.id}{SUFFIX[kind]}") for tx in db])
+        rewrite_pack(cov_dir, kind, **{KEYS[kind]: forged})
         now = source.stat()
         pack_mtime = {"mtime": now.st_mtime_ns, "ctime": now.st_ctime_ns,
                       "older": now.st_ctime_ns + 1}[stamp]
@@ -274,20 +304,37 @@ class TestFreshness:
         assert not pack_path(cov_dir, kind).exists()
 
 
+def npy(*arrays, allow_pickle=False):
+    f = io.BytesIO()
+    for a in arrays:
+        np.save(f, a, allow_pickle=allow_pickle)
+    return f.getvalue()
+
+
+def old_format_pack(kind, cov_dir, db):
+    """A pack as the previous format wrote it, keyed on the current files, with wrong values."""
+    ids = np.array([tx.id for tx in db])
+    keys = cov._stat_keys([str(cov_dir / f"{tx.id}{SUFFIX[kind]}") for tx in db])
+    head = np.array(f"tvws coverage pack 1 {kind}")
+    if kind == "disks":
+        return npy(head, ids, keys, np.ones((len(db), 3)))
+    return npy(head, ids, keys, np.ones((len(db), 3)), np.ones((len(db), 2), np.int64),
+               np.ones(len(db), bool))
+
+
 def bad_packs(kind, good: bytes):
     """(name, bytes) of packs a load must ignore."""
-    other = {"disks": "rasters", "rasters": "disks"}[kind]
-    head = np.array(f"{cov._PACK_FORMAT} {kind}")
+    names = list(cov._PACK_FIELDS[PACK[kind]])
+    f = io.BytesIO(good)
+    head = np.lib.format.read_array(f)
+    fields = dict(zip(names, (np.lib.format.read_array(f) for _ in names)))
+    other = {"stations": "rasters", "rasters": "stations"}[PACK[kind]]
+    ids, keys = ("disk_ids", "disk_keys") if kind == "disks" else ("ids", "keys")
+    floats = "disk_floats" if kind == "disks" else "floats"
 
-    def npy(*arrays, allow_pickle=False):
-        import io
+    def variant(**changes):
+        return npy(head, *({**fields, **changes}[name] for name in names))
 
-        f = io.BytesIO()
-        for a in arrays:
-            np.save(f, a, allow_pickle=allow_pickle)
-        return f.getvalue()
-
-    ids = np.array(["s0", "s1", "s2"])
     return [
         ("empty", b""),
         ("garbage", bytes(range(256)) * 4),
@@ -295,12 +342,14 @@ def bad_packs(kind, good: bytes):
         ("truncated-body", good[: len(good) // 2]),
         ("truncated-last-byte", good[:-1]),
         ("trailing-bytes", good + b"\0"),
-        ("other-kind", npy(np.array(f"{cov._PACK_FORMAT} {other}"))),
-        ("future-format", npy(np.array(f"{cov._PACK_FORMAT} {kind}".replace("1", "2")))),
-        ("signed-keys", npy(head, ids, np.zeros((3, 4), np.int64), np.zeros((3, 3)))),
-        ("float32-columns", npy(head, ids, np.zeros((3, 4), np.uint64),
-                                np.ones((3, 3), np.float32))),
-        ("object-ids", npy(head, ids.astype(object), allow_pickle=True)),
+        ("other-kind", npy(np.array(f"{cov._PACK_FORMAT} {other}"), *fields.values())),
+        ("future-format", npy(np.array(f"{cov._PACK_FORMAT} {PACK[kind]}".replace("2", "3")),
+                              *fields.values())),
+        ("signed-keys", variant(**{keys: fields[keys].astype(np.int64)})),
+        ("float32-columns", variant(**{floats: fields[floats].astype(np.float32)})),
+        ("short-column", variant(**{floats: fields[floats][:-1]})),
+        ("object-ids", npy(head, *({**fields, ids: fields[ids].astype(object)}[name]
+                                   for name in names), allow_pickle=True)),
         ("pickle", pickle.dumps({"s0": None})),
         ("zip", b"PK\x03\x04" + good),
     ]
@@ -312,7 +361,7 @@ class TestBadPack:
         db, cov_dir = tree
         check(kind, cov_dir, db)
         good = pack_path(cov_dir, kind).read_bytes()
-        for name, data in bad_packs(kind, good):
+        for name, data in [*bad_packs(kind, good), ("old-format", old_format_pack(kind, cov_dir, db))]:
             pack_path(cov_dir, kind).write_bytes(data)
             settle(cov_dir)
             before = file_reads[kind]
@@ -423,6 +472,21 @@ class TestDiskCentre:
             cov.load_disks(cov_dir, self.moved(db, "s2", by=-0.5))
         assert file_reads["disks"] == len(db)  # the second load read no file
 
+    def test_derived_disk_follows_a_moved_transmitter(self, tree, monkeypatch, file_reads):
+        """A packed disk derived from the raster holds only where it was derived."""
+        db, cov_dir = tree
+        (cov_dir / "s1.disk").unlink()
+        TestWriteWarnings.refuse_disk_writes(monkeypatch)  # the derived disk stays unwritten
+        cov.load_disks(cov_dir, db)
+        settle(cov_dir)
+        cov.load_disks(cov_dir, db)
+        assert file_reads["rasters"] == 1  # derived once, then taken from the pack
+        moved = self.moved(db, "s1", by=500.0)
+        got = cov.load_disks(cov_dir, moved)
+        assert coverage_values(got) == coverage_values(coverage_from_files(cov_dir, moved, "disks"))
+        assert got["s1"].center == moved.transmitters[1].position
+        assert file_reads["rasters"] == 2
+
     def test_cli_exits_3_naming_the_file(self, tmp_path, capsys):
         out = tmp_path / "tree"
         assert main(["synth", "--n", "2", "--region", "200000,200000,300000,300000",
@@ -503,13 +567,335 @@ class TestWriteWarnings:
             assert main(raster) == 0  # reads three rasters, and cannot pack them
             raster_run = capsys.readouterr()
         assert [line.split()[7] for line in disk_run.err.splitlines()] == [
-            f"{out / 'coverage' / f'tx{i}.disk'}:" for i in (1, 2, 3)
+            *(f"{out / 'coverage' / f'tx{i}.disk'}:" for i in (1, 2, 3)),
+            f"{out / 'coverage' / '.tvws-stations.pack'}:",
         ]
-        assert raster_run.err.splitlines() == [
-            f"tvws: warning: could not write coverage pack "
-            f"{out / 'coverage' / '.tvws-rasters.pack'}: full"
+        assert raster_run.err.splitlines() == [  # the txdb is packed too: it was never written
+            f"tvws: warning: could not write coverage pack {out / 'coverage' / name}: full"
+            for name in (".tvws-stations.pack", ".tvws-rasters.pack")
         ]
         for argv, refused in ((query, disk_run), (raster, raster_run)):
             assert main(argv) == 0
             written = capsys.readouterr()
             assert (written.out, written.err) == (refused.out, "")
+
+
+# ---------------------------------------------------------------------------
+# The station pack's txdb part: load_stations against load_txdb.
+
+
+def same_size_csv_edit(text, old, new):
+    assert len(old) == len(new) and text.count(old) == 1
+    return text.replace(old, new)
+
+
+def load_checked(txdb, cov_dir, **kwargs):
+    """``load_stations``, checked against ``load_txdb`` and the file-by-file disks.
+
+    The ERP-range warnings must be those ``load_txdb`` issues, in order.
+    """
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        db, disks = cov.load_stations(txdb, cov_dir, **kwargs)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = load_txdb(txdb.read_text(), source=str(txdb))
+    assert db == want and db.source == want.source
+    assert db.ids == want.ids
+    assert db.floats.tobytes() == want.floats.tobytes()
+    assert db.channels.tolist() == want.channels.tolist()
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    if kwargs.get("disks", True):
+        assert coverage_values(disks) == coverage_values(coverage_from_files(cov_dir, want, "disks"))
+    return db, disks
+
+
+def warned_db():
+    """make_db() with s1 at 5 W, below the typical ERP range, so loading it warns."""
+    db = make_db()
+    return TransmitterDb(
+        tuple(Transmitter(tx.id, tx.position, 5.0, tx.antenna_height_m, tx.channels)
+              if tx.id == "s1" else tx for tx in db),
+        source="test",
+    )
+
+
+@pytest.fixture
+def stations(tmp_path):
+    """(txdb path, coverage dir): a CSV with a ``# source:`` line and one ERP warning."""
+    db = warned_db()
+    cov_dir = tmp_path / "coverage"
+    cov_dir.mkdir()
+    write_sources(cov_dir, db)
+    txdb = tmp_path / "transmitters.csv"
+    txdb.write_text(serialize(db))
+    settle(cov_dir, tmp_path)
+    return txdb, cov_dir
+
+
+@pytest.mark.filterwarnings("ignore:.*typical UK DTT range")  # s1's ERP, through main()
+class TestStationPack:
+    def test_second_load_comes_from_the_pack(self, stations, file_reads):
+        txdb, cov_dir = stations
+        db, _disks = load_checked(txdb, cov_dir)
+        assert db.source == "test"  # from the # source: line
+        assert (file_reads["txdb"], file_reads["disks"]) == (1, 3)
+        load_checked(txdb, cov_dir)
+        assert (file_reads["txdb"], file_reads["disks"]) == (1, 3)
+        assert db._transmitters is not None
+        hit, _disks = cov.load_stations(txdb, cov_dir)
+        assert hit._transmitters is None  # no per-station object until asked for
+
+    def test_same_size_csv_edit_with_mtime_restored(self, stations, file_reads):
+        txdb, cov_dir = stations
+        before, _disks = load_checked(txdb, cov_dir)
+        st = txdb.stat()
+        txdb.write_text(same_size_csv_edit(txdb.read_text(), "s2,280000.0,200000.0,50000.0",
+                                           "s2,280000.0,200000.0,60000.0"))
+        restore_mtime(txdb, st)
+        assert (txdb.stat().st_size, txdb.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+        after, _disks = load_checked(txdb, cov_dir)
+        assert (before.erp[2], after.erp[2]) == (50_000.0, 60_000.0)
+        assert file_reads["txdb"] == 2
+
+    def test_csv_replaced_by_rename(self, stations, file_reads):
+        txdb, cov_dir = stations
+        load_checked(txdb, cov_dir)
+        st = txdb.stat()
+        new = txdb.parent / "incoming.tmp"
+        new.write_text(same_size_csv_edit(txdb.read_text(), ",41\n", ",44\n"))
+        restore_mtime(new, st)
+        os.replace(new, txdb)
+        db, _disks = load_checked(txdb, cov_dir)
+        assert db.transmitters[0].channels == frozenset({44})
+        assert file_reads["txdb"] == 2
+
+    @pytest.mark.parametrize("field", ["st_size", "st_mtime_ns", "st_ctime_ns", "st_ino"])
+    def test_every_stat_field_of_the_csv_is_in_the_key(self, stations, file_reads, monkeypatch,
+                                                       field):
+        txdb, cov_dir = stations
+        load_checked(txdb, cov_dir)
+        real_stat = os.stat
+
+        def shifted(path, *args, **kwargs):
+            st = real_stat(path, *args, **kwargs)
+            if path != str(txdb):
+                return st
+            fields = {name: getattr(st, name) for name in
+                      ("st_mode", "st_size", "st_mtime_ns", "st_ctime_ns", "st_ino")}
+            fields[field] += -1 if field.endswith("_ns") else 1
+            return types.SimpleNamespace(**fields)
+
+        monkeypatch.setattr(os, "stat", shifted)
+        load_checked(txdb, cov_dir, write_cache=False)
+        assert (file_reads["txdb"], file_reads["disks"]) == (2, 3)
+
+    @pytest.mark.parametrize("stamp", ["mtime", "ctime", "older"])
+    def test_racy_csv(self, stations, stamp):
+        """A pack stamped within the tick of a same-size CSV edit does not vouch for the CSV.
+
+        As in TestFreshness.test_racy_source, the pack is forged with the
+        edited CSV's key beside the old columns.
+        """
+        txdb, cov_dir = stations
+        old, _disks = cov.load_stations(txdb, cov_dir)
+        st = txdb.stat()
+        txdb.write_text(same_size_csv_edit(txdb.read_text(), ",42\n", ",45\n"))
+        os.utime(txdb, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
+        rewrite_pack(cov_dir, "disks", txdb_key=cov._stat_keys([str(txdb)])[0])
+        now = txdb.stat()
+        pack_mtime = {"mtime": now.st_mtime_ns, "ctime": now.st_ctime_ns,
+                      "older": now.st_ctime_ns + 1}[stamp]
+        os.utime(pack_path(cov_dir, "disks"), ns=(pack_mtime, pack_mtime))
+        if stamp == "older":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got, _disks = cov.load_stations(txdb, cov_dir, write_cache=False)
+            assert got == old
+        else:
+            load_checked(txdb, cov_dir)
+
+    def test_moved_station_exits_3_on_a_hit(self, stations, file_reads, capsys):
+        txdb, cov_dir = stations
+        argv = ["query", "--txdb", str(txdb), "--coverage", str(cov_dir), "--loc", "250000,250000"]
+        assert main(argv) == 0
+        settle(cov_dir, txdb.parent)
+        assert main(argv) == 0
+        assert (file_reads["txdb"], file_reads["disks"]) == (1, 3)
+        txdb.write_text(same_size_csv_edit(txdb.read_text(), "s1,240000.0,", "s1,240001.0,"))
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert f"{cov_dir / 's1.disk'}: disk centre (240000.0, 200000.0)" in capsys.readouterr().err
+        assert (file_reads["txdb"], file_reads["disks"]) == (2, 3)  # the disks were packed
+
+    def test_edited_channel_list(self, stations, capsys):
+        txdb, cov_dir = stations
+        argv = ["query", "--txdb", str(txdb), "--coverage", str(cov_dir), "--loc", "200000,200000"]
+        assert main(argv) == 0
+        assert "occupied: 41\n" in capsys.readouterr().out
+        settle(cov_dir, txdb.parent)
+        txdb.write_text(same_size_csv_edit(txdb.read_text(), ",41\n", ",43\n"))
+        load_checked(txdb, cov_dir)
+        assert main(argv) == 0
+        assert "occupied: 43\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("comment", ["none", "first", "after-the-warned-row"])
+    def test_source_comment(self, stations, comment):
+        """The database's source and the warnings' file names follow the ``# source:`` line."""
+        txdb, cov_dir = stations
+        lines = txdb.read_text().splitlines()[1:]  # serialize's own source line dropped
+        if comment == "first":
+            lines.insert(0, "# source: national list")
+        elif comment == "after-the-warned-row":
+            lines.insert(3, "# source: national list")
+        txdb.write_text("\n".join(lines) + "\n")
+        for _ in range(2):
+            db, _disks = load_checked(txdb, cov_dir)
+            settle(cov_dir, txdb.parent)
+        assert db.source == (str(txdb) if comment == "none" else "national list")
+
+    def test_two_txdb_files_in_turn(self, stations, file_reads):
+        txdb, cov_dir = stations
+        other = txdb.parent / "other.csv"
+        other.write_text(same_size_csv_edit(txdb.read_text(), ",41\n", ",46\n"))
+        settle(cov_dir, txdb.parent)
+        for path in (txdb, other, txdb, other):
+            db, _disks = load_checked(path, cov_dir)
+            assert db.transmitters[0].channels == frozenset({41 if path == txdb else 46})
+        assert file_reads["txdb"] == 4
+        assert file_reads["disks"] == 3  # both share the coverage files
+
+    def test_raster_mode_packs_only_the_txdb(self, stations, file_reads):
+        txdb, cov_dir = stations
+        db, disks = load_checked(txdb, cov_dir, disks=False)
+        assert disks is None and file_reads["disks"] == 0
+        settle(cov_dir, txdb.parent)
+        load_checked(txdb, cov_dir, disks=False)
+        assert file_reads["txdb"] == 1
+
+    def test_old_format_and_damaged_packs_read_as_empty(self, stations, file_reads):
+        txdb, cov_dir = stations
+        load_checked(txdb, cov_dir)
+        good = pack_path(cov_dir, "disks").read_bytes()
+        bad = [*bad_packs("disks", good), ("old-format", old_format_pack("disks", cov_dir, make_db()))]
+        for name, data in bad:
+            pack_path(cov_dir, "disks").write_bytes(data)
+            settle(cov_dir, txdb.parent)
+            before = file_reads["txdb"]
+            load_checked(txdb, cov_dir)
+            assert file_reads["txdb"] == before + 1, name
+
+    def test_erp_warnings_are_the_same_cli_stderr_on_a_hit(self, stations):
+        txdb, cov_dir = stations
+        src = Path(tvws.__file__).resolve().parent.parent
+        argv = [sys.executable, "-m", "tvws.cli", "query", "--txdb", str(txdb),
+                "--coverage", str(cov_dir), "--loc", "250000,250000"]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("PYTHONWARNINGS", None)
+        miss = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        settle(cov_dir, txdb.parent)
+        pack = pack_path(cov_dir, "disks").stat()
+        hit = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert pack_path(cov_dir, "disks").stat().st_mtime_ns == pack.st_mtime_ns  # a hit
+        assert (miss.returncode, hit.returncode) == (0, 0)
+        assert b"test:4: ERP 5 W outside the typical UK DTT range" in miss.stderr
+        assert hit.stderr == miss.stderr
+        assert hit.stdout == miss.stdout
+
+
+class TestWarmCalls:
+    def test_warm_batch_grid_and_sweep_read_no_source_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "tree"
+        assert main(["synth", "--n", "5", "--region", "200000,200000,300000,300000",
+                     "--seed", "3", "--cell", "2000", "--out", str(out)]) == 0
+        capsys.readouterr()
+        txdb, cov_dir = out / "transmitters.csv", out / "coverage"
+        locations = tmp_path / "locations.csv"
+        locations.write_text("a,250000,250000\nb,SU 10 10\nc,210000,290000\n")
+        data = ["--txdb", str(txdb), "--coverage", str(cov_dir)]
+        argvs = [
+            ["batch", *data, "--locations", str(locations), "--power", "1W", "--workers", "2"],
+            ["grid", *data, "--region", "200000,200000,300000,300000", "--cell", "5000"],
+            ["sweep", *data, "--loc", "250000,250000", "--powers", "0.01:10:20"],
+        ]
+        cold = []
+        for argv in argvs:
+            assert main(argv) == 0
+            cold.append(capsys.readouterr())
+        settle(cov_dir, out)
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        for argv, before in zip(argvs, cold):
+            assert main(argv) == 0
+            assert capsys.readouterr() == before
+        monkeypatch.undo()
+        assert str(cov_dir / ".tvws-stations.pack") in opened
+        assert [p for p in opened if p == str(txdb) or p.endswith((".disk", ".asc"))] == []
+
+
+# ---------------------------------------------------------------------------
+# A raster edited after its disk was derived.
+
+
+class TestStaleDisk:
+    """The disk of a raster grown after ``tvws disks`` covers the new raster.
+
+    The edit is seen by the ``.asc`` being newer than its ``.disk``, or, with
+    the mtime put back, by the pack having taken the same ``.disk`` beside a
+    different ``.asc``.
+    """
+
+    @pytest.mark.parametrize("pack,stamp", [("warm", "newer"), ("none", "newer"),
+                                            ("warm", "older")])
+    def test_grown_raster(self, uk81_dir, tmp_path, pack, stamp):
+        data = tmp_path / "uk81"
+        shutil.copytree(uk81_dir, data)
+        cov_dir = data / "coverage"
+        for stale_pack in cov_dir.glob(".tvws-*"):
+            stale_pack.unlink()
+        db = load_txdb((data / "transmitters.csv").read_text())
+        tx = db.transmitters[0]
+        asc, disk = cov_dir / f"{tx.id}.asc", cov_dir / f"{tx.id}.disk"
+        before = cov.read_disk(disk.read_text(), tx.id).radius_m
+        if pack == "warm":
+            settle(cov_dir)
+            cov.load_disks(cov_dir, db)
+            settle(cov_dir)
+            assert cov.load_disks(cov_dir, db)[tx.id].radius_m == before
+
+        raster = cov.read_asc(asc.read_text(), tx.id)
+        cells = raster.cells.copy()
+        cells[0, 0] = cells[-1, -1] = True  # two far corners of the extent
+        grown = cov.CoverageRaster(tx.id, raster.origin, raster.cell_size_m, cells)
+        asc.write_text(cov.write_asc(grown))
+        if stamp == "older":
+            older = disk.stat().st_mtime_ns - 10**9
+            os.utime(asc, ns=(older, older))
+        settle(cov_dir)
+        want = cov.enclosing_disk(grown, tx)
+        assert want.radius_m > before
+
+        disks = cov.load_disks(cov_dir, db)
+        assert disks[tx.id] == want
+        assert cov.read_disk(disk.read_text(), tx.id) == want  # written back
+        assert coverage_from_files(cov_dir, db, "disks")[tx.id] == want
+
+        rasters = cov.load_rasters(cov_dir, db)
+        rng = np.random.default_rng(7)
+        points = [grown.cell_center(0, 0), grown.cell_center(grown.nrows - 1, grown.ncols - 1)]
+        points += [grown.cell_center(int(r), int(c)) for r, c in zip(
+            rng.integers(0, grown.nrows, 40), rng.integers(0, grown.ncols, 40))]
+        plan, prop = default_plan(), PropagationParams()
+        for p in points:
+            by_disk = availability(db, disks, plan, QueryParams(p, 0.0, prop)).vacant
+            by_raster = availability_lowpower(db, rasters, plan, p).vacant
+            assert by_disk <= by_raster, p
+        assert not tx.channels & availability(db, disks, plan, QueryParams(points[0], 0.0, prop)).vacant
