@@ -14,7 +14,7 @@ Two tracks, mirroring how such studies are actually run:
   of the raster answer at zero power.
 
 Every disk-model answer comes from one kernel, :func:`occupied_masks`;
-:func:`availability`, :func:`availability_batch`, :func:`power_sweep` and
+:func:`availability`, :func:`batch_kernel`, :func:`power_sweep` and
 :func:`availability_grid` only shape its input and output.
 
 Transmitters carrying cleared or excluded channels still show up in
@@ -25,7 +25,7 @@ availability is accounted over the interleaved plan only.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +241,29 @@ def availability(
     return _result(q.location, q.p_cr_watts, plan, blockers, blockers)
 
 
+def batch_kernel(
+    db: TransmitterDb,
+    disks: Mapping[str, CoverageDisk],
+    plan: ChannelPlan,
+    p_cr_watts: float,
+    prop: PropagationParams,
+) -> Callable[[Sequence[NgPoint]], np.ndarray]:
+    """:func:`availability_batch` as a function of the locations alone.
+
+    What every call shares, the keep-out disks and the channel bits, is
+    built once here, so parts of one batch can be answered separately.
+    """
+    kd = KeepoutDisks.build(db, disks, [p_cr_watts], prop)
+    bits = channel_bits(db, plan)
+
+    def masks(locations: Sequence[NgPoint]) -> np.ndarray:
+        east = np.array([loc.easting for loc in locations], dtype=float)
+        north = np.array([loc.northing for loc in locations], dtype=float)
+        return occupied_masks(kd, bits, east, north)[0]
+
+    return masks
+
+
 def availability_batch(
     db: TransmitterDb,
     disks: Mapping[str, CoverageDisk],
@@ -250,10 +273,7 @@ def availability_batch(
     prop: PropagationParams,
 ) -> np.ndarray:
     """:func:`availability`'s occupied channels at many locations, one :func:`channel_mask` each."""
-    kd = KeepoutDisks.build(db, disks, [p_cr_watts], prop)
-    east = np.array([loc.easting for loc in locations], dtype=float)
-    north = np.array([loc.northing for loc in locations], dtype=float)
-    return occupied_masks(kd, channel_bits(db, plan), east, north)[0]
+    return batch_kernel(db, disks, plan, p_cr_watts, prop)(locations)
 
 
 def availability_lowpower(

@@ -37,14 +37,12 @@ from tvws import coverage as cov
 from tvws import report as rep
 from tvws.availability import (
     AvailabilityResult,
-    KeepoutDisks,
     adjacent_filter,
     availability,
     availability_grid,
     availability_lowpower,
-    channel_bits,
+    batch_kernel,
     channel_mask,
-    occupied_masks,
     power_sweep,
     vacancy,
 )
@@ -295,26 +293,14 @@ def _query_result(
 def _masks_of_part(
     cfg: RunConfig, db: TransmitterDb, model: Mapping
 ) -> Callable[[list[NgPoint]], np.ndarray]:
-    """Occupied-channel masks of some locations under ``--mode``.
-
-    What every part of a batch shares, the keep-out disks and the channel
-    bits, is built here once.
-    """
+    """Occupied-channel masks of some locations under ``--mode``."""
     if cfg.mode == "raster":
         def raster_masks(locs: list[NgPoint]) -> np.ndarray:
             results = (availability_lowpower(db, model, cfg.plan, loc) for loc in locs)
             return np.array([channel_mask(r.occupied) for r in results], dtype=np.uint64)
 
         return raster_masks
-    kd = KeepoutDisks.build(db, model, [cfg.power_watts], cfg.prop)
-    bits = channel_bits(db, cfg.plan)
-
-    def disk_masks(locs: list[NgPoint]) -> np.ndarray:
-        east = np.array([loc.easting for loc in locs], dtype=float)
-        north = np.array([loc.northing for loc in locs], dtype=float)
-        return occupied_masks(kd, bits, east, north)[0]
-
-    return disk_masks
+    return batch_kernel(db, model, cfg.plan, cfg.power_watts, cfg.prop)
 
 
 def _write_artifacts(

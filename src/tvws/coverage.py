@@ -670,7 +670,9 @@ def _load_stations(
     prefix = _prefix(coverage_dir)
     pack_path = prefix + _PACK_NAMES["stations"]
     mtime_ns, pack = _read_pack(pack_path, "stations") or (0, _empty_pack("stations"))
-    fields = dict(pack)  # the next pack
+    # The next pack holds only the parts checked here: one carried over
+    # unchecked would be stamped anew, and could pass the racy-clean rule it failed.
+    fields = _empty_pack("stations")
     notes: list[str] = []
     stale = False
     if db is None:
@@ -680,6 +682,7 @@ def _load_stations(
             db = TransmitterDb.from_columns(pack["tx_ids"].tolist(), pack["tx_floats"],
                                             pack["tx_channels"], str(pack["txdb_text"][1]))
             notes = pack["tx_notes"].tolist()
+            fields.update((name, array) for name, array in pack.items() if name.startswith("tx"))
         else:
             db = load_txdb(_read_text(txdb_path), source=txdb_path, notes=notes)
             fields.update(
@@ -711,18 +714,17 @@ def _load_stations(
 
 
 def load_stations(
-    txdb_path: str | Path, coverage_dir: str | Path, disks: bool = True, write_cache: bool = True
+    txdb_path: str | Path, coverage_dir: str | Path, disks: bool = True
 ) -> tuple[TransmitterDb, DiskSet | None]:
     """The transmitter database at ``txdb_path`` and, with ``disks``, every station's disk.
 
     Both come from the coverage directory's station pack while its keys
     hold, else from the CSV as :func:`~tvws.txdb.load_txdb` reads it and
-    from the coverage files as :func:`load_disks` reads them; with
-    ``write_cache`` the pack is then rewritten.  ERP-range warnings are
+    from the coverage files as :func:`load_disks` reads them; the pack is
+    then rewritten with the parts this call checked.  ERP-range warnings are
     issued the same way whether the database came from the pack or the CSV.
     """
-    db, disk_set, notes = _load_stations(Path(coverage_dir), None, str(txdb_path), disks,
-                                         write_cache)
+    db, disk_set, notes = _load_stations(Path(coverage_dir), None, str(txdb_path), disks, True)
     for note in notes:
         warnings.warn(note, stacklevel=2)
     return db, disk_set
@@ -736,7 +738,7 @@ def load_disks(
     A ``.disk`` is read unless its ``.asc`` is strictly newer by mtime, or
     changed since the station pack took the same ``.disk``; fresh disks come
     from the pack.  With ``write_cache`` derived disks are written to ``<id>.disk`` and the
-    pack is rewritten when any disk was read from a file.  A disk whose
+    pack is rewritten, without a txdb part, when any disk was read from a file.  A disk whose
     centre is not its transmitter's position is a ParseError naming the file.
     """
     return _load_stations(Path(coverage_dir), db, None, True, write_cache)[1]

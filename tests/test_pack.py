@@ -687,7 +687,7 @@ class TestStationPack:
             return types.SimpleNamespace(**fields)
 
         monkeypatch.setattr(os, "stat", shifted)
-        load_checked(txdb, cov_dir, write_cache=False)
+        load_checked(txdb, cov_dir)
         assert (file_reads["txdb"], file_reads["disks"]) == (2, 3)
 
     @pytest.mark.parametrize("stamp", ["mtime", "ctime", "older"])
@@ -710,7 +710,7 @@ class TestStationPack:
         if stamp == "older":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                got, _disks = cov.load_stations(txdb, cov_dir, write_cache=False)
+                got, _disks = cov.load_stations(txdb, cov_dir)
             assert got == old
         else:
             load_checked(txdb, cov_dir)
@@ -772,6 +772,48 @@ class TestStationPack:
         settle(cov_dir, txdb.parent)
         load_checked(txdb, cov_dir, disks=False)
         assert file_reads["txdb"] == 1
+
+    @pytest.mark.parametrize("racy", ["disk", "csv"])
+    def test_a_rewrite_drops_the_part_it_did_not_check(self, stations, file_reads, racy):
+        """A racy entry stays racy when another part's miss rewrites the pack.
+
+        As in test_racy_source, one part is forged as written within the tick
+        of a same-size edit of its source, and the pack stamped at that
+        source's ctime.  Then a load that checks only the other part misses
+        and rewrites the pack with a later stamp: a raster-mode load after a
+        CSV edit (racy ``.disk``), or ``load_disks`` after a disk was touched
+        (racy CSV).  The next full load must still read the racy source.
+        """
+        txdb, cov_dir = stations
+        db, _disks = cov.load_stations(txdb, cov_dir)
+        source = cov_dir / "s1.disk" if racy == "disk" else txdb
+        st = source.stat()
+        if racy == "disk":
+            source.write_text(same_size_edit(source, "disks"))
+        else:
+            source.write_text(same_size_csv_edit(txdb.read_text(), ",42\n", ",45\n"))
+        os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
+        if racy == "disk":
+            forged = cov._read_pack(str(pack_path(cov_dir, "disks")), "stations")[1]["disk_keys"]
+            forged[:, :4] = cov._stat_keys([str(cov_dir / f"{tx_id}.disk") for tx_id in db.ids])
+            rewrite_pack(cov_dir, "disks", disk_keys=forged)
+        else:
+            rewrite_pack(cov_dir, "disks", txdb_key=cov._stat_keys([str(txdb)])[0])
+        ctime = source.stat().st_ctime_ns
+        os.utime(pack_path(cov_dir, "disks"), ns=(ctime, ctime))
+        reads = dict(file_reads)
+
+        if racy == "disk":
+            txdb.write_text(same_size_csv_edit(txdb.read_text(), "s2,280000.0,200000.0,50000.0",
+                                               "s2,280000.0,200000.0,60000.0"))
+            load_checked(txdb, cov_dir, disks=False)
+        else:
+            (cov_dir / "s0.disk").write_text((cov_dir / "s0.disk").read_text())
+            cov.load_disks(cov_dir, db)
+        assert pack_path(cov_dir, "disks").stat().st_mtime_ns > ctime  # the pack was rewritten
+        load_checked(txdb, cov_dir)
+        assert file_reads["txdb"] == reads["txdb"] + 1
+        assert file_reads["disks"] == reads["disks"] + (3 if racy == "disk" else 1)
 
     def test_old_format_and_damaged_packs_read_as_empty(self, stations, file_reads):
         txdb, cov_dir = stations
