@@ -17,6 +17,7 @@ format stores the northernmost row first, as ESRI ASCII grids do.
 from __future__ import annotations
 
 import io
+import json
 import math
 import os
 import random
@@ -381,8 +382,14 @@ def _read_text(path: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Packs.  What the loaders parse is kept in two binary files per coverage
-# directory, each a header naming the format and kind, then the kind's
-# fields below as .npy arrays (read without pickle):
+# directory, each one ASCII JSON header line, then the raw C-order bytes of
+# the kind's fields below, each column at an 8-byte-aligned offset:
+#
+#   {"format":"tvws coverage pack 3","kind":"rasters","fields":[["ids","<U5",[81]],...]}
+#
+# The header names every field in order with its dtype string and shape, so
+# one read() and one JSON parse give each field as a read-only np.frombuffer
+# view of the file's bytes.
 #
 # * the station pack: the txdb's parsed columns and ERP-range warnings,
 #   keyed on the CSV's path as given and its stat key; and per station its
@@ -395,33 +402,36 @@ def _read_text(path: str) -> str:
 # keyed file is strictly older than the pack: a file changed within the
 # timestamp tick the pack was written in can still show its old key (git's
 # racy-clean rule).  Anything else is read from its file, after which the
-# pack is rewritten.  A pack that is missing, unreadable or not in this
-# format reads as empty.
+# pack is rewritten.  A pack that is missing, unreadable, damaged or not in
+# this format (one an older version wrote, too) reads as empty, and is
+# rebuilt by the next load that reads a source file.
 
 _PACK_NAMES = {"stations": ".tvws-stations.pack", "rasters": ".tvws-rasters.pack"}
-_PACK_FORMAT = "tvws coverage pack 2"
+_PACK_FORMAT = "tvws coverage pack 3"
+_PACK_ALIGN = 8  # column offsets are multiples of this, so 8-byte number views are aligned
 _U64 = (1 << 64) - 1  # keys are stored as uint64; times wrap modulo 2**64 ns
 _NO_FILE = (0, 0, 0, 0)
-# name -> (dtype, shape); arrays sharing a letter in their shape agree on that length
+# name -> (dtype, shape); "U" is any "<U<n>", n >= 1; arrays sharing a
+# letter in their shape agree on that length
 _PACK_FIELDS = {
     "stations": {
         "txdb_text": ("U", (2,)),  # the CSV's path as given, the database's source
-        "txdb_key": (np.uint64, (4,)),
+        "txdb_key": ("<u8", (4,)),
         "tx_ids": ("U", ("t",)),
-        "tx_floats": (np.float64, ("t", 4)),  # easting, northing, ERP, antenna height
-        "tx_channels": (np.uint64, ("t",)),
+        "tx_floats": ("<f8", ("t", 4)),  # easting, northing, ERP, antenna height
+        "tx_channels": ("<u8", ("t",)),
         "tx_notes": ("U", ("w",)),  # the ERP-range warnings, as issued
         "disk_ids": ("U", ("d",)),
-        "disk_keys": (np.uint64, ("d", 8)),  # <id>.disk's stat key, then <id>.asc's
-        "disk_floats": (np.float64, ("d", 3)),  # centre easting, northing, radius
-        "disk_derived": (np.bool_, ("d",)),
+        "disk_keys": ("<u8", ("d", 8)),  # <id>.disk's stat key, then <id>.asc's
+        "disk_floats": ("<f8", ("d", 3)),  # centre easting, northing, radius
+        "disk_derived": ("|b1", ("d",)),
     },
     "rasters": {
         "ids": ("U", ("r",)),
-        "keys": (np.uint64, ("r", 4)),
-        "floats": (np.float64, ("r", 3)),  # origin easting, northing, cell size
-        "shapes": (np.int64, ("r", 2)),
-        "cells": (np.bool_, ("c",)),
+        "keys": ("<u8", ("r", 4)),
+        "floats": ("<f8", ("r", 3)),  # origin easting, northing, cell size
+        "shapes": ("<i8", ("r", 2)),
+        "cells": ("|b1", ("c",)),
     },
 }
 
@@ -450,46 +460,93 @@ def _newest(keys: np.ndarray) -> np.ndarray:
 def _empty_pack(kind: str) -> dict[str, np.ndarray]:
     return {
         name: np.zeros([0 if isinstance(n, str) else n for n in shape],
-                       dtype="U1" if dtype == "U" else dtype)
+                       dtype="<U1" if dtype == "U" else dtype)
         for name, (dtype, shape) in _PACK_FIELDS[kind].items()
     }
 
 
-def _read_pack(path: str, kind: str) -> tuple[int, dict[str, np.ndarray]] | None:
-    """(mtime in ns, arrays by field) of a well-formed pack of ``kind``, else None."""
+def _pack_dtype(text: object, want: str, size: int) -> np.dtype | None:
+    """The dtype a header names for a field of dtype ``want``, if it is that dtype."""
+    if want != "U":
+        return np.dtype(want) if text == want else None
+    if type(text) is not str or text[:2] != "<U":
+        return None
+    chars = text[2:]
+    # an itemsize past the file's size would not fit; U0 would make every shape fit
+    if not (chars.isascii() and chars.isdigit() and len(chars) < 19
+            and 0 < int(chars) * 4 <= size):
+        return None
+    return np.dtype(text)
+
+
+def _parse_pack(data: bytes, kind: str) -> dict[str, np.ndarray] | None:
+    """Each field of a well-formed pack of ``kind`` as a view of ``data``, else None."""
     fields = _PACK_FIELDS[kind]
+    line_end = data.find(b"\n")
+    if line_end < 0:
+        return None
+    try:
+        header = json.loads(data[:line_end].decode("ascii"))
+    except (ValueError, RecursionError):  # not ASCII, not JSON, or nested past the stack
+        return None
+    if not (type(header) is dict and header.keys() == {"format", "kind", "fields"}
+            and header["format"] == _PACK_FORMAT and header["kind"] == kind
+            and type(header["fields"]) is list and len(header["fields"]) == len(fields)):
+        return None
+    arrays: dict[str, np.ndarray] = {}
+    lengths: dict[str, int] = {}
+    end = line_end + 1
+    for entry, (name, (want_dtype, want_shape)) in zip(header["fields"], fields.items()):
+        if not (type(entry) is list and len(entry) == 3 and entry[0] == name):
+            return None
+        dtype = _pack_dtype(entry[1], want_dtype, len(data))
+        shape = entry[2]
+        if dtype is None or type(shape) is not list or len(shape) != len(want_shape):
+            return None
+        for want, got in zip(want_shape, shape):
+            if type(got) is not int or got < 0:  # type(True) is bool
+                return None
+            if got != (lengths.setdefault(want, got) if isinstance(want, str) else want):
+                return None
+        start = end + -end % _PACK_ALIGN
+        count = math.prod(shape)
+        end = start + count * dtype.itemsize
+        if end > len(data):  # also a shape of 10**30, before numpy overflows on it
+            return None
+        arrays[name] = np.frombuffer(data, dtype, count, start).reshape(shape)
+    return arrays if end == len(data) else None
+
+
+def _read_pack(path: str, kind: str) -> tuple[int, dict[str, np.ndarray]] | None:
+    """(mtime in ns, read-only arrays by field) of a well-formed pack of ``kind``, else None."""
     try:
         with open(path, "rb") as f:
             mtime_ns = os.fstat(f.fileno()).st_mtime_ns
-            head = np.lib.format.read_array(f, allow_pickle=False)
-            if head.shape != () or head.item() != f"{_PACK_FORMAT} {kind}":
-                return None
-            arrays = {name: np.lib.format.read_array(f, allow_pickle=False) for name in fields}
-            if f.read(1):
-                return None
-    except (OSError, ValueError, EOFError, MemoryError):
+            data = f.read()
+    except (OSError, MemoryError):
         return None
-    lengths: dict[str, int] = {}
-    for name, (dtype, shape) in fields.items():
-        array = arrays[name]
-        typed = array.dtype.kind == "U" if dtype == "U" else array.dtype == dtype
-        if not typed or array.ndim != len(shape):
-            return None
-        for want, got in zip(shape, array.shape):
-            if got != (lengths.setdefault(want, got) if isinstance(want, str) else want):
-                return None
-    return mtime_ns, arrays
+    arrays = _parse_pack(data, kind)
+    return None if arrays is None else (mtime_ns, arrays)
 
 
 def _write_pack(path: str, kind: str, arrays: dict[str, np.ndarray]) -> None:
     """Write a pack atomically (a temp file, then ``os.replace``); a failure only warns."""
+    columns = {}
+    for name, (dtype, _shape) in _PACK_FIELDS[kind].items():
+        array = np.asarray(arrays[name])
+        if dtype == "U":
+            dtype = f"<U{array.dtype.itemsize // 4}"
+        columns[name] = np.ascontiguousarray(array, dtype=dtype)
+    fields = [[name, column.dtype.str, list(column.shape)] for name, column in columns.items()]
+    header = json.dumps({"format": _PACK_FORMAT, "kind": kind, "fields": fields},
+                        separators=(",", ":"))
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         try:
             with open(tmp, "xb") as f:
-                np.save(f, np.array(f"{_PACK_FORMAT} {kind}"), allow_pickle=False)
-                for name in _PACK_FIELDS[kind]:
-                    np.save(f, arrays[name], allow_pickle=False)
+                end = f.write(header.encode("ascii") + b"\n")
+                for column in columns.values():
+                    end += f.write(bytes(-end % _PACK_ALIGN) + column.tobytes())
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -631,6 +688,9 @@ def _station_disks(
         & (np.maximum(_newest(keys[:, :4]), _newest(keys[:, 4:])) < mtime_ns)
         & (~derived | ((floats[:, 0] == db.east) & (floats[:, 1] == db.north)))
     )
+    if fresh.all() and np.array_equal(rows, np.arange(len(pack["disk_ids"]))):
+        # the same stations in the same order: the pack's own views, no copy
+        return {name: array for name, array in pack.items() if name.startswith("disk")}, False
     mtimes = keys[:, [1, 5]].astype(np.int64)
     for i in np.flatnonzero(~fresh).tolist():
         tx_id, disk_path, asc_path = db.ids[i], disk_paths[i], asc_paths[i]

@@ -205,6 +205,11 @@ def load_txdb(text: str, source: str = "txdb", *, notes: list[str] | None = None
             )
         tx_id, e_s, n_s, erp_s, height_s, chan_s = (f.strip() for f in fields)
 
+        # <id>.asc and <id>.disk must be one file in the coverage directory
+        if "\0" in tx_id or "/" in tx_id or tx_id in (".", ".."):
+            raise ParseError(
+                f"id {tx_id!r} cannot name a coverage file", source=source, line=lineno
+            )
         if tx_id in first_row_of:
             raise ParseError(
                 f"duplicate id {tx_id!r} (first seen on line {first_row_of[tx_id]})",

@@ -659,3 +659,29 @@ class TestRasterDataErrors:
         argv = ["query"] + base_args(data) + ["--loc", "300000,300000", "--mode", "raster"]
         assert main(argv) == 3
         assert str(asc) in capsys.readouterr().err
+
+
+class TestUnusableId:
+    def test_nul_in_an_id_exits_3_on_every_call(self, uk81_dir, tmp_path, capsys):
+        """An id with a NUL is refused on a cold load and again on the next call.
+
+        A packed id drops a trailing NUL, so a pack written from this CSV
+        would let the second call answer for ``tx01``.
+        """
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(uk81_dir, data)
+        for pack in (data / "coverage").glob(".tvws-*"):
+            pack.unlink()
+        txdb = data / "transmitters.csv"
+        text = txdb.read_text()
+        assert text.count("\ntx01,") == 1
+        txdb.write_text(text.replace("\ntx01,", "\ntx01\0,"))
+        argv = ["query"] + base_args(data) + ["--loc", "350000,350000", "--mode", "raster",
+                                               "--power", "0"]
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert "id 'tx01\\x00' cannot name a coverage file" in err and "Traceback" not in err

@@ -9,6 +9,8 @@ behind the pack's back and checks the load against ``load_txdb`` and
 
 import builtins
 import io
+import json
+import math
 import os
 import pickle
 import shutil
@@ -305,36 +307,77 @@ class TestFreshness:
 
 
 def npy(*arrays, allow_pickle=False):
+    """The arrays as consecutive ``np.save`` records, the layout of packs before format 3."""
     f = io.BytesIO()
     for a in arrays:
         np.save(f, a, allow_pickle=allow_pickle)
     return f.getvalue()
 
 
-def old_format_pack(kind, cov_dir, db):
-    """A pack as the previous format wrote it, keyed on the current files, with wrong values."""
-    ids = np.array([tx.id for tx in db])
-    keys = cov._stat_keys([str(cov_dir / f"{tx.id}{SUFFIX[kind]}") for tx in db])
-    head = np.array(f"tvws coverage pack 1 {kind}")
-    if kind == "disks":
-        return npy(head, ids, keys, np.ones((len(db), 3)))
-    return npy(head, ids, keys, np.ones((len(db), 3)), np.ones((len(db), 2), np.int64),
-               np.ones(len(db), bool))
+def unpack(data):
+    """(header, {name: array}) of a pack in the current layout, read without the loader."""
+    line = data[: data.index(b"\n")]
+    header = json.loads(line)
+    fields, end = {}, len(line) + 1
+    for name, dtype, shape in header["fields"]:
+        start = end + -end % 8
+        fields[name] = np.frombuffer(data, dtype, math.prod(shape), start).reshape(shape)
+        end = start + fields[name].nbytes
+    assert end == len(data)
+    return header, fields
+
+
+def layout(header, columns):
+    """A pack's bytes: ``header`` as one JSON line, then each column's bytes at
+    the next 8-byte-aligned offset."""
+    out = json.dumps(header).encode("ascii") + b"\n"
+    for column in columns:
+        out += bytes(-len(out) % 8) + column
+    return out
+
+
+def old_format_pack(kind, good):
+    """The good pack's fields as the previous format (2) wrote them, with wrong values.
+
+    Its keys hold, so only the format string and the layout tell it apart.
+    """
+    _header, fields = unpack(good)
+    fields = {name: np.ones_like(a) if a.dtype.kind == "f" else a for name, a in fields.items()}
+    return npy(np.array(f"tvws coverage pack 2 {PACK[kind]}"), *fields.values())
 
 
 def bad_packs(kind, good: bytes):
     """(name, bytes) of packs a load must ignore."""
-    names = list(cov._PACK_FIELDS[PACK[kind]])
-    f = io.BytesIO(good)
-    head = np.lib.format.read_array(f)
-    fields = dict(zip(names, (np.lib.format.read_array(f) for _ in names)))
-    other = {"stations": "rasters", "rasters": "stations"}[PACK[kind]]
+    _header, fields = unpack(good)
+    pack = PACK[kind]
+    other = {"stations": "rasters", "rasters": "stations"}[pack]
     ids, keys = ("disk_ids", "disk_keys") if kind == "disks" else ("ids", "keys")
     floats = "disk_floats" if kind == "disks" else "floats"
+    rows = len(fields[ids])
+    entries = {name: [a.dtype.str, list(a.shape)] for name, a in fields.items()}
+    blobs = {name: a.tobytes() for name, a in fields.items()}
 
-    def variant(**changes):
-        return npy(head, *({**fields, **changes}[name] for name in names))
+    def variant(name=None, dtype=None, shape=None, data=None, order=tuple(entries), **head):
+        """The good pack with field ``name``'s header dtype, header shape or bytes
+        replaced, its fields in ``order``, or the header keys in ``head`` replaced."""
+        changed = {n: list(entry) for n, entry in entries.items()}
+        data_of = dict(blobs)
+        if dtype is not None:
+            changed[name][0] = dtype
+        if shape is not None:
+            changed[name][1] = shape
+        if data is not None:
+            data_of[name] = data
+        header = {"format": cov._PACK_FORMAT, "kind": pack,
+                  "fields": [[n, *changed[n]] for n in order], **head}
+        return layout(header, [data_of[n] for n in order])
 
+    def column(name, array):
+        return variant(name, array.dtype.str, list(array.shape), array.tobytes())
+
+    swapped = [keys if n == ids else ids if n == keys else n for n in entries]
+    body = good[good.index(b"\n"):]
+    structured = np.dtype([("e", "<f8"), ("n", "<f8"), ("r", "<f8")])
     return [
         ("empty", b""),
         ("garbage", bytes(range(256)) * 4),
@@ -342,16 +385,26 @@ def bad_packs(kind, good: bytes):
         ("truncated-body", good[: len(good) // 2]),
         ("truncated-last-byte", good[:-1]),
         ("trailing-bytes", good + b"\0"),
-        ("other-kind", npy(np.array(f"{cov._PACK_FORMAT} {other}"), *fields.values())),
-        ("future-format", npy(np.array(f"{cov._PACK_FORMAT} {PACK[kind]}".replace("2", "3")),
-                              *fields.values())),
-        ("signed-keys", variant(**{keys: fields[keys].astype(np.int64)})),
-        ("float32-columns", variant(**{floats: fields[floats].astype(np.float32)})),
-        ("short-column", variant(**{floats: fields[floats][:-1]})),
-        ("object-ids", npy(head, *({**fields, ids: fields[ids].astype(object)}[name]
-                                   for name in names), allow_pickle=True)),
+        ("other-kind", variant(kind=other)),
+        ("future-format", variant(format=cov._PACK_FORMAT.replace("3", "4"))),
+        ("signed-keys", column(keys, fields[keys].astype(np.int64))),
+        ("float32-columns", column(floats, fields[floats].astype(np.float32))),
+        ("short-column", column(floats, fields[floats][:-1])),
+        ("object-ids", variant(ids, "|O", data=bytes(8 * rows))),
         ("pickle", pickle.dumps({"s0": None})),
         ("zip", b"PK\x03\x04" + good),
+        ("zero-width-ids", variant(ids, "<U0", data=b"")),
+        ("big-endian-floats", column(floats, fields[floats].astype(">f8"))),
+        ("structured-floats", variant(floats, structured.descr, [rows])),
+        ("huge-shape", variant(ids, shape=[10**30])),
+        ("negative-shape", variant(floats, shape=[-1, 3])),
+        ("float-shape", variant(floats, shape=[float(rows), 3])),
+        ("true-shape", variant(floats, shape=[True, 3])),
+        ("missing-field", variant(order=[n for n in entries if n != floats])),
+        ("fields-out-of-order", variant(order=swapped)),
+        ("header-without-newline", good[: good.index(b"\n")]),
+        ("header-not-utf8", good.replace(b'"kind"', b'"k\xffnd"', 1)),
+        ("deeply-nested-header", b"[" * 10**5 + b"]" * 10**5 + body),
     ]
 
 
@@ -361,7 +414,7 @@ class TestBadPack:
         db, cov_dir = tree
         check(kind, cov_dir, db)
         good = pack_path(cov_dir, kind).read_bytes()
-        for name, data in [*bad_packs(kind, good), ("old-format", old_format_pack(kind, cov_dir, db))]:
+        for name, data in [*bad_packs(kind, good), ("old-format", old_format_pack(kind, good))]:
             pack_path(cov_dir, kind).write_bytes(data)
             settle(cov_dir)
             before = file_reads[kind]
@@ -383,16 +436,31 @@ class TestBadPack:
 
     def test_write_that_fails_midway_is_skipped(self, kind, tree, monkeypatch):
         db, cov_dir = tree
-        real_save = np.save
         calls = []
 
-        def save_then_fail(f, array, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
-                raise OSError("disk full")
-            real_save(f, array, **kwargs)
+        class FailingWrites:
+            """A pack temp file whose third write fails, as on a full disk."""
 
-        monkeypatch.setattr(np, "save", save_then_fail)
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise OSError("disk full")
+                return self.f.write(data)
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            return FailingWrites(f) if "x" in mode else f
+
+        monkeypatch.setattr(cov, "open", failing_open, raising=False)
         check(kind, cov_dir, db)
         assert len(calls) == 3
         assert sorted(p.suffix for p in cov_dir.iterdir()) == [".asc"] * 3 + [".disk"] * 3
@@ -413,15 +481,49 @@ def fuzz_tree(tmp_path_factory):
     return db, cov_dir, good
 
 
+# what a header edit puts in place of a field's name, dtype or shape
+HEADER_VALUES = {
+    0: st.one_of(st.sampled_from([*cov._PACK_FIELDS["stations"], *cov._PACK_FIELDS["rasters"], ""]),
+                 st.text(max_size=8)),
+    1: st.one_of(st.sampled_from(["<u8", "<i8", "<f8", "<f4", "|b1", "|u1", "<U0", "<U1", "<U3",
+                                  "<U003", "<U99", "<U", "U2", ">f8", ">u8", "|O", "|V24",
+                                  "f8,f8,f8", "<U" + "9" * 30]),
+                 st.text(max_size=6), st.integers(), st.lists(st.text(max_size=3), max_size=2)),
+    2: st.one_of(
+        st.lists(st.one_of(st.integers(-2, 12),
+                           st.sampled_from([10**30, -(10**30), True, False, 1.5, None, "3"])),
+                 max_size=3),
+        st.integers(0, 5), st.none()),
+}
+
+
+def header_edits(good):
+    """``good`` with one field's name, dtype or shape edited in its JSON header.
+
+    The columns are laid out again after the new header, so only the header differs.
+    """
+    header, fields = unpack(good)
+    blobs = [a.tobytes() for a in fields.values()]
+
+    def edited(field, part, value):
+        changed = json.loads(json.dumps(header))
+        changed["fields"][field][part] = value
+        return layout(changed, blobs)
+
+    return st.tuples(st.integers(0, len(blobs) - 1), st.sampled_from([0, 1, 2])).flatmap(
+        lambda at: HEADER_VALUES[at[1]].map(lambda value: edited(*at, value)))
+
+
 class TestFuzz:
     @given(kind=st.sampled_from(KINDS), data=st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_a_damaged_pack_is_never_an_error(self, fuzz_tree, kind, data):
         db, cov_dir, good = fuzz_tree
         damaged = data.draw(st.one_of(
             st.integers(0, len(good[kind]) - 1).map(lambda n: good[kind][:n]),
             st.binary(max_size=300).map(lambda b: good[kind][:128] + b),
             st.binary(max_size=300),
+            header_edits(good[kind]),
         ))
         pack_path(cov_dir, kind).write_bytes(damaged)
         os.utime(pack_path(cov_dir, kind), ns=(time.time_ns(),) * 2)
@@ -794,7 +896,8 @@ class TestStationPack:
             source.write_text(same_size_csv_edit(txdb.read_text(), ",42\n", ",45\n"))
         os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
         if racy == "disk":
-            forged = cov._read_pack(str(pack_path(cov_dir, "disks")), "stations")[1]["disk_keys"]
+            _mtime, arrays = cov._read_pack(str(pack_path(cov_dir, "disks")), "stations")
+            forged = arrays["disk_keys"].copy()  # the pack's arrays are read-only views
             forged[:, :4] = cov._stat_keys([str(cov_dir / f"{tx_id}.disk") for tx_id in db.ids])
             rewrite_pack(cov_dir, "disks", disk_keys=forged)
         else:
@@ -819,7 +922,7 @@ class TestStationPack:
         txdb, cov_dir = stations
         load_checked(txdb, cov_dir)
         good = pack_path(cov_dir, "disks").read_bytes()
-        bad = [*bad_packs("disks", good), ("old-format", old_format_pack("disks", cov_dir, make_db()))]
+        bad = [*bad_packs("disks", good), ("old-format", old_format_pack("disks", good))]
         for name, data in bad:
             pack_path(cov_dir, "disks").write_bytes(data)
             settle(cov_dir, txdb.parent)
@@ -845,7 +948,66 @@ class TestStationPack:
         assert hit.stdout == miss.stdout
 
 
+def tree_files(root):
+    """{relative path: bytes} of every file under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def pack_stamps(cov_dir):
+    return {p.name: p.stat().st_mtime_ns for p in cov_dir.glob(".tvws-*")}
+
+
 class TestWarmCalls:
+    @pytest.mark.filterwarnings("ignore:.*typical UK DTT range")
+    def test_a_warm_load_hands_out_read_only_views(self, stations, file_reads):
+        """Columns taken from a pack are views of its bytes, which nothing may write through."""
+        txdb, cov_dir = stations
+        db, _disks = cov.load_stations(txdb, cov_dir)
+        cov.load_rasters(cov_dir, db)
+        settle(cov_dir, txdb.parent)
+        reads = dict(file_reads)
+        db, disks = cov.load_stations(txdb, cov_dir)
+        rasters = cov.load_rasters(cov_dir, db)
+        assert file_reads == reads  # all three parts came from the packs
+        for array in (db.floats, db.channels, disks.floats, rasters["s1"].cells):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_cold_and_warm_runs_write_the_same_bytes(self, tmp_path, capsys):
+        out = tmp_path / "tree"
+        assert main(["synth", "--n", "5", "--region", "200000,200000,300000,300000",
+                     "--seed", "3", "--cell", "2000", "--out", str(out)]) == 0
+        cov_dir, artifacts = out / "coverage", tmp_path / "artifacts"
+        locations = tmp_path / "locations.csv"
+        locations.write_text("a,250000,250000\nb,SU 10 10\nc,210000,290000\n")
+        data = ["--txdb", str(out / "transmitters.csv"), "--coverage", str(cov_dir),
+                "--out", str(artifacts)]
+        argvs = {
+            "query": ["query", *data, "--loc", "250000,250000"],
+            "raster query": ["query", *data, "--loc", "250000,250000", "--mode", "raster",
+                             "--power", "0"],
+            "batch": ["batch", *data, "--locations", str(locations), "--power", "1W"],
+            "sweep": ["sweep", *data, "--loc", "250000,250000", "--powers", "0.01:10:20"],
+            "grid": ["grid", *data, "--region", "200000,200000,300000,300000", "--cell", "5000"],
+        }
+        for name, argv in argvs.items():
+            runs = []
+            for pack in cov_dir.glob(".tvws-*"):
+                pack.unlink()
+            for _warm in range(2):
+                shutil.rmtree(artifacts, ignore_errors=True)
+                settle(cov_dir, out)
+                packs = pack_stamps(cov_dir)
+                capsys.readouterr()
+                assert main(argv) == 0, name
+                runs.append((capsys.readouterr(), tree_files(artifacts)))
+            # the warm run rewrote no pack: it was a hit
+            assert packs and packs == pack_stamps(cov_dir)
+            assert runs[1] == runs[0], name
+            assert runs[0][1], name  # some artifact was written
+
     def test_warm_batch_grid_and_sweep_read_no_source_file(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "tree"
         assert main(["synth", "--n", "5", "--region", "200000,200000,300000,300000",

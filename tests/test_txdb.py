@@ -92,6 +92,21 @@ class TestLoadTxdb:
         with pytest.raises(ParseError, match="6 fields"):
             load_txdb(make_csv("a,1000,1000,25,10"))
 
+    @pytest.mark.parametrize("tx_id", ["tx01\0", "\0", "t\0x", "a/b", "/", "../a", ".", ".."])
+    def test_id_that_cannot_name_a_coverage_file(self, tx_id):
+        """<id>.asc and <id>.disk must name one file in the coverage directory.
+
+        A trailing NUL would also be dropped by a packed id, so the packed
+        database would accept what the CSV does not say.
+        """
+        with pytest.raises(ParseError, match="cannot name a coverage file") as exc:
+            load_txdb(make_csv(VALID_ROW.replace("oxford", "b"), f"{tx_id},1000,1000,25,10,21"))
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("tx_id", ["...", ".a", "a.b", "a b"])
+    def test_other_dots_and_separators_are_ids(self, tx_id):
+        assert load_txdb(make_csv(f"{tx_id},1000,1000,25,10,21")).ids == [tx_id]
+
 
 class TestSerializeRoundTrip:
     def test_handcrafted(self):
