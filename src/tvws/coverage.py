@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tvws.errors import ParseError
+from tvws.errors import ParseError, read_text
 from tvws.geo import EASTING_MAX, NORTHING_MAX, NgPoint
 from tvws.keepout import PropagationParams
 from tvws.txdb import Transmitter, TransmitterDb, load_txdb
@@ -372,14 +372,6 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
         raise ParseError(str(exc), source=source) from None
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path) as f:
-            return f.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not text: {exc.reason} at byte {exc.start}", source=path) from None
-
-
 # ---------------------------------------------------------------------------
 # Packs.  What the loaders parse is kept in two binary files per coverage
 # directory, each one ASCII JSON header line, then the raw C-order bytes of
@@ -610,7 +602,7 @@ def load_rasters(
     for i in read:
         if not keys[i].any():
             raise FileNotFoundError(f"no coverage raster for {db.ids[i]!r}: {paths[i]}")
-        rasters[db.ids[i]] = read_asc(_read_text(paths[i]), db.ids[i], source=paths[i])
+        rasters[db.ids[i]] = read_asc(read_text(paths[i]), db.ids[i], source=paths[i])
     rasters = {tx_id: rasters[tx_id] for tx_id in db.ids}
     if read and write_cache:
         entries = list(rasters.values())
@@ -701,9 +693,9 @@ def _station_disks(
                 and (packed_keys[i, 4:] != keys[i, 4:]).any())
         )
         if has_disk and not raster_changed:
-            disk = read_disk(_read_text(disk_path), tx_id, source=disk_path)
+            disk = read_disk(read_text(disk_path), tx_id, source=disk_path)
         elif has_asc:
-            raster = read_asc(_read_text(asc_path), tx_id, source=asc_path)
+            raster = read_asc(read_text(asc_path), tx_id, source=asc_path)
             disk = enclosing_disk(raster, db.transmitters[i])
             if write_cache:
                 try:
@@ -744,7 +736,7 @@ def _load_stations(
             notes = pack["tx_notes"].tolist()
             fields.update((name, array) for name, array in pack.items() if name.startswith("tx"))
         else:
-            db = load_txdb(_read_text(txdb_path), source=txdb_path, notes=notes)
+            db = load_txdb(read_text(txdb_path), source=txdb_path, notes=notes)
             fields.update(
                 txdb_text=np.array([txdb_path, db.source]), txdb_key=key[0],
                 tx_ids=np.array(db.ids, dtype=str), tx_floats=db.floats,

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the input-file reader that raises them."""
 
 from __future__ import annotations
 
@@ -23,3 +23,12 @@ class ParseError(ValueError):
             prefix = f"{prefix}:{self.line}" if prefix else f"line {self.line}"
         msg = super().__str__()
         return f"{prefix}: {msg}" if prefix else msg
+
+
+def read_text(path: str) -> str:
+    """An input file's text; a file that does not decode is a :class:`ParseError` naming it."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not text: {exc.reason} at byte {exc.start}", source=path) from None

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -359,8 +360,10 @@ class TestFlagMatrix:
             argv.append("--adjacent-filter")
         refused = command in ("sweep", "grid") and (mode == "raster" or adjacent)
         if refused:
-            assert main(argv) == 2
-            flag = "--mode raster" if mode == "raster" else "--adjacent-filter"
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            flag = "--mode" if mode == "raster" else "--adjacent-filter"
             assert flag in capsys.readouterr().err
             return
         assert main(argv) == 0
@@ -372,12 +375,17 @@ class TestFlagMatrix:
     @pytest.mark.parametrize("command", ["sweep", "grid"])
     def test_strict_excluded_refused(self, small_fixture, capsys, command):
         argv = [command] + base_args(small_fixture) + self.SUBCOMMANDS[command]
-        assert main(argv + ["--strict-excluded"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--strict-excluded"])
+        assert exc.value.code == 2
         assert "--strict-excluded" in capsys.readouterr().err
 
     def test_synth_refuses_them_too(self, tmp_path, capsys):
         argv = ["synth", "--n", "1", "--region", "0,0,1000,1000", "--out", str(tmp_path)]
-        assert main(argv + ["--mode", "raster", "--adjacent-filter"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--mode", "raster", "--adjacent-filter"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
         assert not (tmp_path / "transmitters.csv").exists()
 
     @pytest.mark.parametrize(
@@ -403,15 +411,20 @@ class TestFlagMatrix:
         argv = [command] + base_args(small_fixture) + [
             str(locs) if a == "LOCS" else a for a in args
         ] + [str(tmp_path / "out") if f == "OUT" else f for f in flags]
-        assert main(argv) == 2
-        assert f"{command} does not take {named}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in re.findall(r"--[a-z-]+", named))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--txdb", "t.csv"], ["--coverage", "c"], ["--power", "1"]])
     def test_synth_refuses_data_flags(self, tmp_path, capsys, flags):
         argv = ["synth", "--n", "1", "--region", "0,0,1000,1000", "--out", str(tmp_path)]
-        assert main(argv + flags) == 2
-        assert f"synth does not take {flags[0]}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
         assert not (tmp_path / "transmitters.csv").exists()
 
     def test_flags_a_subcommand_reads_are_accepted(self, small_fixture, tmp_path, capsys):
@@ -421,6 +434,135 @@ class TestFlagMatrix:
                     + ["--mode", "disk", "--alpha", "3"]) == 0
         assert main(["synth", "--n", "1", "--region", "0,0,1000,1000", "--seed", "4",
                      "--alpha", "3", "--out", str(tmp_path / "s")]) == 0
+
+
+def names(flag, err):
+    """Whether ``err`` names ``flag`` itself, not only a longer flag such as --beta-db."""
+    return re.search(re.escape(flag) + r"(?![\w-])", err) is not None
+
+
+# The shared flags each subcommand reads (x), so accepts; it refuses the rest (.).
+SHARED_FLAGS = """
+    flag              query batch sweep grid synth disks
+    --txdb              x     x     x     x     .     x
+    --coverage          x     x     x     x     .     x
+    --plan              x     x     x     x     x     .
+    --alpha             x     x     x     x     x     .
+    --beta              x     x     x     x     x     .
+    --beta-db           x     x     x     x     x     .
+    --power             x     x     .     x     .     .
+    --mode disk         x     x     x     x     x     x
+    --mode raster       x     x     .     .     .     .
+    --adjacent-filter   x     x     .     .     .     .
+    --strict-excluded   x     x     .     .     .     .
+    --out               x     x     x     x     x     .
+    --seed              .     .     .     .     x     .
+"""
+_HEADER, *_ROWS = [line.split() for line in SHARED_FLAGS.strip().splitlines()]
+COMMANDS = _HEADER[1:]
+READS = {(" ".join(row[:-6]), command): mark == "x"
+         for row in _ROWS for command, mark in zip(COMMANDS, row[-6:])}
+
+
+class TestFlagContract:
+    """Each subcommand's parser holds exactly the shared flags it reads."""
+
+    OWN_FLAGS = {
+        "query": ["--loc", "300000,300000"],
+        "batch": ["--locations", "LOCS", "--workers", "1"],
+        "sweep": ["--loc", "300000,300000", "--powers", "0.01,1"],
+        "grid": ["--region", "250000,250000,350000,350000", "--cell", "25000"],
+        "synth": ["--n", "1", "--region", "0,0,1000,1000", "--cell", "500",
+                  "--irregularity", "0.1", "--out", "OUT"],
+        "disks": [],
+    }
+
+    @pytest.mark.parametrize("flag, command", sorted(READS))
+    def test_read_flags_run_and_others_exit_2(self, small_fixture, tmp_path, capsys,
+                                               flag, command):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(small_fixture, data)
+        (tmp_path / "plan.txt").write_text("interleaved = 21-30\n")
+        (tmp_path / "locs.csv").write_text("a,300000,300000\n")
+        out = tmp_path / "out"
+        paths = {"LOCS": tmp_path / "locs.csv", "OUT": out}
+        values = {"--txdb": data / "transmitters.csv", "--coverage": data / "coverage",
+                  "--plan": tmp_path / "plan.txt", "--alpha": "3.5", "--beta": "2",
+                  "--beta-db": "3", "--power": "0.5", "--out": out, "--seed": "2"}
+        argv = [command] + (base_args(data) if READS["--txdb", command] else [])
+        argv += [str(paths.get(a, a)) for a in self.OWN_FLAGS[command]]
+        argv += flag.split() + ([str(values[flag])] if flag in values else [])
+        if READS[flag, command]:
+            assert main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert names(flag.split()[0], captured.err) and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, abbreviated", [
+        ("query", ["--loc", "1,2", "--cov", "C"]),
+        ("batch", ["--locations", "L", "--loc", "L"]),  # of --locations
+        ("sweep", ["--loc", "1,2", "--powers", "0.1", "--power", "5"]),  # not of --powers
+    ])
+    def test_abbreviated_flags_exit_2(self, capsys, command, abbreviated):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *abbreviated])
+        assert exc.value.code == 2
+        assert names(abbreviated[-2], capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        shared = {flag.split()[0] for (flag, c), read in READS.items() if c == command and read}
+        own = {a for a in self.OWN_FLAGS[command] if a.startswith("--")}
+        if command == "synth":
+            own.add("--preset")
+        assert listed == shared | own | {"--help"}
+
+
+class TestHugeRequest:
+    def test_grid_too_large_to_allocate_exits_2(self, uk81_dir, capsys):
+        """662 TiB of cells is past a 47-bit address space, so it fails at once."""
+        argv = ["grid", *base_args(uk81_dir), "--region", "0,0,700000,1300000", "--cell", "0.1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tvws: error: ") and len(err.splitlines()) == 1
+
+
+class TestUndecodableInputs:
+    """A file that is not UTF-8 exits 3 and names the file, whichever input it is."""
+
+    @pytest.mark.parametrize("which", ["plan", "locations", "disks-txdb"])
+    def test_exit_3_naming_the_file(self, small_fixture, tmp_path, capsys, which):
+        data = small_fixture
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"interleaved = 21-30\n\xff\n")
+        argv = {
+            "plan": ["query", *base_args(data), "--loc", "300000,300000", "--plan", str(bad)],
+            "locations": ["batch", *base_args(data), "--locations", str(bad)],
+            "disks-txdb": ["disks", "--txdb", str(bad), "--coverage", str(data / "coverage")],
+        }[which]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+
+def test_negative_zero_power_echoes_as_zero(small_fixture, tmp_path, capsys):
+    (tmp_path / "locs.csv").write_text("a,300000,300000\n")
+    flags = ["--power=-0", "--mode", "raster"]
+    assert main(["query", *base_args(small_fixture), "--loc", "300000,300000", *flags]) == 0
+    assert "power: 0.0 W" in capsys.readouterr().out
+    assert main(["batch", *base_args(small_fixture), "--locations", str(tmp_path / "locs.csv"),
+                 *flags]) == 0
+    assert "power_watts=0.0 " in capsys.readouterr().out
 
 
 class TestBadNumbers:
@@ -468,7 +610,7 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         [line] = [line for line in err.splitlines() if "error" in line]
-        assert "argument --region" in line and "OSGB envelope" in line
+        assert names("--region", line) and "OSGB envelope" in line
 
     def test_region_may_reach_the_envelope_max(self, small_fixture, capsys):
         region = ["--region", "0,0,700000,1300000", "--cell", "100000"]
@@ -684,4 +826,4 @@ class TestUnusableId:
         for _ in range(2):
             assert main(argv) == 3
             err = capsys.readouterr().err
-            assert "id 'tx01\\x00' cannot name a coverage file" in err and "Traceback" not in err
+            assert ":3: NUL character" in err and "Traceback" not in err

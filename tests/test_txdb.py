@@ -99,9 +99,18 @@ class TestLoadTxdb:
         A trailing NUL would also be dropped by a packed id, so the packed
         database would accept what the CSV does not say.
         """
-        with pytest.raises(ParseError, match="cannot name a coverage file") as exc:
+        message = "NUL character" if "\0" in tx_id else "cannot name a coverage file"
+        with pytest.raises(ParseError, match=message) as exc:
             load_txdb(make_csv(VALID_ROW.replace("oxford", "b"), f"{tx_id},1000,1000,25,10,21"))
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("line", ["# source: national list\0", "# \0", "\0",
+                                      "b,1000,1000,25,10,21\0", "b,1000\0,1000,25,10,21"])
+    def test_nul_anywhere_is_refused_naming_its_line(self, line):
+        """A packed string drops a trailing NUL, so a cold and a warm load would differ."""
+        with pytest.raises(ParseError, match="NUL character") as exc:
+            load_txdb(make_csv(VALID_ROW, line), source="t.csv")
+        assert exc.value.line == 3 and exc.value.source == "t.csv"
 
     @pytest.mark.parametrize("tx_id", ["...", ".a", "a.b", "a b"])
     def test_other_dots_and_separators_are_ids(self, tx_id):
