@@ -13,9 +13,13 @@ Two tracks, mirroring how such studies are actually run:
   over-protects by construction, so its vacant set can only be a subset
   of the raster answer at zero power.
 
-Every disk-model answer comes from one kernel, :func:`occupied_masks`;
-:func:`availability`, :func:`batch_kernel`, :func:`power_sweep` and
-:func:`availability_grid` only shape its input and output.
+Every disk-model answer is decided by one keep-out test,
+:meth:`KeepoutDisks.inside`, through one of two kernels picked by the
+input's shape: :func:`occupied_masks` for scattered points
+(:func:`availability`, :func:`batch_kernel` and :func:`power_sweep` only
+shape its input and output), and :func:`_grid_fill` for the cell centres of
+:func:`availability_grid`, a lattice, where each transmitter blocks one
+column interval per row.
 
 Transmitters carrying cleared or excluded channels still show up in
 ``per_channel_blockers`` for diagnostics, but never change ``rho``:
@@ -46,6 +50,13 @@ _SWEEP_PAIRS = 1 << 14
 # last place, so a distance this close to R' (relative) is re-decided with
 # the scalar definitions, geo.distance's arithmetic and keepout_radius.
 _TIE_BAND = 2.0**-40
+# _grid_fill leaves to KeepoutDisks.inside only the cells between the half-widths
+# of R'(1 - _ZONE) and R'(1 + _ZONE), each widened by _MARGIN times the largest
+# coordinate; the bound is argued there.
+_ZONE = 2.0**-36
+_MARGIN = 2.0**-48
+# _grid_fill spreads blocks down one level this many cells at a time.
+_FILL_CELLS = 1 << 14
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -109,8 +120,8 @@ class KeepoutDisks:
         with np.errstate(over="ignore"):  # overflow gives R' = inf, as in keepout_radius
             radii = prop.beta_th * np.array(powers, dtype=float)[:, np.newaxis] / erp
             np.power(radii, 1.0 / prop.alpha, out=radii)
-        radii += 1.0
-        radii *= coverage
+            radii += 1.0
+            radii *= coverage
         return cls([float(p) for p in powers], prop, east, north, erp, coverage, radii)
 
     def inside(self, east: np.ndarray, north: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -151,7 +162,7 @@ def _lattice(
 def occupied_masks(
     kd: KeepoutDisks, bits: np.ndarray, east: np.ndarray, north: np.ndarray
 ) -> np.ndarray:
-    """The disk-model kernel: ``uint64`` occupied-channel masks, shape (powers, points).
+    """The disk-model kernel for scattered points: ``uint64`` occupied masks, (powers, points).
 
     A transmitter blocks its channels ``bits`` (see :func:`channel_bits`)
     where a point is strictly inside its keep-out radius; the boundary
@@ -163,6 +174,7 @@ def occupied_masks(
     band and by a metre for the rounding of its ends, so every pair the tie
     rule re-decides is a candidate.  Points go a block at a time, each block
     on its own lattice, and their candidates about ``_CHUNK_PAIRS`` at a time.
+    The cell centres of a grid go through :func:`_grid_fill` instead.
     """
     masks = np.zeros((len(kd.powers), east.size), dtype=np.uint64)
     keep = np.flatnonzero(bits)
@@ -348,7 +360,14 @@ def vacancy(
 
 
 def popcount(masks: np.ndarray) -> np.ndarray:
-    """Set bits of each ``uint64`` mask, by byte table (numpy < 2 has no bitwise_count)."""
+    """Set bits of each ``uint64`` mask, as ints."""
+    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+        return np.bitwise_count(masks).astype(int)
+    return _popcount_by_bytes(masks)
+
+
+def _popcount_by_bytes(masks: np.ndarray) -> np.ndarray:
+    """:func:`popcount` by byte table, for numpy < 2."""
     per_byte = _POPCOUNT8[np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)]
     return per_byte.reshape(*masks.shape, 8).sum(axis=-1, dtype=int)
 
@@ -402,6 +421,114 @@ class RhoGrid:
         )
 
 
+def _or_intervals(
+    masks: np.ndarray, start: np.ndarray, length: np.ndarray, bits: np.ndarray
+) -> None:
+    """OR ``bits[i]`` into the ``length[i] > 0`` cells of ``masks`` from flat index ``start[i]``.
+
+    Each interval lies in one row of the 2-D ``masks``.  A sparse-table fill:
+    an interval of length L is the two blocks of 2^k cells, k = floor(log2 L),
+    that start at its two ends.  Level by level from the top, each block is
+    ORed into its first cell with ``np.bitwise_or.at``, then every cell's
+    value spreads to the cell 2^(k-1) to its right, in place and a few rows
+    at a time, which splits each block of the level into its two halves.
+    """
+    if not start.size:
+        return
+    flat = masks.reshape(-1)
+    level = np.frexp(length)[1] - 1
+    other = start + length - (np.int64(1) << level)
+    step = max(1, _FILL_CELLS // masks.shape[1])
+    for k in range(int(level.max()), -1, -1):
+        at = level == k
+        np.bitwise_or.at(flat, start[at], bits[at])
+        np.bitwise_or.at(flat, other[at], bits[at])
+        if k:
+            half = 1 << (k - 1)
+            for r in range(0, masks.shape[0], step):
+                part = masks[r : r + step]
+                part[:, half:] |= part[:, :-half]
+
+
+def _grid_fill(
+    masks: np.ndarray,
+    kd: KeepoutDisks,
+    bits: np.ndarray,
+    centers_e: np.ndarray,
+    centers_n: np.ndarray,
+) -> None:
+    """The disk-model kernel for a lattice: OR each transmitter's ``bits`` into ``masks``.
+
+    ``masks[row, col]`` gets the bits of every transmitter whose keep-out
+    disk at ``kd.powers[0]`` strictly contains (``centers_e[col]``,
+    ``centers_n[row]``); both centre arrays ascend.  In each row a disk's
+    reach box touches, the cells it contains are one column interval: the
+    centres within sqrt(R'^2 - dy^2) of its easting, found by ``searchsorted``
+    and ORed in by :func:`_or_intervals`.  Rows go in bands of about
+    ``_CHUNK_PAIRS`` (transmitter, row) pairs.
+
+    Exactness.  Outside the tie band, :meth:`KeepoutDisks.inside` answers
+    d < R' with ``np.hypot`` (within an ulp), so a centre closer than
+    R'(1 - 2^-39) is inside and one farther than R'(1 + 2^-39) is not.  The
+    half-widths are taken at r = R'(1 -+ _ZONE) as sqrt(r - dy) * sqrt(r + dy),
+    which cannot overflow; each operation rounds by at most u = 2^-53 of its
+    own result, so a squared half-width lands within 20u * R'^2 of
+    r^2 - dy^2, and 2 * _ZONE = 2^-35 > 2^-38 + 20u.  Rounding an interval
+    end te -+ h cannot move a float centre across it (a float above the
+    rounded end is above the exact one); besides, the half-widths are moved
+    in or out by _MARGIN * X = 32u * X, for X the largest coordinate, which
+    alone exceeds the part of that rounding, u * X, that _ZONE does not
+    cover.  So every cell of an inner interval is closer than R'(1 - 2^-39),
+    and every cell outside the outer one, or in a row the reach box (taken
+    the same way) leaves out, is farther than R'(1 + 2^-39), for any
+    positive R', tiny or infinite.  Only the cells between the two
+    intervals go through :meth:`KeepoutDisks.inside`, and typical grids
+    have none.
+    """
+    keep = np.flatnonzero(bits)
+    if not keep.size:
+        return
+    nrows, ncols = masks.shape
+    east, north, bits, radius = kd.east[keep], kd.north[keep], bits[keep], kd.radii[0, keep]
+    r_in, r_out = radius * (1.0 - _ZONE), radius * (1.0 + _ZONE)
+    ends = np.abs([centers_e[0], centers_e[-1], centers_n[0], centers_n[-1]])
+    margin = _MARGIN * max(float(ends.max()), float(east.max()), float(north.max()))
+    first = np.searchsorted(centers_n, north - (r_out + margin), "left")
+    last = np.searchsorted(centers_n, north + (r_out + margin), "right")
+    edges = np.bincount(first, minlength=nrows + 1) - np.bincount(last, minlength=nrows + 1)
+    per_row = np.cumsum(edges[:nrows])  # (transmitter, row) pairs in each row
+    through = np.cumsum(per_row)
+    r0 = 0
+    while r0 < nrows:
+        budget = through[r0] - per_row[r0] + _CHUNK_PAIRS
+        r1 = max(r0 + 1, int(np.searchsorted(through, budget, "right")))
+        lo_row = np.maximum(first, r0)
+        n = np.minimum(last, r1) - lo_row
+        t = np.flatnonzero(n > 0)  # each (transmitter, row) pair of the band, by transmitter
+        t, row = np.repeat(t, n[t]), np.repeat(lo_row[t] - (np.cumsum(n[t]) - n[t]), n[t])
+        row += np.arange(t.size)
+        dy = np.abs(centers_n[row] - north[t])
+        e, ri, ro = east[t], r_in[t], r_out[t]
+        h_in = np.sqrt(np.maximum(ri - dy, 0.0)) * np.sqrt(ri + dy) - margin
+        h_out = np.sqrt(np.maximum(ro - dy, 0.0)) * np.sqrt(ro + dy) + margin
+        lo = np.searchsorted(centers_e, e - h_out, "left")
+        il = np.searchsorted(centers_e, e - h_in, "right")
+        ih = np.maximum(np.searchsorted(centers_e, e + h_in, "left"), il)
+        hi = np.searchsorted(centers_e, e + h_out, "right")
+        band, base = masks[r0:r1], (row - r0) * ncols
+        full = np.flatnonzero(ih > il)
+        _or_intervals(band, base[full] + il[full], ih[full] - il[full], bits[t[full]])
+        # the zone, columns [lo, il) and [ih, hi), goes through the keep-out test
+        left, zone = il - lo, il - lo + hi - ih
+        if zone.any():
+            k = np.repeat(np.arange(t.size), zone)
+            j = np.arange(k.size) - np.repeat(np.cumsum(zone) - zone, zone)
+            col = np.where(j < left[k], lo[k] + j, ih[k] + j - left[k])
+            hit = kd.inside(centers_e[col], centers_n[row[k]], keep[t[k]])[0]
+            np.bitwise_or.at(band.reshape(-1), (base[k] + col)[hit], bits[t[k]][hit])
+        r0 = r1
+
+
 def availability_grid(
     db: TransmitterDb,
     disks: Mapping[str, CoverageDisk],
@@ -414,7 +541,9 @@ def availability_grid(
     """Batch form of :func:`availability` over a region.
 
     Each cell holds rho evaluated at the cell centre; results are
-    deterministic and identical to pointwise queries.
+    deterministic and identical to pointwise queries.  The centres form a
+    lattice, so the masks come from :func:`_grid_fill`, which costs about
+    one interval per (transmitter, row) plus a few passes over the cells.
     """
     if region.is_empty():
         raise ValueError("region is empty")
@@ -423,13 +552,16 @@ def availability_grid(
 
     ncols = max(1, int(np.ceil(region.width / cell_size_m)))
     nrows = max(1, int(np.ceil(region.height / cell_size_m)))
+    masks = np.zeros((nrows, ncols), dtype=np.uint64)  # first: a grid too large fails here
     centers_e = region.min_e + (np.arange(ncols) + 0.5) * cell_size_m
     centers_n = region.min_n + (np.arange(nrows) + 0.5) * cell_size_m
 
     kd = KeepoutDisks.build(db, disks, [p_cr_watts], prop)
-    centres = (a.ravel() for a in np.meshgrid(centers_e, centers_n))  # freed after the call
-    masks = occupied_masks(kd, channel_bits(db, plan), *centres)[0]
-    values = len(plan.interleaved) - popcount(masks).reshape(nrows, ncols)
+    _grid_fill(masks, kd, channel_bits(db, plan), centers_e, centers_n)
+    # the masks hold interleaved channels only, so the vacant ones are the rest
+    np.invert(masks, out=masks)
+    masks &= np.uint64(channel_mask(plan.interleaved))
+    values = popcount(masks)
     return RhoGrid(
         origin=NgPoint(region.min_e, region.min_n), cell_size_m=cell_size_m, values=values
     )

@@ -460,6 +460,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if not args.out:
         return _fail("synth needs --out", EXIT_USAGE)
     if args.preset == "uk81":
+        for flag, value in (("--n", args.n), ("--region", args.region)):
+            if value is not None:
+                return _fail(f"synth --preset uk81 does not take {flag}", EXIT_USAGE)
         n, region = 81, OSGB_ENVELOPE
     elif args.n is not None and args.region is not None:
         n, region = args.n, args.region

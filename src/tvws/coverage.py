@@ -377,7 +377,7 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
 # directory, each one ASCII JSON header line, then the raw C-order bytes of
 # the kind's fields below, each column at an 8-byte-aligned offset:
 #
-#   {"format":"tvws coverage pack 3","kind":"rasters","fields":[["ids","<U5",[81]],...]}
+#   {"format":"tvws coverage pack 4","kind":"rasters","fields":[["ids","<U5",[81]],...]}
 #
 # The header names every field in order with its dtype string and shape, so
 # one read() and one JSON parse give each field as a read-only np.frombuffer
@@ -399,7 +399,7 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
 # rebuilt by the next load that reads a source file.
 
 _PACK_NAMES = {"stations": ".tvws-stations.pack", "rasters": ".tvws-rasters.pack"}
-_PACK_FORMAT = "tvws coverage pack 3"
+_PACK_FORMAT = "tvws coverage pack 4"
 _PACK_ALIGN = 8  # column offsets are multiples of this, so 8-byte number views are aligned
 _U64 = (1 << 64) - 1  # keys are stored as uint64; times wrap modulo 2**64 ns
 _NO_FILE = (0, 0, 0, 0)

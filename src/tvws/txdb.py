@@ -166,10 +166,12 @@ def load_txdb(text: str, source: str = "txdb", *, notes: list[str] | None = None
     Expected header: ``id,easting,northing,erp_watts,antenna_height_m,channels``
     with channels as ``;``-separated integers.  Lines starting with ``#``
     are comments; a ``# source: ...`` comment restores the provenance
-    string written by :func:`serialize`.  A row whose ERP is outside the
-    typical UK range loads with a warning; given ``notes``, the warnings'
-    texts are appended to it instead of being issued.
+    string written by :func:`serialize` as the database's ``source``, while
+    errors and notes keep naming ``source``, the file.  A row whose ERP is
+    outside the typical UK range loads with a warning; given ``notes``, the
+    warnings' texts are appended to it instead of being issued.
     """
+    provenance = source
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # a packed string drops a trailing NUL, and a NUL cannot name a coverage file
@@ -181,7 +183,7 @@ def load_txdb(text: str, source: str = "txdb", *, notes: list[str] | None = None
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
             if body.lower().startswith("source:"):
-                source = body[len("source:"):].strip()
+                provenance = body[len("source:"):].strip()
             continue
         rows.append((lineno, raw))
 
@@ -251,7 +253,7 @@ def load_txdb(text: str, source: str = "txdb", *, notes: list[str] | None = None
     if notes is None:
         for note in found:
             warnings.warn(note, stacklevel=2)
-    return TransmitterDb(transmitters, source=source)
+    return TransmitterDb(transmitters, source=provenance)
 
 
 def serialize(db: TransmitterDb) -> str:

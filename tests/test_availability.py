@@ -1,6 +1,8 @@
 import math
 import random
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from tvws.availability import (
     channel_mask,
     contiguity,
     occupied_masks,
+    popcount,
     power_sweep,
 )
 from tvws.channel_plan import default_plan, load_plan
@@ -419,6 +422,17 @@ class TestKernelAtTheBoundary:
         assert distance(centre, tx.position) == 31903.452360785737
         assert availability(db, disks, PLAN, QueryParams(centre, 0.0, PROP)).rho == 30
         assert grid.values[41, 33] == 30
+        # the same with a 1e-6 m disk whose edge is that centre
+        tx = make_tx("a", float(np.nextafter(centre.easting + 1e-6, 0.0)), centre.northing,
+                     1000, {21})
+        db = TransmitterDb((tx,))
+        disks = {"a": disk_for(tx, distance(centre, tx.position))}
+        assert disks["a"].radius_m < 1e-6
+        grid = availability_grid(db, disks, PLAN, region, 1000, 0.0, PROP)
+        assert (grid.values == 30).all()
+        disks = {"a": disk_for(tx, float(np.nextafter(disks["a"].radius_m, 1.0)))}
+        grid = availability_grid(db, disks, PLAN, region, 1000, 0.0, PROP)
+        assert grid.values[41, 33] == 29 and (grid.values == 30).sum() == grid.values.size - 1
 
     @pytest.mark.parametrize("power", POWERS)
     def test_batch_matches_oracle_and_single_queries(self, power):
@@ -466,6 +480,7 @@ class TestKernelAtTheBoundary:
             NgPoint(region.min_e + (c + 0.5) * cell, region.min_n + (r + 0.5) * cell)
             for r in range(20) for c in range(24)
         ]
+        cases = []
         for case in range(6):
             txs, disks = [], {}
             for i in range(4):
@@ -477,7 +492,9 @@ class TestKernelAtTheBoundary:
                 radius = float(rng.choice(ulp_neighbours(distance(anchor, tx.position))))
                 disks[tx.id] = disk_for(tx, max(radius, 1.0))
             db = TransmitterDb(tuple(txs))
-            power = 0.0 if case % 2 == 0 else rng.uniform(0.0, 4.0)
+            cases.append((db, disks, 0.0 if case % 2 == 0 else rng.uniform(0.0, 4.0)))
+        cases += self.lattice_edge_cases(centres[37])
+        for db, disks, power in cases:
             grid = availability_grid(db, disks, PLAN, region, cell, power, PROP)
             assert grid.values.shape == (20, 24)
             for row in range(20):
@@ -486,6 +503,45 @@ class TestKernelAtTheBoundary:
                         db, disks, PLAN, grid.cell_center(row, col), power,
                         PROP.alpha, PROP.beta_th,
                     )
+
+    @staticmethod
+    def lattice_edge_cases(centre):
+        """(db, disks, power) where the lattice kernel's interval ends are extreme."""
+        def case(power, *stations):
+            txs = tuple(make_tx(f"x{i}", e, n, erp, channels)
+                        for i, (e, n, erp, channels, _) in enumerate(stations))
+            return TransmitterDb(txs), {tx.id: disk_for(tx, st[4]) for tx, st in zip(txs, stations)}, power
+
+        e, n = centre.easting, centre.northing
+        off = float(np.nextafter(e + 1e-6, math.inf))
+        return [
+            # R' = inf (beta P / ERP overflows) and a huge finite R' from far away
+            case(1e308, (230_000.0, 320_000.0, 0.5, {21, 22}, 1_000.0),
+                 (100_000.0, 100_000.0, 1e5, {23}, 5_000.0)),
+            # 1e-6 m disks: on a centre, with a centre on R', and a centre an ulp inside R'
+            case(0.0, (e, n, 1_000.0, {21}, 1e-6),
+                 (e + 1e-6, n, 1_000.0, {22}, math.hypot(1e-6 + e - e, 0.0)),
+                 (off, n, 1_000.0, {23}, float(np.nextafter(off - e, math.inf)))),
+            # stations outside the region whose disks reach in, on every side
+            case(0.5, (190_000.0, 290_000.0, 2e4, {21, 24}, 30_000.0),
+                 (275_000.0, 325_000.0, 2e4, {22}, 20_000.0),
+                 (230_000.0, 365_000.0, 2e4, {23}, 16_000.3),
+                 (230_000.0, 290_000.0, 2e4, {25}, 12_345.6)),
+            # a station with no interleaved channel (35 is cleared) blocks nothing
+            case(1.0, (230_000.0, 325_000.0, 1e4, {35}, 20_000.0),
+                 (240_000.0, 330_000.0, 1e4, {21, 35}, 9_000.0)),
+        ]
+
+    def test_keepout_radius_overflowing_to_inf_warns_nothing(self):
+        tx = make_tx("a", 300_000, 300_000, 25, {21})
+        db, disks = TransmitterDb((tx,)), {"a": disk_for(tx, 30_000)}
+        prop = PropagationParams(alpha=1.0)
+        assert math.isinf(keepout_radius(1e308, 25, 30_000, prop))  # 4e306 * 3e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kd = KeepoutDisks.build(db, disks, [1e308], prop)
+            grid = availability_grid(db, disks, PLAN, BoundingBox(0, 0, 1e4, 1e4), 5e3, 1e308, prop)
+        assert math.isinf(kd.radii[0, 0]) and (grid.values == 29).all()
 
     def test_batch_of_no_locations_is_empty(self):
         db, disks, _, _ = random_instance(random.Random(5))
@@ -703,12 +759,17 @@ class TestBucketJoin:
             masks = kernel_masks(db, disks, points, powers)
             assert (masks == oracle_masks(db, disks, points, powers)).all()
         envelope = BoundingBox(0, 0, 700_000, 1_300_000)
-        grid = availability_grid(db, disks, PLAN, envelope, 50_000, 0.0, PROP)
-        for row in range(grid.nrows):
-            for col in range(grid.ncols):
-                assert grid.values[row, col] == rho_by_enumeration(
-                    db, disks, PLAN, grid.cell_center(row, col), 0.0, PROP.alpha, PROP.beta_th
-                )
+        for cell, shape in ((50_000, (26, 14)), (30_001, (44, 24))):  # 30,001 m does not divide it
+            grid = availability_grid(db, disks, PLAN, envelope, cell, 0.0, PROP)
+            assert grid.values.shape == shape
+            centers_e, centers_n = grid_centres(envelope, cell)
+            for row, n in enumerate(centers_n.tolist()):
+                for col, e in enumerate(centers_e.tolist()):
+                    # the last centres may lie past the envelope, where NgPoint refuses them
+                    centre = SimpleNamespace(easting=e, northing=n)
+                    assert grid.values[row, col] == rho_by_enumeration(
+                        db, disks, PLAN, centre, 0.0, PROP.alpha, PROP.beta_th
+                    )
 
     def test_random_points_and_powers(self, steps):
         rng = random.Random(404)
@@ -740,3 +801,94 @@ class TestBucketJoin:
         line = np.linspace(0, 600_000, 50)
         _, _, edge, nx, ny = KERNEL._lattice(line, np.full(50, 7.0), np.array([2e4]))
         assert ny == 1 and nx <= 51
+
+
+def grid_centres(region, cell):
+    """:func:`availability_grid`'s cell centres: eastings by column, northings by row."""
+    ncols = max(1, int(np.ceil(region.width / cell)))
+    nrows = max(1, int(np.ceil(region.height / cell)))
+    return (region.min_e + (np.arange(ncols) + 0.5) * cell,
+            region.min_n + (np.arange(nrows) + 0.5) * cell)
+
+
+class TestLatticeKernel:
+    """The grid's lattice kernel against the scattered-point kernel and the oracle."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_masks_equal_occupied_masks_on_the_centres(self, data):
+        cell = data.draw(st.sampled_from([1e-3, 0.37, 250.0, 1_000.0, 2_500.0, 33_333.3]))
+        e0 = data.draw(st.floats(0, 600_000))
+        n0 = data.draw(st.floats(0, 1_200_000))
+        region = BoundingBox(e0, n0, e0 + data.draw(st.floats(cell / 3, 30 * cell)),
+                             n0 + data.draw(st.floats(cell / 3, 30 * cell)))
+        centers_e, centers_n = grid_centres(region, cell)
+        east, north = (a.ravel() for a in np.meshgrid(centers_e, centers_n))
+        txs, disks = [], {}
+        for i in range(data.draw(st.integers(1, 6))):
+            k = data.draw(st.integers(0, east.size - 1))
+            e = min(max(east[k] + data.draw(st.floats(-40 * cell, 40 * cell)), 0.0), 699_999.0)
+            n = min(max(north[k] + data.draw(st.floats(-40 * cell, 40 * cell)), 0.0), 1_299_999.0)
+            channels = data.draw(st.sampled_from([{21}, {22, 35}, {35}, {23, 24, 60}]))
+            tx = make_tx(f"h{i}", e, n, data.draw(st.floats(0.5, 2e5)), channels)
+            txs.append(tx)
+            if data.draw(st.booleans()):  # R' at power 0 within an ulp of a centre's distance
+                d = math.hypot(east[k] - tx.position.easting, north[k] - tx.position.northing)
+                radius = float(data.draw(st.sampled_from(ulp_neighbours(d))))
+            else:
+                radius = data.draw(st.floats(1e-6, 60 * cell))
+            disks[tx.id] = disk_for(tx, max(radius, 1e-9))
+        db = TransmitterDb(tuple(txs))
+        power = data.draw(st.sampled_from([0.0, 0.0, 1e-3, 1.0, 4.0, 1e308]))
+        kd = KeepoutDisks.build(db, disks, [power], PROP)
+        bits = channel_bits(db, PLAN)
+        masks = np.zeros((centers_n.size, centers_e.size), dtype=np.uint64)
+        KERNEL._grid_fill(masks, kd, bits, centers_e, centers_n)
+        expected = occupied_masks(kd, bits, east, north)[0].reshape(masks.shape)
+        assert (masks == expected).all()
+
+    def test_millimetre_cells_across_the_top_of_a_disk(self, monkeypatch):
+        """Where a keep-out circle runs along a row, ~430 of its cells are in the zone."""
+        tx = make_tx("a", 300_000, 300_000, 1000, {21, 44})
+        db = TransmitterDb((tx,))
+        disks = {"a": disk_for(tx, 40_000.0)}
+        region = BoundingBox(299_999.5, 339_999.5005, 300_000.5, 340_000.5005)  # 1 m square
+        centers_e, centers_n = grid_centres(region, 0.001)
+        assert abs(centers_n[499] - 340_000.0) < 1e-9  # row 499 is tangent to R'
+        kd = KeepoutDisks.build(db, disks, [0.0], PROP)
+        east, north = (a.ravel() for a in np.meshgrid(centers_e, centers_n))
+        expected = np.where(kd.inside(east, north, np.zeros(east.size, dtype=int))[0], 28, 30)
+
+        tested = []
+        inside = KeepoutDisks.inside
+
+        def spy(self, east, north, t):
+            tested.append(east.size)
+            return inside(self, east, north, t)
+
+        monkeypatch.setattr(KeepoutDisks, "inside", spy)
+        grid = availability_grid(db, disks, PLAN, region, 0.001, 0.0, PROP)
+        assert grid.values.shape == (1000, 1000)
+        assert sum(tested) > 300
+        assert (grid.values.ravel() == expected).all()
+        assert set(np.unique(grid.values).tolist()) == {28, 30}
+        for row in (498, 499, 500):
+            for col in range(0, 1000, 7):
+                assert grid.values[row, col] == rho_by_enumeration(
+                    db, disks, PLAN, grid.cell_center(row, col), 0.0, PROP.alpha, PROP.beta_th
+                )
+
+
+class TestPopcount:
+    def test_bitwise_count_and_byte_table_count_every_bit(self):
+        rng = np.random.default_rng(3)
+        top = np.iinfo(np.uint64).max
+        masks = np.concatenate([
+            rng.integers(0, top, 500, dtype=np.uint64, endpoint=True),
+            np.array([top, top, 0, 1, 1 << 63, (1 << 40) - 1, 2**64 - 2 ** 32], dtype=np.uint64),
+        ]).reshape(3, 169)
+        expected = [[bin(x).count("1") for x in row] for row in masks.tolist()]
+        assert popcount(masks).tolist() == expected
+        assert KERNEL._popcount_by_bytes(masks).tolist() == expected
+        assert popcount(masks).dtype == KERNEL._popcount_by_bytes(masks).dtype
+        assert popcount(np.full(5, top, dtype=np.uint64)).tolist() == [64] * 5

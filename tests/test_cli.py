@@ -130,6 +130,17 @@ class TestQuery:
         assert code == 3
         assert "neither disk cache nor raster found for 'tx1'" in capsys.readouterr().err
 
+    def test_bad_txdb_row_exit_3_names_the_file(self, small_fixture, tmp_path, capsys):
+        csv_path = tmp_path / "transmitters.csv"
+        text = (small_fixture / "transmitters.csv").read_text()
+        assert text.startswith("# source: synthetic(")
+        csv_path.write_text(text + "bad,900000,1000,25,10,21\n")
+        argv = ["query", "--txdb", str(csv_path), "--coverage", str(small_fixture / "coverage"),
+                "--loc", "300000,300000"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{csv_path}:{len(text.splitlines()) + 1}: bad coordinates" in err
+
     def test_missing_txdb_exit_3(self, tmp_path, capsys):
         code = main(
             ["query", "--txdb", str(tmp_path / "nope.csv"),
@@ -526,6 +537,14 @@ class TestFlagContract:
         if command == "synth":
             own.add("--preset")
         assert listed == shared | own | {"--help"}
+
+    @pytest.mark.parametrize("extra", [["--n", "2"], ["--region", "0,0,1000,1000"]])
+    def test_synth_preset_refuses_n_and_region(self, tmp_path, capsys, extra):
+        out = tmp_path / "out"
+        assert main(["synth", "--preset", "uk81", *extra, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert names(extra[0], captured.err) and len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not out.exists()
 
 
 class TestHugeRequest:

@@ -376,6 +376,7 @@ def bad_packs(kind, good: bytes):
         return variant(name, array.dtype.str, list(array.shape), array.tobytes())
 
     swapped = [keys if n == ids else ids if n == keys else n for n in entries]
+    name, number = cov._PACK_FORMAT.rsplit(" ", 1)
     body = good[good.index(b"\n"):]
     structured = np.dtype([("e", "<f8"), ("n", "<f8"), ("r", "<f8")])
     return [
@@ -386,7 +387,7 @@ def bad_packs(kind, good: bytes):
         ("truncated-last-byte", good[:-1]),
         ("trailing-bytes", good + b"\0"),
         ("other-kind", variant(kind=other)),
-        ("future-format", variant(format=cov._PACK_FORMAT.replace("3", "4"))),
+        ("future-format", variant(format=f"{name} {int(number) + 1}")),
         ("signed-keys", column(keys, fields[keys].astype(np.int64))),
         ("float32-columns", column(floats, fields[floats].astype(np.float32))),
         ("short-column", column(floats, fields[floats][:-1])),
@@ -943,7 +944,7 @@ class TestStationPack:
         hit = subprocess.run(argv, capture_output=True, env=env, timeout=60)
         assert pack_path(cov_dir, "disks").stat().st_mtime_ns == pack.st_mtime_ns  # a hit
         assert (miss.returncode, hit.returncode) == (0, 0)
-        assert b"test:4: ERP 5 W outside the typical UK DTT range" in miss.stderr
+        assert f"{txdb}:4: ERP 5 W outside the typical UK DTT range".encode() in miss.stderr
         assert hit.stderr == miss.stderr
         assert hit.stdout == miss.stdout
 

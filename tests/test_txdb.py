@@ -112,6 +112,17 @@ class TestLoadTxdb:
             load_txdb(make_csv(VALID_ROW, line), source="t.csv")
         assert exc.value.line == 3 and exc.value.source == "t.csv"
 
+    def test_errors_and_notes_name_the_file_not_the_source_comment(self):
+        text = "# source: national list\n" + make_csv("a,900000,1000,25,10,21")
+        with pytest.raises(ParseError) as exc:
+            load_txdb(text, source="/x/transmitters.csv")
+        assert str(exc.value).startswith("/x/transmitters.csv:3: bad coordinates")
+        notes = []
+        text = "# source: national list\n" + make_csv("a,1000,1000,5W,10,21")
+        db = load_txdb(text, source="/x/transmitters.csv", notes=notes)
+        assert db.source == "national list"
+        assert len(notes) == 1 and notes[0].startswith("/x/transmitters.csv:3: ERP 5 W")
+
     @pytest.mark.parametrize("tx_id", ["...", ".a", "a.b", "a b"])
     def test_other_dots_and_separators_are_ids(self, tx_id):
         assert load_txdb(make_csv(f"{tx_id},1000,1000,25,10,21")).ids == [tx_id]
