@@ -129,7 +129,8 @@ class KeepoutDisks:
         d = np.hypot(east - self.east[t], north - self.north[t])
         r = self.radii[:, t]
         inside = d < r
-        gap = d / r  # |d / R' - 1|, computed in place
+        with np.errstate(over="ignore"):  # a subnormal R' gives gap = inf, outside the band
+            gap = d / r  # |d / R' - 1|, computed in place
         gap -= 1.0
         for p, k in zip(*np.nonzero(np.abs(gap, out=gap) <= _TIE_BAND)):
             tk = t[k]
@@ -259,8 +260,8 @@ def batch_kernel(
     plan: ChannelPlan,
     p_cr_watts: float,
     prop: PropagationParams,
-) -> Callable[[Sequence[NgPoint]], np.ndarray]:
-    """:func:`availability_batch` as a function of the locations alone.
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """:func:`availability_batch` as a function of the locations' eastings and northings alone.
 
     What every call shares, the keep-out disks and the channel bits, is
     built once here, so parts of one batch can be answered separately.
@@ -268,9 +269,7 @@ def batch_kernel(
     kd = KeepoutDisks.build(db, disks, [p_cr_watts], prop)
     bits = channel_bits(db, plan)
 
-    def masks(locations: Sequence[NgPoint]) -> np.ndarray:
-        east = np.array([loc.easting for loc in locations], dtype=float)
-        north = np.array([loc.northing for loc in locations], dtype=float)
+    def masks(east: np.ndarray, north: np.ndarray) -> np.ndarray:
         return occupied_masks(kd, bits, east, north)[0]
 
     return masks
@@ -285,7 +284,8 @@ def availability_batch(
     prop: PropagationParams,
 ) -> np.ndarray:
     """:func:`availability`'s occupied channels at many locations, one :func:`channel_mask` each."""
-    return batch_kernel(db, disks, plan, p_cr_watts, prop)(locations)
+    coords = np.array([(loc.easting, loc.northing) for loc in locations], dtype=float)
+    return batch_kernel(db, disks, plan, p_cr_watts, prop)(*coords.reshape(-1, 2).T)
 
 
 def availability_lowpower(

@@ -35,6 +35,7 @@ import numpy as np
 from tvws import coverage as cov
 from tvws import report as rep
 from tvws.availability import (
+    _BLOCK_POINTS,
     AvailabilityResult,
     adjacent_filter,
     availability,
@@ -47,7 +48,8 @@ from tvws.availability import (
 )
 from tvws.channel_plan import ChannelPlan, default_plan, load_plan, plan_hash
 from tvws.errors import ParseError, read_text
-from tvws.geo import EASTING_MAX, NORTHING_MAX, OSGB_ENVELOPE, BoundingBox, NgPoint, parse_location
+from tvws.geo import (EASTING_MAX, NORTHING_MAX, OSGB_ENVELOPE, BoundingBox, NgPoint,
+                      parse_coords, parse_location)
 from tvws.keepout import DEFAULT_ALPHA, DEFAULT_BETA_TH, PropagationParams, QueryParams
 from tvws.txdb import TransmitterDb, generate_synthetic, load_txdb, parse_watts, serialize
 
@@ -193,8 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch = add("batch", parents=[data, model, power, query, out],
                   help="availability for a file of label,location lines")
     p_batch.add_argument("--locations", required=True, metavar="FILE")
-    p_batch.add_argument("--workers", type=int, default=1,
-                         help="worker threads (output is identical regardless)")
+    p_batch.add_argument("--workers", type=int, default=1, metavar="N",
+                         help=f"at most N threads, one per {_BLOCK_POINTS:,} locations")
 
     p_sweep = add("sweep", parents=[data, model, disk, out],
                   help="vacant channels versus transmit power")
@@ -274,11 +276,12 @@ def _query_result(
 
 def _masks_of_part(
     args: argparse.Namespace, plan: ChannelPlan, db: TransmitterDb, model: Mapping
-) -> Callable[[list[NgPoint]], np.ndarray]:
-    """Occupied-channel masks of some locations under ``--mode``."""
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Occupied-channel masks of the locations (``east[k]``, ``north[k]``) under ``--mode``."""
     if args.mode == "raster":
-        def raster_masks(locs: list[NgPoint]) -> np.ndarray:
-            results = (availability_lowpower(db, model, plan, loc) for loc in locs)
+        def raster_masks(east: np.ndarray, north: np.ndarray) -> np.ndarray:
+            results = (availability_lowpower(db, model, plan, NgPoint(e, n))
+                       for e, n in zip(east.tolist(), north.tolist()))
             return np.array([channel_mask(r.occupied) for r in results], dtype=np.uint64)
 
         return raster_masks
@@ -346,32 +349,33 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_locations_file(path: str) -> list[tuple[str, NgPoint]]:
-    entries: list[tuple[str, NgPoint]] = []
+def _read_locations_file(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The file's labels, and their locations' eastings and northings as arrays."""
+    labels: list[str] = []
+    coords: list[tuple[float, float]] = []
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "," not in stripped:
+        label, comma, loc_text = stripped.partition(",")
+        if not comma:
             raise ParseError("expected 'label,location'", source=path, line=lineno)
-        label, loc_text = (s.strip() for s in stripped.split(",", 1))
+        label = label.strip()
         if not label:
             raise ParseError("empty label", source=path, line=lineno)
-        if label in seen:
-            raise ParseError(
-                f"duplicate label {label!r} (first on line {seen[label]})",
-                source=path,
-                line=lineno,
-            )
-        seen[label] = lineno
+        if seen.setdefault(label, lineno) != lineno:
+            raise ParseError(f"duplicate label {label!r} (first on line {seen[label]})",
+                             source=path, line=lineno)
+        labels.append(label)
         try:
-            entries.append((label, parse_location(loc_text)))
+            coords.append(parse_coords(loc_text.strip()))
         except ParseError as exc:
             raise ParseError(f"bad location: {exc}", source=path, line=lineno) from None
-    if not entries:
+    if not labels:
         raise ParseError("no locations", source=path)
-    return entries
+    east, north = np.array(coords, dtype=float).T
+    return labels, east, north
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -379,19 +383,21 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.workers < 1:
         return _fail("--workers must be >= 1", EXIT_USAGE)
 
-    entries = _read_locations_file(args.locations)
+    labels, east, north = _read_locations_file(args.locations)
     db, model = _load_data(args)
     masks = _masks_of_part(args, plan, db, model)
 
-    # one contiguous part per worker, joined back in input order
-    locs = [loc for _, loc in entries]
-    size = -(-len(locs) // args.workers)
-    parts = [locs[i : i + size] for i in range(0, len(locs), size)]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        occupied = np.concatenate([*pool.map(masks, parts)])
+    # one contiguous part of at least a kernel block per thread, joined back in input order
+    parts = min(args.workers, len(labels) // _BLOCK_POINTS)
+    if parts > 1:
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            split = pool.map(masks, np.array_split(east, parts), np.array_split(north, parts))
+            occupied = np.concatenate([*split])
+    else:
+        occupied = masks(east, north)
     vacant, filtered = vacancy(occupied, plan, plan.excluded if args.strict_excluded else ())
-    rows = rep.ChannelRows([label for label, _ in entries], vacant, filtered, args.alpha,
-                           args.beta, args.power, plan_hash(plan))
+    rows = rep.ChannelRows(labels, vacant, filtered, args.alpha, args.beta, args.power,
+                           plan_hash(plan))
     csv_text = rep.emit_csv(rows)
     print(csv_text, end="")
     _write_artifacts(args.out, plan, "batch", rows, csv_text)

@@ -26,14 +26,19 @@ class NgPoint:
     northing: float
 
     def __post_init__(self) -> None:
-        for name, value, limit in (
-            ("easting", self.easting, EASTING_MAX),
-            ("northing", self.northing, NORTHING_MAX),
-        ):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if not 0 <= value < limit:
-                raise ValueError(f"{name} {value} outside the OSGB envelope [0, {limit})")
+        if problem := _off_envelope(self.easting, self.northing):
+            raise ValueError(problem)
+
+
+def _off_envelope(easting: float, northing: float) -> str | None:
+    """Why a point lies outside the OSGB envelope, or None if it lies inside."""
+    if 0 <= easting < EASTING_MAX and 0 <= northing < NORTHING_MAX:  # false for nan
+        return None
+    name, value, limit = (("northing", northing, NORTHING_MAX) if 0 <= easting < EASTING_MAX
+                          else ("easting", easting, EASTING_MAX))
+    if not math.isfinite(value):
+        return f"{name} must be finite, got {value!r}"
+    return f"{name} {value} outside the OSGB envelope [0, {limit})"
 
 
 @dataclass(frozen=True)
@@ -72,26 +77,14 @@ def distance(a: NgPoint, b: NgPoint) -> float:
     return math.hypot(a.easting - b.easting, a.northing - b.northing)
 
 
-def _letter_index(letter: str, *, text: str) -> int:
-    if letter == "I":
-        raise ParseError(f"grid letters never contain 'I': {text!r}")
-    if not "A" <= letter <= "Z":
-        raise ParseError(f"bad grid letter {letter!r} in {text!r}")
-    idx = ord(letter) - ord("A")
-    return idx - 1 if letter > "I" else idx
-
-
 def _index_letter(idx: int) -> str:
     return chr(ord("A") + idx + (1 if idx >= 8 else 0))
 
 
-def _square_origin(letters: str, *, text: str) -> tuple[int, int]:
-    """100 km square origin (metres) for a two-letter OSGB square."""
-    l1 = _letter_index(letters[0], text=text)
-    l2 = _letter_index(letters[1], text=text)
-    e100 = ((l1 - 2) % 5) * 5 + (l2 % 5)
-    n100 = (19 - 5 * (l1 // 5)) - (l2 // 5)
-    return e100 * 100_000, n100 * 100_000
+# Southwest corner (metres) of each two-letter 100 km square; "I" is never a grid letter.
+_SQUARES = {_index_letter(l1) + _index_letter(l2): ((((l1 - 2) % 5) * 5 + l2 % 5) * 100_000,
+                                                    ((19 - 5 * (l1 // 5)) - l2 // 5) * 100_000)
+            for l1 in range(25) for l2 in range(25)}
 
 
 def parse_gridref(text: str) -> NgPoint:
@@ -103,6 +96,11 @@ def parse_gridref(text: str) -> NgPoint:
     (1 km resolution) and ``"SP 513 061"`` (100 m) name different points
     unless the extra digits are zero.
     """
+    return NgPoint(*_gridref_coords(text))
+
+
+def _gridref_coords(text: str) -> tuple[float, float]:
+    """:func:`parse_gridref` as ``(easting, northing)``."""
     compact = "".join(text.split())
     if len(compact) < 2:
         raise ParseError(f"grid reference too short: {text!r}")
@@ -110,7 +108,6 @@ def parse_gridref(text: str) -> NgPoint:
     # checked before upper(), which turns "ß" into "SS" and "ſ" into "S"
     if not (letters.isascii() and letters.isalpha()):
         raise ParseError(f"bad grid letters {letters!r} in {text!r}")
-    letters = letters.upper()
     digits = compact[2:]
     if not digits.isdecimal():  # isdigit() also passes "²", which int() refuses
         raise ParseError(f"expected digits after the grid letters in {text!r}")
@@ -118,16 +115,17 @@ def parse_gridref(text: str) -> NgPoint:
         raise ParseError(
             f"need an even number (2-10) of digits, got {len(digits)} in {text!r}"
         )
+    origin = _SQUARES.get(letters.upper())
+    if origin is None:
+        raise ParseError(f"grid letters never contain 'I': {text!r}")
 
-    e0, n0 = _square_origin(letters, text=text)
     half = len(digits) // 2
     scale = 10 ** (5 - half)
-    easting = e0 + int(digits[:half]) * scale
-    northing = n0 + int(digits[half:]) * scale
-    try:
-        return NgPoint(float(easting), float(northing))
-    except ValueError as exc:
-        raise ParseError(f"{text!r} lies outside the OSGB envelope ({exc})") from None
+    easting = float(origin[0] + int(digits[:half]) * scale)
+    northing = float(origin[1] + int(digits[half:]) * scale)
+    if problem := _off_envelope(easting, northing):
+        raise ParseError(f"{text!r} lies outside the OSGB envelope ({problem})")
+    return easting, northing
 
 
 def format_gridref(p: NgPoint, digits: int = 6) -> str:
@@ -154,16 +152,20 @@ def format_gridref(p: NgPoint, digits: int = 6) -> str:
 
 def parse_location(text: str) -> NgPoint:
     """Accept either a grid reference or a raw ``easting,northing`` pair."""
-    if "," in text:
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 'easting,northing', got {text!r}")
-        try:
-            e, n = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"bad coordinate pair {text!r}") from None
-        try:
-            return NgPoint(e, n)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    return parse_gridref(text)
+    return NgPoint(*parse_coords(text))
+
+
+def parse_coords(text: str) -> tuple[float, float]:
+    """:func:`parse_location` as ``(easting, northing)``, with no :class:`NgPoint` built."""
+    if "," not in text:
+        return _gridref_coords(text)
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected 'easting,northing', got {text!r}")
+    try:
+        easting, northing = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ParseError(f"bad coordinate pair {text!r}") from None
+    if problem := _off_envelope(easting, northing):
+        raise ParseError(problem)
+    return easting, northing

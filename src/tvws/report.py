@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -107,11 +108,11 @@ class ChannelRows:
 
     @cached_property
     def columns(self) -> tuple[list, ...]:
-        """The CSV columns after ``label`` as lists, the last one each row's channel flags.
+        """The CSV columns after ``label`` as lists, the last one each row's channels as text.
 
-        Counts and runs are taken on Python ints, which costs less than numpy
-        calls for the one row of a query; the widest run counts the
-        ``m &= m >> 1`` steps that leave ``m`` nonzero.
+        Counts and runs are taken on Python ints, which costs less than numpy calls for the
+        one row of a query; the widest run counts the ``m &= m >> 1`` steps that leave ``m``
+        nonzero.  The channel text joins one :data:`_BYTE_TEXT` entry per byte of the mask.
         """
         vacant, kept = self.vacant.tolist(), self.filtered.tolist()
         widest = []
@@ -120,47 +121,58 @@ class ChannelRows:
             while m:
                 m, run = m & (m >> 1), run + 1
             widest.append(CHANNEL_WIDTH_MHZ * run)
+        octets = np.ascontiguousarray(self.vacant, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        text = np.add.reduce(_BYTE_TEXT[range(len(_BYTE_TEXT)), octets[:, : len(_BYTE_TEXT)]], 1)
         rho, rho_kept = [m.bit_count() for m in vacant], [m.bit_count() for m in kept]
-        flags = np.unpackbits(
-            np.ascontiguousarray(self.vacant, dtype="<u8").view(np.uint8).reshape(-1, 8), axis=1,
-            bitorder="little",
-        )[:, : len(_CHANNEL_TEXT)]
         return (rho, rho_kept, [CHANNEL_WIDTH_MHZ * r for r in rho],
-                [CHANNEL_WIDTH_MHZ * r for r in rho_kept], widest, flags.tolist())
+                [CHANNEL_WIDTH_MHZ * r for r in rho_kept], widest,
+                [t[1:] for t in text.tolist()])
 
 
-_CHANNEL_TEXT = [str(ch) for ch in range(CHANNEL_MIN, CHANNEL_MAX + 1)]
-# one emit_json entry, for json.dumps(..., indent=2) at list depth 2
-_JSON_ENTRY = "    {\n" + ",\n".join(f'      "{name}": %s' for name in CSV_COLUMNS) + "\n    }"
-_JSON_CHANNEL_SEP = ",\n        "
+# _BYTE_TEXT[k, b]: ";ch" for each channel ch whose bit is set in b, byte k of a mask
+_BYTE_TEXT = np.array([
+    ["".join(f";{ch}" for i, ch in enumerate(range(CHANNEL_MIN + 8 * k, CHANNEL_MAX + 1))
+             if b >> i & 1) for b in range(256)]
+    for k in range(-(-(CHANNEL_MAX - CHANNEL_MIN + 1) // 8))
+], dtype=object)
+# csv.writer (QUOTE_MINIMAL, "\n" line ends) may quote a field with one of these, so it
+# writes such a field itself, and labels get its rule exactly on every Python version
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it in a row of several fields."""
+    if _CSV_SPECIAL.search(text):
+        csv.writer(out := io.StringIO(), lineterminator="\n").writerow([text, ""])
+        return out.getvalue()[: -len(",\n")]
+    return text
 
 
 def emit_csv(reports: Sequence[LocationReport] | ChannelRows) -> str:
     """One row per location with before/after-filter channel counts."""
     rows = ChannelRows.of(reports)
-    *counts, flags = rows.columns
-    out = io.StringIO()
-    out.write(_params_comment(rows.alpha, rows.beta_th, rows.power_watts, rows.plan_digest))
-    out.write("\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    channels = (";".join(compress(_CHANNEL_TEXT, f)) for f in flags)
-    writer.writerows(zip(rows.labels, *counts, channels))
-    return out.getvalue()
+    head = _params_comment(rows.alpha, rows.beta_th, rows.power_watts, rows.plan_digest)
+    return f"{head}\n{','.join(CSV_COLUMNS)}\n" + "".join([
+        f"{_csv_field(label)},{rho},{kept},{mhz},{kept_mhz},{widest},{channels}\n"
+        for label, rho, kept, mhz, kept_mhz, widest, channels in zip(rows.labels, *rows.columns)
+    ])
 
 
 def emit_json(reports: Sequence[LocationReport] | ChannelRows) -> str:
     """JSON mirror of :func:`emit_csv` with the same field names, as ``json.dumps(indent=2)``."""
     rows = ChannelRows.of(reports)
-    *counts, flags = rows.columns
     params = {"alpha": rows.alpha, "beta_th": rows.beta_th,
               "power_watts": rows.power_watts, "plan": rows.plan_digest}
     head = json.dumps({"params": params, "reports": []}, indent=2)
+    lists = ("[\n        " + text.replace(";", ",\n        ") + "\n      ]" if text else "[]"
+             for text in rows.columns[-1])
     entries = [
-        _JSON_ENTRY % (json.dumps(label), *values,
-                       f"[\n        {_JSON_CHANNEL_SEP.join(compress(_CHANNEL_TEXT, f))}\n      ]"
-                       if any(f) else "[]")
-        for label, *values, f in zip(rows.labels, *counts, flags)
+        f'    {{\n      "label": {encode_basestring_ascii(label)},\n      "rho": {rho},\n'
+        f'      "rho_filtered": {kept},\n      "total_mhz": {mhz},\n'
+        f'      "filtered_mhz": {kept_mhz},\n      "max_contiguous_mhz": {widest},\n'
+        f'      "vacant_channels": {channels}\n    }}'
+        for label, rho, kept, mhz, kept_mhz, widest, _, channels
+        in zip(rows.labels, *rows.columns, lists)
     ]
     return head[: -len("[]\n}")] + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
 

@@ -2,9 +2,11 @@
 
 Everything here is written from the definitions, not by calling the
 engine: step-function evaluation over every (transmitter, channel) pair,
-and exhaustive corner scans for disk containment.  The one exception is
+and exhaustive corner scans for disk containment.  The exceptions are
 ``coverage_from_files``, which reads each coverage file with the engine's
-per-file parsers: it is the reference for packed loads.  Keep it dumb.
+per-file parsers: it is the reference for packed loads; and
+``read_locations_file``, the batch location reader as it was written over
+one ``NgPoint`` per row, with its own grid-reference parser.  Keep it dumb.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from pathlib import Path
 
 from tvws.coverage import enclosing_disk, read_asc, read_disk
+from tvws.errors import ParseError, read_text
+from tvws.geo import NgPoint
 
 
 def step(x: float) -> float:
@@ -178,3 +182,74 @@ def report_json(rows, alpha, beta_th, power_watts, digest) -> str:
         entry["vacant_channels"] = sorted(vacant)
         payload["reports"].append(entry)
     return json.dumps(payload, indent=2) + "\n"
+
+
+def gridref_point(text: str) -> NgPoint:
+    """An OSGB grid reference's southwest corner, letter by letter."""
+    compact = "".join(text.split())
+    if len(compact) < 2:
+        raise ParseError(f"grid reference too short: {text!r}")
+    letters = compact[:2]
+    if not (letters.isascii() and letters.isalpha()):
+        raise ParseError(f"bad grid letters {letters!r} in {text!r}")
+    letters = letters.upper()
+    digits = compact[2:]
+    if not digits.isdecimal():
+        raise ParseError(f"expected digits after the grid letters in {text!r}")
+    if len(digits) % 2 != 0 or not 2 <= len(digits) <= 10:
+        raise ParseError(f"need an even number (2-10) of digits, got {len(digits)} in {text!r}")
+    if "I" in letters:
+        raise ParseError(f"grid letters never contain 'I': {text!r}")
+    l1, l2 = (ord(c) - ord("A") - (c > "I") for c in letters)
+    e0 = (((l1 - 2) % 5) * 5 + (l2 % 5)) * 100_000
+    n0 = ((19 - 5 * (l1 // 5)) - (l2 // 5)) * 100_000
+    half = len(digits) // 2
+    scale = 10 ** (5 - half)
+    try:
+        return NgPoint(float(e0 + int(digits[:half]) * scale),
+                       float(n0 + int(digits[half:]) * scale))
+    except ValueError as exc:
+        raise ParseError(f"{text!r} lies outside the OSGB envelope ({exc})") from None
+
+
+def location_point(text: str) -> NgPoint:
+    """A grid reference or an ``easting,northing`` pair as a point."""
+    if "," not in text:
+        return gridref_point(text)
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected 'easting,northing', got {text!r}")
+    try:
+        e, n = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ParseError(f"bad coordinate pair {text!r}") from None
+    try:
+        return NgPoint(e, n)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def read_locations_file(path: str) -> list[tuple[str, NgPoint]]:
+    """A batch ``label,location`` file as (label, point) pairs, one line at a time."""
+    entries: list[tuple[str, NgPoint]] = []
+    seen: dict[str, int] = {}
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "," not in stripped:
+            raise ParseError("expected 'label,location'", source=path, line=lineno)
+        label, loc_text = (s.strip() for s in stripped.split(",", 1))
+        if not label:
+            raise ParseError("empty label", source=path, line=lineno)
+        if label in seen:
+            raise ParseError(f"duplicate label {label!r} (first on line {seen[label]})",
+                             source=path, line=lineno)
+        seen[label] = lineno
+        try:
+            entries.append((label, location_point(loc_text)))
+        except ParseError as exc:
+            raise ParseError(f"bad location: {exc}", source=path, line=lineno) from None
+    if not entries:
+        raise ParseError("no locations", source=path)
+    return entries

@@ -3,8 +3,11 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvws.cli import main
+from tvws.errors import ParseError
 from tvws.txdb import load_txdb
 
 
@@ -249,6 +252,172 @@ class TestBatch:
         assert main(args + ["--workers", "4"]) == 0
         par = capsys.readouterr().out
         assert seq == par
+
+
+# Pieces of location files: grid references at 2-10 digits with lower-case,
+# "I", "ß" and "ſ" letters and non-decimal digits; "e,n" pairs at and past the
+# envelope edges; labels that repeat, are empty or carry spaces and "#".
+GRIDREFS = st.builds(
+    lambda letters, digits, gap: gap.join([letters, digits[: len(digits) // 2],
+                                           digits[len(digits) // 2 :]]),
+    st.text(alphabet="STNHOJPZAIspntoßſ", min_size=2, max_size=2),
+    st.text(alphabet="0123456789", min_size=1, max_size=11)
+    | st.text(alphabet="0123456789²٣", max_size=6),
+    st.sampled_from(["", " ", "  ", "\t"]),
+)
+COORDS = st.sampled_from(
+    ["0", "-0", "0.0", "699999.99", "700000", "7e5", "1299999.5", "1300000", "-1", "nan",
+     "inf", "-inf", "1e309", "٣", "1_5", "abc", " 5 ", ""]
+) | st.floats(-1e5, 1.5e6).map(repr)
+LOCATIONS = st.one_of(GRIDREFS, st.builds("{},{}".format, COORDS, COORDS), st.text(max_size=6))
+LINES = st.one_of(
+    st.builds("{2}{0},{2}{1}{2}".format,
+              st.sampled_from(["a", "b", "site 1", "", " ", "#x", "x#"])
+              | st.text("ab#é ", max_size=3),
+              LOCATIONS, st.sampled_from(["", " ", "\t"])),
+    st.sampled_from(["", "   ", "# comment", "  # x,y", "no comma here", "a,b,c,d"]),
+)
+# rows that parse, mostly: labels are unique once stripped, and a few locations are
+# off the envelope or hold an "I"; a label that starts with "#" makes its line a comment
+ROWS = st.lists(
+    st.tuples(
+        st.builds("{}{}".format, st.sampled_from(["s", "é", "x", "#"]),
+                  st.text("ab#é \t", max_size=3)),
+        st.one_of(
+            st.builds("{0}{2}{1}".format,
+                      st.sampled_from(["SP", "sp", "Tq", "HP", "SV", "NZ", "SI", "ZZ"]),
+                      st.integers(1, 5).flatmap(lambda h: st.text("0123456789", min_size=2 * h,
+                                                                   max_size=2 * h)),
+                      st.sampled_from(["", " "])),
+            st.builds("{!r},{!r}".format, st.floats(0, 700_000), st.floats(0, 1_300_000)),
+            st.builds("{},{}".format, st.integers(0, 700_000), st.integers(0, 1_300_000)),
+        ),
+        st.sampled_from(["", " ", "\t"]),
+    ),
+    max_size=10, unique_by=lambda row: row[0].strip(),
+)
+
+
+class TestLocationReader:
+    """The columnar reader gives the per-row reader's rows and errors (``oracles``)."""
+
+    @staticmethod
+    def outcome(read, path):
+        try:
+            return read(path)
+        except ParseError as exc:
+            return ("error", str(exc), exc.line)
+
+    @given(rows=ROWS, newline=st.sampled_from(["\n", "\r\n"]),
+           wild=st.lists(st.tuples(st.integers(0, 10), LINES | st.integers(0, 9)), max_size=2))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference_reader(self, tmp_path_factory, rows, wild, newline):
+        """``wild`` lines go in at the given places; an int there repeats that row's line."""
+        import oracles
+        from tvws.cli import _read_locations_file
+
+        lines = ["{2}{0},{2}{1}{2}".format(*row) for row in rows]
+        for at, line in wild:
+            lines.insert(at, lines[line % len(lines)] if isinstance(line, int) and lines
+                         else str(line))
+        path = tmp_path_factory.getbasetemp() / "reader-locations.csv"
+        path.write_bytes(newline.join(lines).encode())
+        got = self.outcome(_read_locations_file, str(path))
+        want = self.outcome(oracles.read_locations_file, str(path))
+        if want[0] != "error":  # labels, and coordinates to the bit
+            want = [(label, p.easting.hex(), p.northing.hex()) for label, p in want]
+            labels, east, north = got
+            got = [(label, e.hex(), n.hex())
+                   for label, e, n in zip(labels, east.tolist(), north.tolist())]
+        assert got == want
+
+    def test_a_bad_file_exits_3_with_the_reference_message(self, small_fixture, tmp_path,
+                                                           capsys):
+        import oracles
+
+        locs = tmp_path / "bad.csv"
+        locs.write_text("# sites\na,SP 513 061\nb,300000,300000\n\nc, ßP 51 06\nd,1,2,3\n")
+        assert main(["batch", *base_args(small_fixture), "--locations", str(locs)]) == 3
+        with pytest.raises(ParseError) as exc:
+            oracles.read_locations_file(str(locs))
+        assert capsys.readouterr().err == f"tvws: error: {exc.value}\n"
+        assert exc.value.line == 5
+
+
+class TestBatchPool:
+    """A thread holds at least one kernel block, and any split gives the same bytes."""
+
+    @staticmethod
+    def count_pools(monkeypatch):
+        import tvws.cli
+
+        made = []
+
+        class Counting(tvws.cli.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tvws.cli, "ThreadPoolExecutor", Counting)
+        return made
+
+    @staticmethod
+    def locations(path, count):
+        # grid references and e,n pairs alternately, over the small fixture's region
+        path.write_text("".join(
+            f"p{i},{200000 + i * 24.4:.1f},{400000 - i * 24.3:.1f}\n" if i % 2
+            else f"p{i},SU {i % 1000:03d} {i * 7 % 1000:03d}\n"
+            for i in range(count)))
+        return path
+
+    def test_workers_split_a_large_batch_into_identical_bytes(self, small_fixture, tmp_path,
+                                                              capsys, monkeypatch):
+        from tvws.availability import _BLOCK_POINTS
+
+        made = self.count_pools(monkeypatch)
+        locs = self.locations(tmp_path / "locs.csv", 2 * _BLOCK_POINTS + 1)
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert main(["batch", *base_args(small_fixture), "--locations", str(locs),
+                         "--power", "0.5", "--workers", str(workers), "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, tree_files(out)))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0][0].splitlines()) == 2 * _BLOCK_POINTS + 3
+        assert made == [2, 2]  # 8,193 locations hold two blocks, so at most two threads
+
+    @pytest.mark.parametrize("count", [1, 4096])
+    def test_one_block_starts_no_pool(self, small_fixture, tmp_path, capsys, monkeypatch,
+                                      count):
+        made = self.count_pools(monkeypatch)
+        locs = self.locations(tmp_path / "locs.csv", count)
+        assert main(["batch", *base_args(small_fixture), "--locations", str(locs),
+                     "--workers", "4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == count + 2
+        assert made == []
+
+
+def test_a_subnormal_keepout_radius_answers_without_a_warning(tmp_path, capsys):
+    """R' = 5e-324 overflows d / R'; the answer stands and nothing reaches stderr."""
+    import warnings
+
+    from tvws.channel_plan import default_plan
+
+    assert main(["synth", "--n", "1", "--region", "200000,200000,300000,300000",
+                 "--seed", "3", "--out", str(tmp_path)]) == 0
+    db = load_txdb((tmp_path / "transmitters.csv").read_text())
+    (e, n), tx_id = db.floats[0, :2].tolist(), db.ids[0]
+    (tmp_path / "coverage" / f"{tx_id}.disk").write_text(f"{e!r} {n!r} 5e-324\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["query", *base_args(tmp_path), "--loc", f"{e + 0.5!r},{n!r}",
+                     "--power", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rho = len(default_plan().interleaved)  # the station, 0.5 m from its centre, blocks nothing
+    assert f"vacant (rho={rho}, {8 * rho} MHz)" in captured.out
+    assert "occupied: none" in captured.out
 
 
 class TestSweep:
@@ -676,6 +845,32 @@ class TestBatchRows:
             params = (3.0, 1.0, float(power), plan_hash(plan))
             assert capsys.readouterr().out == oracles.report_csv(rows, *params), (mode, flags)
             assert (out / "batch.json").read_text() == oracles.report_json(rows, *params)
+
+    @pytest.mark.parametrize("loc", ["SP 513 061", "300000,300000", " su 3 2 ", "250000.5,3e5"])
+    @pytest.mark.parametrize("flags", [[], ["--power", "0.5", "--strict-excluded"]])
+    def test_query_row_equals_the_set_path_oracle(self, small_fixture, tmp_path, capsys, loc,
+                                                  flags):
+        import oracles
+        from tvws.availability import availability
+        from tvws.channel_plan import default_plan, plan_hash
+        from tvws.coverage import load_disks
+        from tvws.geo import parse_location
+        from tvws.keepout import PropagationParams, QueryParams
+
+        out = tmp_path / "out"
+        assert main(["query", *base_args(small_fixture), "--loc", loc, *flags,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        plan, power = default_plan(), float(flags[1]) if flags else 0.0
+        db = load_txdb((small_fixture / "transmitters.csv").read_text())
+        q = QueryParams(parse_location(loc), power, PropagationParams())
+        result = availability(db, load_disks(small_fixture / "coverage", db), plan, q)
+        extra = plan.excluded if flags else ()
+        rows = [(loc, result.vacant, oracles.filtered_by_sets(result.vacant, result.occupied,
+                                                              extra))]
+        params = (3.0, 1.0, power, plan_hash(plan))
+        assert (out / "query.csv").read_text() == oracles.report_csv(rows, *params)
+        assert (out / "query.json").read_text() == oracles.report_json(rows, *params)
 
     def test_rows_equal_per_location_queries(self, uk81_dir, tmp_path, capsys):
         data = ["--txdb", str(uk81_dir / "transmitters.csv"),

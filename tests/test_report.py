@@ -223,9 +223,13 @@ def plans():
         lambda kinds: "i" in kinds).map(plan)
 
 
-# labels with CSV quotes, backslashes, separators and non-ASCII text
-LABELS = st.text(alphabet=st.one_of(st.sampled_from('"\\,;\n\t é€ü漢😀'), st.characters()),
-                 max_size=8)
+# labels with CSV quotes, backslashes, separators, control characters, non-ASCII
+# text and a leading "#"
+LABELS = st.builds(
+    "{}{}".format, st.sampled_from(["", "#"]),
+    st.text(alphabet=st.one_of(st.sampled_from('"\\,;#\r\n\t\x00\x1f\x7f\x85\u2028 é€ü漢😀'),
+                               st.characters()), max_size=8),
+)
 
 
 class TestMaskRowsAgainstTheSetPath:
@@ -237,7 +241,11 @@ class TestMaskRowsAgainstTheSetPath:
         n = data.draw(st.integers(1, 10))
         labels = data.draw(st.lists(LABELS, min_size=n, max_size=n))
         interleaved = channel_mask(plan.interleaved)
-        occupied = [data.draw(st.integers(0, 2**48 - 1)) & interleaved for _ in range(n)]
+        # any channels, or none, every one, one channel or all but one
+        singles = st.sampled_from([1 << (c - CHANNEL_MIN) for c in sorted(plan.interleaved)])
+        masks = st.one_of(st.integers(0, 2**48 - 1), st.sampled_from([0, interleaved]), singles,
+                          singles.map(lambda bit: ~bit))
+        occupied = [data.draw(masks) & interleaved for _ in range(n)]
         params = (data.draw(st.sampled_from([3.0, 2.5, 4])), 1.0,
                   data.draw(st.sampled_from([0.0, 0.1, 1e-3, 4.0, -0.0])), plan_hash(plan))
         extra = plan.excluded if strict else ()
