@@ -57,7 +57,6 @@ _ZONE = 2.0**-36
 _MARGIN = 2.0**-48
 # _grid_fill spreads blocks down one level this many cells at a time.
 _FILL_CELLS = 1 << 14
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 @dataclass
@@ -361,15 +360,7 @@ def vacancy(
 
 def popcount(masks: np.ndarray) -> np.ndarray:
     """Set bits of each ``uint64`` mask, as ints."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(masks).astype(int)
-    return _popcount_by_bytes(masks)
-
-
-def _popcount_by_bytes(masks: np.ndarray) -> np.ndarray:
-    """:func:`popcount` by byte table, for numpy < 2."""
-    per_byte = _POPCOUNT8[np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)]
-    return per_byte.reshape(*masks.shape, 8).sum(axis=-1, dtype=int)
+    return np.bitwise_count(masks).astype(int)
 
 
 def power_sweep(

@@ -169,7 +169,7 @@ def load_plan(text: str, source: str = "plan") -> ChannelPlan:
     seen: dict[int, int] = {}  # channel -> line it was first declared on
     any_directive = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -354,7 +354,7 @@ def _read_locations_file(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     labels: list[str] = []
     coords: list[tuple[float, float]] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -16,7 +16,6 @@ format stores the northernmost row first, as ESRI ASCII grids do.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -213,26 +212,23 @@ def synth_coverage(
 # File formats: ESRI-ASCII-style rasters and one-line disk cache files.
 
 # rows formatted per block in write_asc_grid hold about this many cells, so
-# its numpy temporaries stay a few hundred kB whatever the grid's size
-_FORMAT_BLOCK = 1 << 12
+# its numpy temporaries stay about a MB whatever the grid's size
+_FORMAT_BLOCK = 1 << 16
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """``str(int(v))`` of each cell, space-separated, a newline after each row.
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """Each value's ``str(int(v)) + " "``, right-aligned in a zero-padded row of words.
 
-    Digits are written right-aligned into a fixed-width byte array whose
-    zero padding is then dropped.
+    A row is one ``uint32`` or several ``uint64``, so a gather moves whole words.
     """
-    if rows.dtype.kind in "bu":
-        negative = None
-        mag = rows.ravel().astype(np.uint64)
-    else:
-        flat = rows.ravel().astype(np.int64)
-        negative = flat < 0
-        # -(-2**63) wraps to itself, which as uint64 is 2**63
-        mag = np.where(negative, -flat, flat).astype(np.uint64)
+    signed = values.dtype.kind == "i"
+    flat = values.astype(np.int64 if signed else np.uint64)
+    negative = flat < 0
+    # -(-2**63) wraps to itself, which as uint64 is 2**63
+    mag = np.where(negative, -flat, flat).astype(np.uint64)
     ndigits = len(str(int(mag.max())))
-    width = ndigits + (negative is not None) + 1  # sign, digits, separator
+    need = ndigits + signed + 1  # sign, digits, separator
+    width = 4 if need <= 4 else -(-need // 8) * 8
     out = np.zeros((mag.size, width), dtype=np.uint8)
     length = np.ones(mag.size, dtype=np.intp)  # digits written per cell
     out[:, width - 2] = 48 + mag % 10
@@ -241,13 +237,30 @@ def _format_rows(rows: np.ndarray) -> str:
         more = mag > 0
         out[:, width - 2 - k] = np.where(more, 48 + mag % 10, 0)
         length += more
-    if negative is not None and negative.any():
+    if negative.any():
         cells = np.flatnonzero(negative)
         out[cells, width - 2 - length[cells]] = ord("-")
     out[:, -1] = ord(" ")
-    out.reshape(rows.shape[0], rows.shape[1], width)[:, -1, -1] = ord("\n")
-    out = out.ravel()
-    return out[out != 0].tobytes().decode("ascii")
+    return out.view(np.uint32 if width == 4 else np.uint64)
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """``str(int(v))`` of each cell, space-separated, a newline after each row.
+
+    Each value of the block's span is formatted once and gathered per cell, or where the
+    span is wider than the block each cell is formatted; the zero padding is then dropped.
+    """
+    lo = rows.min()
+    span = int(rows.max()) - int(lo)
+    if span < rows.size:
+        wide = np.uint64 if rows.dtype.kind == "u" else np.int64
+        table = _format_cells(wide(lo) + np.arange(span + 1, dtype=wide))
+        words = table.take(np.subtract(rows, lo, dtype=np.intp).ravel(), axis=0)
+    else:
+        words = _format_cells(rows.ravel())
+    text = words.view(np.uint8).reshape(rows.shape[0], -1)
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0")
 
 
 def write_asc_grid(
@@ -258,20 +271,15 @@ def write_asc_grid(
     if values.dtype.kind not in "biu":
         raise TypeError(f"write_asc_grid takes an integer grid, got {values.dtype}")
     nrows, ncols = values.shape
-    out = io.StringIO()
-    out.write(f"ncols        {ncols}\n")
-    out.write(f"nrows        {nrows}\n")
-    out.write(f"xllcorner    {origin.easting!r}\n")
-    out.write(f"yllcorner    {origin.northing!r}\n")
-    out.write(f"cellsize     {cell_size_m!r}\n")
-    out.write(f"NODATA_value {nodata}\n")
+    head = (f"ncols        {ncols}\nnrows        {nrows}\nxllcorner    {origin.easting!r}\n"
+            f"yllcorner    {origin.northing!r}\ncellsize     {cell_size_m!r}\n"
+            f"NODATA_value {nodata}\n")
     if values.size == 0:
-        out.write("\n" * nrows)
-        return out.getvalue()
+        return head + "\n" * nrows
     step = max(1, _FORMAT_BLOCK // ncols)
-    for top in range(nrows, 0, -step):  # northernmost row first
-        out.write(_format_rows(values[max(0, top - step) : top][::-1]))
-    return out.getvalue()
+    blocks = [_format_rows(values[max(0, top - step) : top][::-1]).decode("ascii")
+              for top in range(nrows, 0, -step)]  # northernmost row first
+    return "".join([head, *blocks])
 
 
 def write_asc(raster: CoverageRaster) -> str:
@@ -399,7 +407,7 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
 # rebuilt by the next load that reads a source file.
 
 _PACK_NAMES = {"stations": ".tvws-stations.pack", "rasters": ".tvws-rasters.pack"}
-_PACK_FORMAT = "tvws coverage pack 4"
+_PACK_FORMAT = "tvws coverage pack 5"
 _PACK_ALIGN = 8  # column offsets are multiples of this, so 8-byte number views are aligned
 _U64 = (1 << 64) - 1  # keys are stored as uint64; times wrap modulo 2**64 ns
 _NO_FILE = (0, 0, 0, 0)
@@ -430,17 +438,17 @@ _PACK_FIELDS = {
 
 def _stat_keys(paths: list[str]) -> np.ndarray:
     """(n, 4) ``uint64`` stat keys of ``paths``, all zeros where a path is not a regular file."""
-    keys = []
+    keys: list[int] = []  # flat: a list of tuples would hold one more object per path
     for path in paths:
         try:
             st = os.stat(path)
         except OSError:
-            keys.append(_NO_FILE)
+            keys += _NO_FILE
             continue
         if stat.S_ISREG(st.st_mode):
-            keys.append((st.st_size, st.st_mtime_ns & _U64, st.st_ctime_ns & _U64, st.st_ino))
+            keys += st.st_size, st.st_mtime_ns & _U64, st.st_ctime_ns & _U64, st.st_ino
         else:
-            keys.append(_NO_FILE)
+            keys += _NO_FILE
     return np.array(keys, dtype=np.uint64).reshape(-1, 4)
 
 
@@ -552,6 +560,8 @@ def _write_pack(path: str, kind: str, arrays: dict[str, np.ndarray]) -> None:
 
 def _pack_rows(pack_ids: np.ndarray, ids: list[str]) -> np.ndarray:
     """Each of ``ids``' row in ``pack_ids``, -1 where it has none."""
+    if pack_ids.tolist() == ids:
+        return np.arange(len(ids))
     index = {tx_id: i for i, tx_id in enumerate(pack_ids.tolist())}
     return np.array([index.get(tx_id, -1) for tx_id in ids], dtype=np.intp)
 
@@ -663,9 +673,8 @@ def _station_disks(
     derived from the raster, and with ``write_cache`` written to ``<id>.disk``.
     """
     n = len(db)
-    disk_paths = [prefix + tx_id + ".disk" for tx_id in db.ids]
-    asc_paths = [prefix + tx_id + ".asc" for tx_id in db.ids]
-    keys = np.hstack([_stat_keys(disk_paths), _stat_keys(asc_paths)])
+    paths = [prefix + tx_id + ext for tx_id in db.ids for ext in (".disk", ".asc")]
+    keys = _stat_keys(paths).reshape(n, 8)  # <id>.disk's key, then <id>.asc's
     rows = _pack_rows(pack["disk_ids"], db.ids)
     listed = rows >= 0
     packed_keys = np.zeros((n, 8), dtype=np.uint64)
@@ -685,7 +694,7 @@ def _station_disks(
         return {name: array for name, array in pack.items() if name.startswith("disk")}, False
     mtimes = keys[:, [1, 5]].astype(np.int64)
     for i in np.flatnonzero(~fresh).tolist():
-        tx_id, disk_path, asc_path = db.ids[i], disk_paths[i], asc_paths[i]
+        tx_id, disk_path, asc_path = db.ids[i], paths[2 * i], paths[2 * i + 1]
         has_disk, has_asc = keys[i, :4].any(), keys[i, 4:].any()
         raster_changed = has_asc and (
             mtimes[i, 1] > mtimes[i, 0]

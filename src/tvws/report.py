@@ -184,16 +184,12 @@ def emit_sweep(
     beta_th: float,
     plan_digest: str,
 ) -> str:
-    """Power-sweep curve as CSV: power_watts, channels, mhz (ascending power)."""
+    """Power-sweep curve as CSV: power_watts, channels, mhz (ascending power; csv's ``repr``)."""
     if not points:
         raise ValueError("no sweep points to emit")
-    out = io.StringIO()
-    out.write(f"# alpha={alpha!r} beta_th={beta_th!r} plan={plan_digest}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["power_watts", "channels", "mhz"])
-    for power, rho, _filtered in sorted(points, key=lambda t: t[0]):
-        writer.writerow([power, rho, CHANNEL_WIDTH_MHZ * rho])
-    return out.getvalue()
+    head = f"# alpha={alpha!r} beta_th={beta_th!r} plan={plan_digest}\npower_watts,channels,mhz\n"
+    return head + "".join([f"{power!r},{rho},{CHANNEL_WIDTH_MHZ * rho}\n"
+                           for power, rho, _filtered in sorted(points, key=lambda t: t[0])])
 
 
 def emit_sweep_json(
@@ -203,16 +199,20 @@ def emit_sweep_json(
     beta_th: float,
     plan_digest: str,
 ) -> str:
+    """JSON mirror of :func:`emit_sweep`, as ``json.dumps(indent=2)`` writes it."""
     if not points:
         raise ValueError("no sweep points to emit")
-    payload = {
-        "params": {"alpha": alpha, "beta_th": beta_th, "plan": plan_digest},
-        "sweep": [
-            {"power_watts": power, "channels": rho, "mhz": CHANNEL_WIDTH_MHZ * rho}
-            for power, rho, _filtered in sorted(points, key=lambda t: t[0])
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    ordered = sorted(points, key=lambda t: t[0])
+    params = {"alpha": alpha, "beta_th": beta_th, "plan": plan_digest}
+    head = json.dumps({"params": params, "sweep": []}, indent=2)
+    # json's own text for every power, from one call
+    powers = json.dumps([power for power, _rho, _filtered in ordered])[1:-1].split(", ")
+    entries = [
+        f'    {{\n      "power_watts": {power},\n      "channels": {rho},\n'
+        f'      "mhz": {CHANNEL_WIDTH_MHZ * rho}\n    }}'
+        for power, (_, rho, _filtered) in zip(powers, ordered)
+    ]
+    return head[: -len("[]\n}")] + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
 
 
 # SVG layout constants (integer pixels keep the output byte-stable).

@@ -173,7 +173,7 @@ def load_txdb(text: str, source: str = "txdb", *, notes: list[str] | None = None
     """
     provenance = source
     rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         # a packed string drops a trailing NUL, and a NUL cannot name a coverage file
         if "\0" in raw:
             raise ParseError("NUL character", source=source, line=lineno)

@@ -233,7 +233,7 @@ def read_locations_file(path: str) -> list[tuple[str, NgPoint]]:
     """A batch ``label,location`` file as (label, point) pairs, one line at a time."""
     entries: list[tuple[str, NgPoint]] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -19,12 +19,21 @@ from tvws.coverage import read_asc, write_asc_grid
 from tvws.errors import ParseError
 from tvws.geo import NgPoint
 
-SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
+SHAPES = st.one_of(
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+    st.tuples(st.just(1), st.integers(1, 12)),  # 1 x n, and 1 x 1
+    st.tuples(st.integers(1, 12), st.just(1)),  # n x 1
+)
 INTEGER_DTYPES = st.sampled_from(
     [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 )
+INT64 = np.iinfo(np.int64)
+# a byte's edges and the values just past them, NODATA and int64's extremes
+EDGES = [0, 1, 254, 255, 256, -1, -9999, INT64.min, INT64.min + 1, INT64.max]
 GRIDS = st.one_of(
     hnp.arrays(np.bool_, SHAPES),
+    hnp.arrays(np.uint8, SHAPES, elements=st.sampled_from([0, 1, 254, 255])),
+    hnp.arrays(np.int64, SHAPES, elements=st.sampled_from(EDGES)),
     hnp.arrays(np.int64, SHAPES, elements=st.integers(0, 1)),
     hnp.arrays(np.int64, SHAPES, elements=st.integers(0, 30)),  # rho values
     hnp.arrays(np.int64, SHAPES, elements=st.integers(-9999, 99_999)),
@@ -49,9 +58,20 @@ class TestWriter:
             text = write_asc_grid(NgPoint(0.0, 0.0), 1.0, grid)
         assert text == asc_text(0.0, 0.0, 1.0, grid)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 20_000), (300, 101), (40_000, 1)])
+    # (1, 70_000): one row longer than a block
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 20_000), (300, 101), (40_000, 1), (1, 70_000)])
     def test_grids_larger_than_a_block(self, shape):
         grid = np.random.default_rng(shape[0]).integers(-9999, 31, shape)
+        assert write_asc_grid(NgPoint(5.0, 7.0), 3.0, grid) == asc_text(5.0, 7.0, 3.0, grid)
+
+    # two rows per block: cells drawn from +-2**40 span more values than the block has
+    # cells, so each is formatted; the others go through a table of their span
+    @pytest.mark.parametrize("dtype, low, high", [
+        (np.int8, -128, 100), (np.uint8, 0, 256), (np.int64, -(2**40), 2**40),
+        (np.uint64, 2**64 - 300, 2**64), (np.int64, 2**63 - 300, 2**63),
+    ])
+    def test_full_blocks_of_each_kind(self, dtype, low, high):
+        grid = np.random.default_rng(5).integers(low, high, (3, 30_000), dtype=dtype)
         assert write_asc_grid(NgPoint(5.0, 7.0), 3.0, grid) == asc_text(5.0, 7.0, 3.0, grid)
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])

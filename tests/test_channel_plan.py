@@ -143,6 +143,11 @@ class TestLoadPlan:
             load_plan("interleaved = 19\n")
         assert exc.value.line == 1
 
+    def test_only_newlines_end_a_line(self):
+        with pytest.raises(ParseError) as exc:
+            load_plan("# a\u2028# b\x85# c\ninterleaved = 19\n")
+        assert exc.value.line == 2
+
     def test_malformed_line(self):
         with pytest.raises(ParseError) as exc:
             load_plan("interleaved 21-30\n")

@@ -331,6 +331,24 @@ class TestLocationReader:
                    for label, e, n in zip(labels, east.tolist(), north.tolist())]
         assert got == want
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_end_only_at_newlines(self, tmp_path, newline):
+        """U+2028 is part of a label, not a line end, so line numbers are what an editor shows."""
+        import oracles
+        from tvws.cli import _read_locations_file
+
+        path = tmp_path / "ls.csv"
+        path.write_bytes(newline.join(["a\u2028x,1,2", "b,3,4", ""]).encode())
+        labels, east, north = _read_locations_file(str(path))
+        assert labels == ["a\u2028x", "b"]
+        assert (east.tolist(), north.tolist()) == ([1.0, 3.0], [2.0, 4.0])
+        assert [label for label, _p in oracles.read_locations_file(str(path))] == labels
+        path.write_bytes(newline.join(["a\u2028x,1,2", "b"]).encode())
+        for read in (_read_locations_file, oracles.read_locations_file):
+            with pytest.raises(ParseError, match="expected 'label,location'") as exc:
+                read(str(path))
+            assert exc.value.line == 2
+
     def test_a_bad_file_exits_3_with_the_reference_message(self, small_fixture, tmp_path,
                                                            capsys):
         import oracles

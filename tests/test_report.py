@@ -181,6 +181,44 @@ class TestEmitSweep:
         expected = availability(db, disks, PLAN, QueryParams(loc, 0.0, PROP)).rho
         assert int(rows[0][1]) == expected
 
+    @given(
+        points=st.lists(st.tuples(
+            st.one_of(
+                st.floats(0.0, allow_nan=False, allow_infinity=False),
+                st.sampled_from([5e-324, 2.0**-1060, 1e308, 1.7976931348623157e308]),  # subnormal, huge
+                st.integers(0, 2**60).map(float),  # integral
+            ),
+            st.integers(0, 30),
+            st.integers(0, 30),
+        ), min_size=1, max_size=40),
+        copies=st.integers(0, 3),
+        alpha=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_csv_writer_and_json_dumps(self, points, copies, alpha):
+        """Each emitter against ``csv.writer`` and ``json.dumps``, on unsorted powers with repeats."""
+        points = points + points[:1] * copies
+        ordered = sorted(points, key=lambda t: t[0])
+        out = io.StringIO()
+        out.write(f"# alpha={alpha!r} beta_th=1.0 plan=abc\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["power_watts", "channels", "mhz"])
+        for power, rho, _filtered in ordered:
+            writer.writerow([power, rho, 8 * rho])
+        payload = {
+            "params": {"alpha": alpha, "beta_th": 1.0, "plan": "abc"},
+            "sweep": [{"power_watts": power, "channels": rho, "mhz": 8 * rho}
+                      for power, rho, _filtered in ordered],
+        }
+        args = dict(alpha=alpha, beta_th=1.0, plan_digest="abc")
+        assert emit_sweep(points, **args) == out.getvalue()
+        assert emit_sweep_json(points, **args) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("emit", [emit_sweep, emit_sweep_json])
+    def test_no_points_rejected(self, emit):
+        with pytest.raises(ValueError, match="no sweep points"):
+            emit([], alpha=3.0, beta_th=1.0, plan_digest="abc")
+
     def test_json_mirror(self):
         db, disks, loc = sweep_scenario()
         points = power_sweep(db, disks, PLAN, loc, [0.0, 1.0], PROP)

@@ -112,6 +112,14 @@ class TestLoadTxdb:
             load_txdb(make_csv(VALID_ROW, line), source="t.csv")
         assert exc.value.line == 3 and exc.value.source == "t.csv"
 
+    @pytest.mark.parametrize("separator",
+                             ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1e", "\x85"])
+    def test_only_newlines_end_a_line(self, separator):
+        """Errors name the line an editor shows; str.splitlines would also break at these."""
+        with pytest.raises(ParseError, match="expected 6 fields") as exc:
+            load_txdb(f"# a{separator}b\n" + make_csv(VALID_ROW, "b,1000,1000,25,10"))
+        assert exc.value.line == 4
+
     def test_errors_and_notes_name_the_file_not_the_source_comment(self):
         text = "# source: national list\n" + make_csv("a,900000,1000,25,10,21")
         with pytest.raises(ParseError) as exc:
