@@ -14,20 +14,21 @@ Two tracks, mirroring how such studies are actually run:
   of the raster answer at zero power.
 
 Every disk-model answer is decided by one keep-out test,
-:meth:`KeepoutDisks.inside`, through one of two kernels picked by the
-input's shape: :func:`occupied_masks` for scattered points
-(:func:`availability`, :func:`batch_kernel` and :func:`power_sweep` only
-shape its input and output), and :func:`_grid_fill` for the cell centres of
-:func:`availability_grid`, a lattice, where each transmitter blocks one
-column interval per row.
+:meth:`KeepoutDisks.inside`, through one of three kernels picked by the
+input's shape: :func:`_point_masks` for one point at many powers
+(:func:`availability` and :func:`power_sweep` only shape its input and
+output), :func:`occupied_masks` for scattered points (:func:`batch_kernel`),
+and :func:`_grid_fill` for the cell centres of :func:`availability_grid`, a
+lattice, where each transmitter blocks one column interval per row.
 
 Transmitters carrying cleared or excluded channels still show up in
-``per_channel_blockers`` for diagnostics, but never change ``rho``:
-availability is accounted over the interleaved plan only.
+:func:`availability`'s ``per_channel_blockers`` for diagnostics, but never
+change ``rho``: availability is accounted over the interleaved plan only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from tvws.geo import BoundingBox, NgPoint
 from tvws.keepout import PropagationParams, QueryParams, keepout_radius
 from tvws.txdb import TransmitterDb
 
-# The kernel tests about this many (power, point, transmitter) pairs at a time,
+# occupied_masks tests about this many (point, transmitter) pairs at a time,
 # and lays one lattice over at most _BLOCK_POINTS points.
 _CHUNK_PAIRS = 1 << 12
 _BLOCK_POINTS = 1 << 12
@@ -162,26 +163,25 @@ def _lattice(
 def occupied_masks(
     kd: KeepoutDisks, bits: np.ndarray, east: np.ndarray, north: np.ndarray
 ) -> np.ndarray:
-    """The disk-model kernel for scattered points: ``uint64`` occupied masks, (powers, points).
+    """The disk-model kernel for scattered points: one ``uint64`` occupied mask per point.
 
     A transmitter blocks its channels ``bits`` (see :func:`channel_bits`)
-    where a point is strictly inside its keep-out radius; the boundary
-    itself is permitted.  Only pairs that can be that close are compared, by
-    a cell-list join (Bentley & Friedman, ACM Comput. Surv. 11(4), 1979):
-    each transmitter is listed in the buckets of :func:`_lattice` that its
-    reach box touches, and each point meets the transmitters listed in its
-    own bucket.  The box is R' at the largest power, widened past the tie
-    band and by a metre for the rounding of its ends, so every pair the tie
-    rule re-decides is a candidate.  Points go a block at a time, each block
-    on its own lattice, and their candidates about ``_CHUNK_PAIRS`` at a time.
-    The cell centres of a grid go through :func:`_grid_fill` instead.
+    where a point is strictly inside its keep-out radius at ``kd.powers[0]``;
+    the boundary itself is permitted.  Only pairs that can be that close are
+    compared, by a cell-list join (Bentley & Friedman, ACM Comput. Surv.
+    11(4), 1979): each transmitter is listed in the buckets of
+    :func:`_lattice` that its reach box touches, and each point meets the
+    transmitters listed in its own bucket.  The box is R', widened past the
+    tie band and by a metre for the rounding of its ends, so every pair the
+    tie rule re-decides is a candidate.  Points go a block at a time, each
+    block on its own lattice, and their candidates about ``_CHUNK_PAIRS`` at
+    a time.  The cell centres of a grid go through :func:`_grid_fill` instead.
     """
-    masks = np.zeros((len(kd.powers), east.size), dtype=np.uint64)
+    masks = np.zeros(east.size, dtype=np.uint64)
     keep = np.flatnonzero(bits)
     if not keep.size:
         return masks
-    reach = kd.radii[:, keep].max(axis=0) * (1.0 + 4 * _TIE_BAND) + 1.0
-    budget = max(1, _CHUNK_PAIRS // len(kd.powers))
+    reach = kd.radii[0, keep] * (1.0 + 4 * _TIE_BAND) + 1.0
     for i in range(0, east.size, _BLOCK_POINTS):
         e, n = east[i : i + _BLOCK_POINTS], north[i : i + _BLOCK_POINTS]
         e0, n0, edge, nx, ny = _lattice(e, n, reach)
@@ -197,7 +197,7 @@ def occupied_masks(
         bucket = (np.repeat(y0, cells) + j // wx) * nx + np.repeat(x0, cells) + j % wx
         order = np.argsort(bucket, kind="stable")
         bucket, listed = bucket[order], listed[order]
-        # each point's run of listings, taken in chunks of about `budget` pairs
+        # each point's run of listings, taken in chunks of about _CHUNK_PAIRS pairs
         at = (np.floor((n - n0) / edge) * nx + np.floor((e - e0) / edge)).astype(np.int64)
         first = np.searchsorted(bucket, at, "left")
         counts = np.searchsorted(bucket, at, "right") - first
@@ -205,17 +205,32 @@ def occupied_masks(
         a = 0
         while a < e.size:
             done = ends[a - 1] if a else 0
-            b = max(a + 1, int(np.searchsorted(ends, done + budget, "right")))
+            b = max(a + 1, int(np.searchsorted(ends, done + _CHUNK_PAIRS, "right")))
             c, starts = counts[a:b], ends[a:b] - counts[a:b] - done
             if ends[b - 1] > done:
                 t = listed[np.arange(ends[b - 1] - done) + np.repeat(first[a:b] - starts, c)]
-                inside = kd.inside(np.repeat(e[a:b], c), np.repeat(n[a:b], c), t)
+                inside = kd.inside(np.repeat(e[a:b], c), np.repeat(n[a:b], c), t)[0]
                 hit = np.flatnonzero(c)
-                masks[:, i + a + hit] = np.bitwise_or.reduceat(
-                    np.where(inside, bits[t], np.uint64(0)), starts[hit], axis=1
+                masks[i + a + hit] = np.bitwise_or.reduceat(
+                    np.where(inside, bits[t], np.uint64(0)), starts[hit]
                 )
             a = b
     return masks
+
+
+def _point_masks(
+    kd: KeepoutDisks, bits: np.ndarray, loc: NgPoint
+) -> tuple[np.ndarray, np.ndarray]:
+    """The disk-model kernel for one point: occupied masks per power, and ``inside``.
+
+    ``inside[p, t]`` is whether ``loc`` lies strictly inside transmitter
+    ``t``'s keep-out disk at ``kd.powers[p]``, by :meth:`KeepoutDisks.inside`
+    over every transmitter; ``masks[p]`` ORs the ``bits`` (see
+    :func:`channel_bits`) of the transmitters inside at that power.
+    """
+    t = np.arange(kd.east.size)
+    inside = kd.inside(np.full(t.size, loc.easting), np.full(t.size, loc.northing), t)
+    return np.bitwise_or.reduce(np.where(inside, bits, np.uint64(0)), axis=1), inside
 
 
 def _result(
@@ -244,13 +259,12 @@ def availability(
     permitted.  Also lists each channel's blocking transmitters.
     """
     kd = KeepoutDisks.build(db, disks, [q.p_cr_watts], q.prop)
-    t = np.arange(len(db))
-    east, north = np.full(t.size, q.location.easting), np.full(t.size, q.location.northing)
+    masks, inside = _point_masks(kd, channel_bits(db, plan), q.location)
     blockers: dict[int, list[str]] = {}
-    for k in np.flatnonzero(kd.inside(east, north, t)[0]).tolist():
+    for k in np.flatnonzero(inside[0]).tolist():
         for ch in mask_channels(int(db.channels[k])):
             blockers.setdefault(ch, []).append(db.ids[k])
-    return _result(q.location, q.p_cr_watts, plan, blockers, blockers)
+    return _result(q.location, q.p_cr_watts, plan, mask_channels(int(masks[0])), blockers)
 
 
 def batch_kernel(
@@ -260,31 +274,13 @@ def batch_kernel(
     p_cr_watts: float,
     prop: PropagationParams,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """:func:`availability_batch` as a function of the locations' eastings and northings alone.
+    """Occupied-channel masks as a function of the locations' eastings and northings alone.
 
     What every call shares, the keep-out disks and the channel bits, is
     built once here, so parts of one batch can be answered separately.
     """
     kd = KeepoutDisks.build(db, disks, [p_cr_watts], prop)
-    bits = channel_bits(db, plan)
-
-    def masks(east: np.ndarray, north: np.ndarray) -> np.ndarray:
-        return occupied_masks(kd, bits, east, north)[0]
-
-    return masks
-
-
-def availability_batch(
-    db: TransmitterDb,
-    disks: Mapping[str, CoverageDisk],
-    plan: ChannelPlan,
-    locations: Sequence[NgPoint],
-    p_cr_watts: float,
-    prop: PropagationParams,
-) -> np.ndarray:
-    """:func:`availability`'s occupied channels at many locations, one :func:`channel_mask` each."""
-    coords = np.array([(loc.easting, loc.northing) for loc in locations], dtype=float)
-    return batch_kernel(db, disks, plan, p_cr_watts, prop)(*coords.reshape(-1, 2).T)
+    return functools.partial(occupied_masks, kd, channel_bits(db, plan))
 
 
 def availability_lowpower(
@@ -299,15 +295,14 @@ def availability_lowpower(
     it can be received.  This is the most optimistic vacant set a location
     can have; any positive transmit power only removes channels.
     """
-    blockers: dict[int, list[str]] = {}
+    occupied = 0
     for tx_id, mask in zip(db.ids, db.channels.tolist()):
         raster = rasters.get(tx_id)
         if raster is None:
             raise ValueError(f"no coverage raster for transmitter {tx_id!r}")
         if covers(raster, loc):
-            for ch in mask_channels(mask):
-                blockers.setdefault(ch, []).append(tx_id)
-    return _result(loc, 0.0, plan, blockers, blockers)
+            occupied |= mask
+    return _result(loc, 0.0, plan, mask_channels(occupied))
 
 
 def adjacent_filter(
@@ -358,11 +353,6 @@ def vacancy(
     return vacant, vacant & ~(blocked << one) & ~(blocked >> one)
 
 
-def popcount(masks: np.ndarray) -> np.ndarray:
-    """Set bits of each ``uint64`` mask, as ints."""
-    return np.bitwise_count(masks).astype(int)
-
-
 def power_sweep(
     db: TransmitterDb,
     disks: Mapping[str, CoverageDisk],
@@ -380,13 +370,12 @@ def power_sweep(
     if not powers:
         raise ValueError("powers must be nonempty")
     bits = channel_bits(db, plan)
-    east, north = np.array([loc.easting]), np.array([loc.northing])
     block = max(1, _SWEEP_PAIRS // max(1, len(db)))  # powers per kernel call
     kds = (KeepoutDisks.build(db, disks, powers[i : i + block], prop)
            for i in range(0, len(powers), block))
-    masks = np.concatenate([occupied_masks(kd, bits, east, north)[:, 0] for kd in kds])
+    masks = np.concatenate([_point_masks(kd, bits, loc)[0] for kd in kds])
     vacant, kept = vacancy(masks, plan)
-    return list(zip(powers, popcount(vacant).tolist(), popcount(kept).tolist()))
+    return list(zip(powers, np.bitwise_count(vacant).tolist(), np.bitwise_count(kept).tolist()))
 
 
 @dataclass(eq=False)
@@ -395,7 +384,7 @@ class RhoGrid:
 
     origin: NgPoint
     cell_size_m: float
-    values: np.ndarray  # int, shape (nrows, ncols)
+    values: np.ndarray  # uint8, shape (nrows, ncols)
 
     @property
     def nrows(self) -> int:
@@ -552,7 +541,7 @@ def availability_grid(
     # the masks hold interleaved channels only, so the vacant ones are the rest
     np.invert(masks, out=masks)
     masks &= np.uint64(channel_mask(plan.interleaved))
-    values = popcount(masks)
+    values = np.bitwise_count(masks)
     return RhoGrid(
         origin=NgPoint(region.min_e, region.min_n), cell_size_m=cell_size_m, values=values
     )

@@ -161,13 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
     power.add_argument("--power", type=_watts, default=0.0, metavar="P",
                        help="transmit power; accepts mW/W/kW suffixes (default 0)")
 
-    query = argparse.ArgumentParser(add_help=False)
-    query.add_argument("--mode", choices=("raster", "disk"), default="disk",
-                       help="coverage model; raster is exact but power must be 0")
-    query.add_argument("--adjacent-filter", action="store_true",
-                       help="report the N+-1 filtered set as the available set")
-    query.add_argument("--strict-excluded", action="store_true",
-                       help="treat excluded channels as blocking neighbours in the filter")
+    either = argparse.ArgumentParser(add_help=False)
+    either.add_argument("--mode", choices=("raster", "disk"), default="disk",
+                        help="coverage model; raster is exact but power must be 0")
+    either.add_argument("--strict-excluded", action="store_true",
+                        help="treat excluded channels as blocking neighbours in the filter")
 
     disk = argparse.ArgumentParser(add_help=False)
     disk.add_argument("--mode", choices=("disk",), default="disk",
@@ -187,12 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # without abbreviations, sweep --power is refused, not read as --powers
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_query = add("query", parents=[data, model, power, query, out],
+    p_query = add("query", parents=[data, model, power, either, out],
                   help="vacant channels at one location")
     p_query.add_argument("--loc", required=True,
                          help='grid reference ("SP 513 061") or easting,northing')
+    p_query.add_argument("--adjacent-filter", action="store_true",
+                         help="report the N+-1 filtered set as the available set")
 
-    p_batch = add("batch", parents=[data, model, power, query, out],
+    p_batch = add("batch", parents=[data, model, power, either, out],
                   help="availability for a file of label,location lines")
     p_batch.add_argument("--locations", required=True, metavar="FILE")
     p_batch.add_argument("--workers", type=int, default=1, metavar="N",
@@ -331,7 +331,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     report = rep.build_report(args.loc, result, plan, args.alpha, args.beta)
 
     filtered = result.filtered_vacant or frozenset()
-    print(f"location: {args.loc} -> {loc.easting:g},{loc.northing:g}")
+    e, n = (repr(v).removesuffix(".0") for v in (loc.easting, loc.northing))  # exact
+    print(f"location: {args.loc} -> {e},{n}")
     print(
         f"mode: {args.mode}   power: {args.power!r} W   "
         f"alpha: {args.alpha!r}   beta_th: {args.beta!r}   plan: {report.plan_digest}"

@@ -321,7 +321,8 @@ def read_asc(text: str, transmitter_id: str, source: str = "raster") -> Coverage
     header: dict[str, tuple[float, int]] = {}
     body_start = 0
     expected = {*_ASC_HEADER_RULES, "nodata_value"}
-    for i, line in enumerate(text.splitlines(keepends=True)):
+    # only "\n" ends a line; str.splitlines would also end one at \x85, U+2028, ...
+    for i, line in enumerate(text.split("\n")):
         parts = line.split()
         if len(parts) == 2 and parts[0].lower() in expected:
             try:
@@ -330,7 +331,7 @@ def read_asc(text: str, transmitter_id: str, source: str = "raster") -> Coverage
                 raise ParseError(
                     f"bad header value {parts[1]!r}", source=source, line=i + 1
                 ) from None
-            body_start += len(line)
+            body_start += len(line) + 1
         else:
             break
     for key, (valid, what) in _ASC_HEADER_RULES.items():

@@ -214,6 +214,17 @@ class TestReader:
         raster = read_asc(text, "t")
         assert raster.cells.shape == (1, 2) and raster.cell_size_m == 0.5
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_only_a_newline_ends_a_header_line(self, brk):
+        text = f"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0{brk}cellsize 1\n1\n"
+        with pytest.raises(ParseError, match="^r.asc: missing header line 'yllcorner'"):
+            read_asc(text, "t", source="r.asc")
+        # the bad value is on the fourth line as wc -l counts them
+        text = f"ncols 1\nnrows 1\nxllcorner 0{brk}\nyllcorner x\ncellsize 1\n1\n"
+        with pytest.raises(ParseError, match="^r.asc:4: bad header value 'x'"):
+            read_asc(text, "t", source="r.asc")
+
 
 HEADER_VALUES = ["1", "2", "3.0", "1.5", "0", "-1", "nan", "inf", "-inf", "1e400",
                  "1e-400", "1e9", "x", "\uff12"]

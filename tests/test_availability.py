@@ -15,14 +15,13 @@ from tvws.availability import (
     KeepoutDisks,
     adjacent_filter,
     availability,
-    availability_batch,
     availability_grid,
     availability_lowpower,
+    batch_kernel,
     channel_bits,
     channel_mask,
     contiguity,
     occupied_masks,
-    popcount,
     power_sweep,
 )
 from tvws.channel_plan import default_plan, load_plan
@@ -38,6 +37,13 @@ PROP = PropagationParams()
 def rho_of(mask):
     """rho from an occupied-channel mask of the default plan."""
     return len(PLAN.interleaved) - int(mask).bit_count()
+
+
+def batch_masks(db, disks, points, power):
+    """:func:`batch_kernel`'s occupied-channel masks at ``points``."""
+    east = np.array([p.easting for p in points], dtype=float)
+    north = np.array([p.northing for p in points], dtype=float)
+    return batch_kernel(db, disks, PLAN, power, PROP)(east, north)
 
 
 def make_tx(tx_id, e, n, erp, channels):
@@ -439,7 +445,7 @@ class TestKernelAtTheBoundary:
         rng = random.Random(int(power * 1000) + 17)
         for _ in range(8):
             db, disks, points = boundary_instance(rng, power)
-            masks = availability_batch(db, disks, PLAN, points, power, PROP)
+            masks = batch_masks(db, disks, points, power)
             assert masks.dtype == np.uint64 and masks.shape == (len(points),)
             for loc, mask in zip(points, masks.tolist()):
                 single = availability(db, disks, PLAN, QueryParams(loc, power, PROP))
@@ -545,7 +551,7 @@ class TestKernelAtTheBoundary:
 
     def test_batch_of_no_locations_is_empty(self):
         db, disks, _, _ = random_instance(random.Random(5))
-        assert availability_batch(db, disks, PLAN, [], 0.1, PROP).tolist() == []
+        assert batch_masks(db, disks, [], 0.1).tolist() == []
 
 
 class TestTieRule:
@@ -575,7 +581,7 @@ class TestTieRule:
             db = TransmitterDb((tx,))
             disks = {"a": disk_for(tx, distance(point, tx.position))}  # R' = d exactly
             assert availability(db, disks, PLAN, QueryParams(point, 0.0, PROP)).rho == 30
-            assert rho_of(availability_batch(db, disks, PLAN, [point], 0.0, PROP)[0]) == 30
+            assert rho_of(batch_masks(db, disks, [point], 0.0)[0]) == 30
             assert power_sweep(db, disks, PLAN, point, [0.0], PROP)[0][1] == 30
             grid = availability_grid(db, disks, PLAN, region, 1000, 0.0, PROP)
             assert grid.cell_center(41, 33) == point
@@ -605,7 +611,7 @@ class TestTieRule:
             expected = rho_by_enumeration(db, disks, PLAN, point, power, PROP.alpha, PROP.beta_th)
             assert expected == (29 if fast[k] < exact[k] else 30)
             assert availability(db, disks, PLAN, QueryParams(point, power, PROP)).rho == expected
-            assert rho_of(availability_batch(db, disks, PLAN, [point], power, PROP)[0]) == expected
+            assert rho_of(batch_masks(db, disks, [point], power)[0]) == expected
             assert power_sweep(db, disks, PLAN, point, [power], PROP)[0][1] == expected
 
     def test_scalar_keepout_two_ulps_past_numpy_reaches_the_point(self):
@@ -632,7 +638,7 @@ class TestTieRule:
             db = TransmitterDb((carrier,))
             point = NgPoint(beyond, site.northing)
             assert rho_by_enumeration(db, disks, PLAN, point, power, PROP.alpha, PROP.beta_th) == 29
-            assert rho_of(availability_batch(db, disks, PLAN, [point], power, PROP)[0]) == 29
+            assert rho_of(batch_masks(db, disks, [point], power)[0]) == 29
             assert power_sweep(db, disks, PLAN, point, [power / 2, power], PROP)[1][1] == 29
 
 
@@ -646,10 +652,12 @@ def oracle_masks(db, disks, points, powers):
 
 
 def kernel_masks(db, disks, points, powers):
-    kd = KeepoutDisks.build(db, disks, powers, PROP)
+    """:func:`occupied_masks` at each power, shape (powers, points)."""
     east = np.array([p.easting for p in points], dtype=float)
     north = np.array([p.northing for p in points], dtype=float)
-    return occupied_masks(kd, channel_bits(db, PLAN), east, north)
+    bits = channel_bits(db, PLAN)
+    return np.array([occupied_masks(KeepoutDisks.build(db, disks, [p], PROP), bits, east, north)
+                     for p in powers], dtype=np.uint64).reshape(len(powers), len(points))
 
 
 KERNEL = sys.modules["tvws.availability"]  # the package re-exports a function by that name
@@ -844,7 +852,7 @@ class TestLatticeKernel:
         bits = channel_bits(db, PLAN)
         masks = np.zeros((centers_n.size, centers_e.size), dtype=np.uint64)
         KERNEL._grid_fill(masks, kd, bits, centers_e, centers_n)
-        expected = occupied_masks(kd, bits, east, north)[0].reshape(masks.shape)
+        expected = occupied_masks(kd, bits, east, north).reshape(masks.shape)
         assert (masks == expected).all()
 
     def test_millimetre_cells_across_the_top_of_a_disk(self, monkeypatch):
@@ -879,15 +887,70 @@ class TestLatticeKernel:
                 )
 
 
-class TestPopcount:
-    def test_counts_every_bit(self):
-        rng = np.random.default_rng(3)
-        top = np.iinfo(np.uint64).max
-        masks = np.concatenate([
-            rng.integers(0, top, 500, dtype=np.uint64, endpoint=True),
-            np.array([top, top, 0, 1, 1 << 63, (1 << 40) - 1, 2**64 - 2 ** 32], dtype=np.uint64),
-        ]).reshape(3, 169)
-        expected = [[bin(x).count("1") for x in row] for row in masks.tolist()]
-        assert popcount(masks).tolist() == expected
-        assert popcount(masks).dtype == int
-        assert popcount(np.full(5, top, dtype=np.uint64)).tolist() == [64] * 5
+class TestRhoGridValues:
+    def test_uint8_counts_of_the_vacant_channels(self):
+        rng = random.Random(8)
+        region, cell = BoundingBox(0, 0, 700_000, 1_300_000), 25_000
+        east, north = (a.ravel() for a in np.meshgrid(*grid_centres(region, cell)))
+        for plan in (PLAN, load_plan("interleaved = 21-60\n")):  # 30 and 40 channels
+            db, disks, _, power = random_instance(rng, max_tx=8)
+            grid = availability_grid(db, disks, plan, region, cell, power, PROP)
+            assert grid.values.dtype == np.uint8
+            kd = KeepoutDisks.build(db, disks, [power], PROP)
+            occupied = occupied_masks(kd, channel_bits(db, plan), east, north)
+            expected = [len(plan.interleaved) - int(m).bit_count() for m in occupied.tolist()]
+            assert grid.values.ravel().tolist() == expected
+            assert len(set(expected)) > 1
+
+
+class TestPointKernel:
+    """The one-point kernel of ``availability`` and ``power_sweep`` against ``occupied_masks``."""
+
+    @staticmethod
+    def check(db, disks, loc, powers):
+        kd = KeepoutDisks.build(db, disks, powers, PROP)
+        bits = channel_bits(db, PLAN)
+        masks, inside = KERNEL._point_masks(kd, bits, loc)
+        assert masks.dtype == np.uint64 and masks.shape == (len(powers),)
+        assert inside.shape == (len(powers), len(db))
+        east, north = np.array([loc.easting]), np.array([loc.northing])
+        for p, power in enumerate(powers):
+            one = KeepoutDisks.build(db, disks, [power], PROP)
+            assert masks[p] == occupied_masks(one, bits, east, north)[0]
+        return masks
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_point_masks_equal_occupied_masks_power_by_power(self, data):
+        loc = NgPoint(data.draw(st.floats(0, 699_999)), data.draw(st.floats(0, 1_299_999)))
+        txs, disks = [], {}
+        for i in range(data.draw(st.integers(0, 6))):
+            e = min(max(loc.easting + data.draw(st.floats(-1e5, 1e5)), 0.0), 699_999.0)
+            n = min(max(loc.northing + data.draw(st.floats(-1e5, 1e5)), 0.0), 1_299_999.0)
+            channels = data.draw(st.sampled_from([{21}, {22, 35}, {35}, {23, 24, 60}]))
+            tx = make_tx(f"p{i}", e, n, data.draw(st.floats(0.5, 2e5)), channels)
+            txs.append(tx)
+            if data.draw(st.booleans()):  # R' at power 0 within an ulp of the point's distance
+                d = math.hypot(loc.easting - e, loc.northing - n)
+                radius = float(data.draw(st.sampled_from(ulp_neighbours(d))))
+            else:
+                radius = data.draw(st.floats(1e-6, 2e5))
+            disks[tx.id] = disk_for(tx, max(radius, 1e-9))
+        powers = data.draw(st.lists(
+            st.sampled_from([0.0, 1e-3, 1.0, 4.0, 1e308]) | st.floats(0.0, 1e4),
+            min_size=1, max_size=5))
+        self.check(TransmitterDb(tuple(txs)), disks, loc, powers)
+
+    def test_no_transmitters(self):
+        masks = self.check(TransmitterDb(()), {}, NgPoint(300_000.0, 300_000.0), [0.0, 1.0])
+        assert masks.tolist() == [0, 0]
+
+    def test_one_transmitter_at_and_an_ulp_either_side_of_the_point(self):
+        tx = make_tx("a", 300_000.0, 300_000.0, 1000, {21, 35})
+        loc = NgPoint(312_345.678, 301_234.5)
+        d = distance(loc, tx.position)
+        occupied = []
+        for radius in ulp_neighbours(d):
+            disks = {"a": disk_for(tx, float(radius))}
+            occupied += self.check(TransmitterDb((tx,)), disks, loc, [0.0]).tolist()
+        assert occupied == [0, 0, 1]  # strictly inside only past the point

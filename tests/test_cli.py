@@ -109,6 +109,12 @@ class TestQuery:
         )
         assert f"rho={expected}" in first
 
+    @pytest.mark.parametrize("loc, echo", [("HU 4123 4567", "441230,1145670"),
+                                           ("123456.789,234567.891", "123456.789,234567.891")])
+    def test_location_echo_is_exact(self, small_fixture, capsys, loc, echo):
+        assert main(["query"] + base_args(small_fixture) + ["--loc", loc]) == 0
+        assert f"location: {loc} -> {echo}\n" in capsys.readouterr().out
+
     def test_power_unit_equivalence(self, small_fixture, capsys):
         args = base_args(small_fixture) + ["--loc", "300000,300000"]
         assert main(["query"] + args + ["--power", "100mW"]) == 0
@@ -556,13 +562,14 @@ class TestFlagMatrix:
             argv += ["--mode", mode]
         if adjacent:
             argv.append("--adjacent-filter")
-        refused = command in ("sweep", "grid") and (mode == "raster" or adjacent)
-        if refused:
+        refused = {"--mode": command in ("sweep", "grid") and mode == "raster",
+                   "--adjacent-filter": command != "query" and adjacent}
+        named = [flag for flag, bad in refused.items() if bad]
+        if named:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            flag = "--mode" if mode == "raster" else "--adjacent-filter"
-            assert flag in capsys.readouterr().err
+            assert named[0] in capsys.readouterr().err
             return
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -651,7 +658,7 @@ SHARED_FLAGS = """
     --power             x     x     .     x     .     .
     --mode disk         x     x     x     x     x     x
     --mode raster       x     x     .     .     .     .
-    --adjacent-filter   x     x     .     .     .     .
+    --adjacent-filter   x     .     .     .     .     .
     --strict-excluded   x     x     .     .     .     .
     --out               x     x     x     x     x     .
     --seed              .     .     .     .     x     .
@@ -844,12 +851,17 @@ class TestBatchRows:
                                 for lab, p in zip(labels, points)))
         runs = [(mode, power, flags)
                 for mode, power in (("disk", "0"), ("disk", "0.5"), ("raster", "0"))
-                for flags in ([], ["--adjacent-filter"], ["--strict-excluded"],
-                              ["--adjacent-filter", "--strict-excluded"])]
+                for flags in ([], ["--strict-excluded"])]
         for i, (mode, power, flags) in enumerate(runs):
             out = tmp_path / f"out{i}"
-            assert main(["batch", *base_args(small_fixture), "--locations", str(locs),
-                         "--mode", mode, "--power", power, *flags, "--out", str(out)]) == 0
+            argv = ["batch", *base_args(small_fixture), "--locations", str(locs),
+                    "--mode", mode, "--power", power, *flags, "--out", str(out)]
+            # every row holds the N+-1 filtered set, so batch takes no --adjacent-filter
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--adjacent-filter"])
+            assert exc.value.code == 2 and not out.exists()
+            assert "--adjacent-filter" in capsys.readouterr().err
+            assert main(argv) == 0
             extra = plan.excluded if "--strict-excluded" in flags else ()
             rows = []
             for label, loc in zip(labels, points):
