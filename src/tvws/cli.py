@@ -7,7 +7,7 @@ Subcommands:
 * ``sweep``  -- vacant-channel count versus transmit power at one location.
 * ``grid``   -- vacant-channel counts over a region, written as an ASC grid.
 * ``synth``  -- generate a synthetic transmitter database plus coverage.
-* ``disks``  -- precompute and cache the enclosing disk for every raster.
+* ``disks``  -- write each raster's enclosing disk to ``<id>.disk``.
 
 Exit codes: 0 success, 2 usage or location parse error, 3 missing or
 invalid data files, 4 internal invariant violation.
@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--irregularity", type=float, default=0.3,
                          help="coverage contour raggedness, 0..1 (default %(default)s)")
 
-    add("disks", parents=[data, disk], help="derive and cache enclosing disks for all rasters")
+    add("disks", parents=[data, disk], help="write each raster's enclosing disk to <id>.disk")
     return parser
 
 
@@ -303,10 +303,10 @@ def _write_artifacts(
     rows = rep.ChannelRows.of(rows)
     if csv_text is None:
         csv_text = rep.emit_csv(rows)
-    (out_dir / f"{stem}.csv").write_text(csv_text)
-    (out_dir / f"{stem}.json").write_text(rep.emit_json(rows))
+    (out_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
+    (out_dir / f"{stem}.json").write_text(rep.emit_json(rows), encoding="utf-8")
     if len(rows.labels) == 1:
-        (out_dir / f"{stem}.svg").write_text(rep.emit_channel_chart(rows, plan))
+        (out_dir / f"{stem}.svg").write_text(rep.emit_channel_chart(rows, plan), encoding="utf-8")
 
 
 def _channels(channels: frozenset[int]) -> str:
@@ -425,9 +425,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.csv").write_text(csv_text)
+        (out_dir / "sweep.csv").write_text(csv_text, encoding="utf-8")
         (out_dir / "sweep.json").write_text(
-            rep.emit_sweep_json(points, alpha=args.alpha, beta_th=args.beta, plan_digest=digest)
+            rep.emit_sweep_json(points, alpha=args.alpha, beta_th=args.beta, plan_digest=digest),
+            encoding="utf-8",
         )
     return EXIT_OK
 
@@ -446,7 +447,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "rho.asc"
-        path.write_text(cov.write_asc_grid(grid.origin, grid.cell_size_m, values))
+        path.write_text(cov.write_asc_grid(grid.origin, grid.cell_size_m, values), encoding="utf-8")
         # ASC takes no comments, so the parameter echo rides in a sidecar
         meta = {
             "alpha": args.alpha,
@@ -455,9 +456,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
             "plan": plan_hash(plan),
             "cell_size_m": grid.cell_size_m,
         }
-        (out_dir / "rho.meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n"
-        )
+        (out_dir / "rho.meta.json").write_text(json.dumps(meta, indent=2) + "\n",
+                                               encoding="utf-8")
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -484,19 +484,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     coverage_dir = out / "coverage"
     coverage_dir.mkdir(parents=True, exist_ok=True)
-    (out / "transmitters.csv").write_text(serialize(db))
+    (out / "transmitters.csv").write_text(serialize(db), encoding="utf-8")
 
     prop = PropagationParams(args.alpha, args.beta)
     for i, tx in enumerate(db):
         raster = cov.synth_coverage(
             tx, prop, args.cell, args.irregularity, seed=args.seed * 1_000_003 + i
         )
-        (coverage_dir / f"{tx.id}.asc").write_text(cov.write_asc(raster))
+        (coverage_dir / f"{tx.id}.asc").write_text(cov.write_asc(raster), encoding="utf-8")
         disk = cov.enclosing_disk(raster, tx)
-        (coverage_dir / f"{tx.id}.disk").write_text(cov.write_disk(disk))
+        (coverage_dir / f"{tx.id}.disk").write_text(cov.write_disk(disk), encoding="utf-8")
 
     if args.preset == "uk81":
-        (out / "locations.csv").write_text(_synthetic_locations(args.seed))
+        (out / "locations.csv").write_text(_synthetic_locations(args.seed), encoding="utf-8")
         print(f"wrote {out / 'locations.csv'} (18 sample locations)")
 
     print(
@@ -531,7 +531,7 @@ def cmd_disks(args: argparse.Namespace) -> int:
     rasters = cov.load_rasters(coverage_dir, db, write_cache=False)
     for tx in db:
         disk = cov.enclosing_disk(rasters[tx.id], tx)
-        (coverage_dir / f"{tx.id}.disk").write_text(cov.write_disk(disk))
+        (coverage_dir / f"{tx.id}.disk").write_text(cov.write_disk(disk), encoding="utf-8")
         print(f"{tx.id} {disk.radius_m!r}")
     return EXIT_OK
 
@@ -554,6 +554,8 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except MemoryError as exc:  # the request's size is what the user set
         return _fail(f"out of memory: {exc or 'allocation failed'}", EXIT_USAGE)
+    except OverflowError as exc:  # e.g. a --cell so small the cell count is not finite
+        return _fail(f"request too large: {exc}", EXIT_USAGE)
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         return _fail(str(exc), EXIT_DATA)
     except (AssertionError, RuntimeError) as exc:

@@ -209,7 +209,7 @@ def synth_coverage(
 
 
 # ---------------------------------------------------------------------------
-# File formats: ESRI-ASCII-style rasters and one-line disk cache files.
+# File formats: ESRI-ASCII-style rasters and one-line disk files.
 
 # rows formatted per block in write_asc_grid hold about this many cells, so
 # its numpy temporaries stay about a MB whatever the grid's size
@@ -386,7 +386,7 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
 # directory, each one ASCII JSON header line, then the raw C-order bytes of
 # the kind's fields below, each column at an 8-byte-aligned offset:
 #
-#   {"format":"tvws coverage pack 4","kind":"rasters","fields":[["ids","<U5",[81]],...]}
+#   {"format":"tvws coverage pack 6","kind":"rasters","fields":[["ids","<U5",[81]],...]}
 #
 # The header names every field in order with its dtype string and shape, so
 # one read() and one JSON parse give each field as a read-only np.frombuffer
@@ -394,8 +394,8 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
 #
 # * the station pack: the txdb's parsed columns and ERP-range warnings,
 #   keyed on the CSV's path as given and its stat key; and per station its
-#   disk (centre, radius, whether it was derived from the raster), keyed on
-#   the stat keys of <id>.disk and <id>.asc;
+#   disk (centre, radius), keyed on the stat key of its source file (<id>.asc,
+#   or <id>.disk where there is no .asc) and on the station's position;
 # * the raster pack: each <id>.asc's cells, keyed on that file's stat key.
 #
 # A stat key is (size, mtime, ctime, inode), all zeros for a path that is
@@ -408,7 +408,7 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
 # rebuilt by the next load that reads a source file.
 
 _PACK_NAMES = {"stations": ".tvws-stations.pack", "rasters": ".tvws-rasters.pack"}
-_PACK_FORMAT = "tvws coverage pack 5"
+_PACK_FORMAT = "tvws coverage pack 6"
 _PACK_ALIGN = 8  # column offsets are multiples of this, so 8-byte number views are aligned
 _U64 = (1 << 64) - 1  # keys are stored as uint64; times wrap modulo 2**64 ns
 _NO_FILE = (0, 0, 0, 0)
@@ -423,9 +423,8 @@ _PACK_FIELDS = {
         "tx_channels": ("<u8", ("t",)),
         "tx_notes": ("U", ("w",)),  # the ERP-range warnings, as issued
         "disk_ids": ("U", ("d",)),
-        "disk_keys": ("<u8", ("d", 8)),  # <id>.disk's stat key, then <id>.asc's
+        "disk_keys": ("<u8", ("d", 4)),  # <id>.asc's stat key, or <id>.disk's with no .asc
         "disk_floats": ("<f8", ("d", 3)),  # centre easting, northing, radius
-        "disk_derived": ("|b1", ("d",)),
     },
     "rasters": {
         "ids": ("U", ("r",)),
@@ -662,65 +661,51 @@ class DiskSet(Mapping):
 
 def _station_disks(
     coverage_dir: Path, prefix: str, db: TransmitterDb, mtime_ns: int,
-    pack: dict[str, np.ndarray], write_cache: bool,
+    pack: dict[str, np.ndarray],
 ) -> tuple[dict[str, np.ndarray], bool]:
     """Every station's disk fields for the next station pack, and whether any was read from a file.
 
-    A disk is taken from ``pack`` while the stat keys of its ``.disk`` and
-    ``.asc`` match and both are older than the pack; a disk derived from the
-    raster also needs the station where it was derived.  Otherwise
-    ``<id>.disk`` is read, unless its ``.asc`` is strictly newer (by mtime)
-    or has changed since the pack took the same ``.disk``: then the disk is
-    derived from the raster, and with ``write_cache`` written to ``<id>.disk``.
+    A station's disk is derived from ``<id>.asc``; only a station with no
+    ``.asc`` reads ``<id>.disk``.  A disk is taken from ``pack`` while the
+    stat key of that source file matches, the file is older than the pack,
+    and the disk is centred on the station's position.
     """
     n = len(db)
-    paths = [prefix + tx_id + ext for tx_id in db.ids for ext in (".disk", ".asc")]
-    keys = _stat_keys(paths).reshape(n, 8)  # <id>.disk's key, then <id>.asc's
+    paths = [prefix + tx_id + ".asc" for tx_id in db.ids]
+    keys = _stat_keys(paths)
+    has_asc = keys.any(axis=1)
+    no_asc = np.flatnonzero(~has_asc).tolist()
+    for i in no_asc:
+        paths[i] = prefix + db.ids[i] + ".disk"
+    keys[no_asc] = _stat_keys([paths[i] for i in no_asc])
     rows = _pack_rows(pack["disk_ids"], db.ids)
     listed = rows >= 0
-    packed_keys = np.zeros((n, 8), dtype=np.uint64)
+    packed_keys = np.zeros((n, 4), dtype=np.uint64)
     floats = np.zeros((n, 3))
-    derived = np.zeros(n, dtype=bool)
     packed_keys[listed] = pack["disk_keys"][rows[listed]]
     floats[listed] = pack["disk_floats"][rows[listed]]
-    derived[listed] = pack["disk_derived"][rows[listed]]
     fresh = (
         listed
         & (keys == packed_keys).all(axis=1)
-        & (np.maximum(_newest(keys[:, :4]), _newest(keys[:, 4:])) < mtime_ns)
-        & (~derived | ((floats[:, 0] == db.east) & (floats[:, 1] == db.north)))
+        & (_newest(keys) < mtime_ns)
+        & (floats[:, 0] == db.east) & (floats[:, 1] == db.north)
     )
     if fresh.all() and np.array_equal(rows, np.arange(len(pack["disk_ids"]))):
         # the same stations in the same order: the pack's own views, no copy
         return {name: array for name, array in pack.items() if name.startswith("disk")}, False
-    mtimes = keys[:, [1, 5]].astype(np.int64)
     for i in np.flatnonzero(~fresh).tolist():
-        tx_id, disk_path, asc_path = db.ids[i], paths[2 * i], paths[2 * i + 1]
-        has_disk, has_asc = keys[i, :4].any(), keys[i, 4:].any()
-        raster_changed = has_asc and (
-            mtimes[i, 1] > mtimes[i, 0]
-            or (listed[i] and (packed_keys[i, :4] == keys[i, :4]).all()
-                and (packed_keys[i, 4:] != keys[i, 4:]).any())
-        )
-        if has_disk and not raster_changed:
-            disk = read_disk(read_text(disk_path), tx_id, source=disk_path)
-        elif has_asc:
-            raster = read_asc(read_text(asc_path), tx_id, source=asc_path)
+        tx_id, path = db.ids[i], paths[i]
+        if has_asc[i]:
+            raster = read_asc(read_text(path), tx_id, source=path)
             disk = enclosing_disk(raster, db.transmitters[i])
-            if write_cache:
-                try:
-                    Path(disk_path).write_text(write_disk(disk))
-                except OSError as exc:  # e.g. a read-only data dir: derived again next time
-                    print(f"tvws: warning: could not write disk cache {disk_path}: {exc}",
-                          file=sys.stderr)
+        elif keys[i].any():
+            disk = read_disk(read_text(path), tx_id, source=path)
         else:
             raise FileNotFoundError(
                 f"neither disk cache nor raster found for {tx_id!r} in {coverage_dir}"
             )
         floats[i] = disk.center.easting, disk.center.northing, disk.radius_m
-        derived[i] = not has_disk or raster_changed
-    fields = {"disk_ids": np.array(db.ids, dtype=str), "disk_keys": keys,
-              "disk_floats": floats, "disk_derived": derived}
+    fields = {"disk_ids": np.array(db.ids, dtype=str), "disk_keys": keys, "disk_floats": floats}
     return fields, not fresh.all()
 
 
@@ -755,7 +740,7 @@ def _load_stations(
             stale = True
     disks = None
     if with_disks:
-        disk_fields, read = _station_disks(coverage_dir, prefix, db, mtime_ns, pack, write_cache)
+        disk_fields, read = _station_disks(coverage_dir, prefix, db, mtime_ns, pack)
         fields.update(disk_fields)
         stale = stale or read
         disks = DiskSet(db.ids, disk_fields["disk_floats"])
@@ -769,7 +754,7 @@ def _load_stations(
             raise ParseError(
                 f"disk centre ({e!r}, {n!r}) is not the position of {db.ids[i]!r} in the "
                 f"transmitter database ({float(tx_e)!r}, {float(tx_n)!r}); "
-                "delete the file or rerun `tvws disks`",
+                "correct the file or the database",
                 source=str(coverage_dir / f"{db.ids[i]}.disk"),
             )
     return db, disks, notes
@@ -795,12 +780,11 @@ def load_stations(
 def load_disks(
     coverage_dir: str | Path, db: TransmitterDb, write_cache: bool = True
 ) -> DiskSet:
-    """Every transmitter's disk: ``<id>.disk``, or derived (and cached) from ``<id>.asc``.
+    """Every transmitter's disk: derived from ``<id>.asc``, or ``<id>.disk`` where there is no ``.asc``.
 
-    A ``.disk`` is read unless its ``.asc`` is strictly newer by mtime, or
-    changed since the station pack took the same ``.disk``; fresh disks come
-    from the pack.  With ``write_cache`` derived disks are written to ``<id>.disk`` and the
-    pack is rewritten, without a txdb part, when any disk was read from a file.  A disk whose
-    centre is not its transmitter's position is a ParseError naming the file.
+    Fresh disks come from the station pack.  With ``write_cache`` the pack is
+    rewritten, without a txdb part, when any disk was read from a file.  A
+    ``.disk`` whose centre is not its transmitter's position is a ParseError
+    naming the file.
     """
     return _load_stations(Path(coverage_dir), db, None, True, write_cache)[1]

@@ -28,7 +28,7 @@ class ParseError(ValueError):
 def read_text(path: str) -> str:
     """An input file's text; a file that does not decode is a :class:`ParseError` naming it."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not text: {exc.reason} at byte {exc.start}", source=path) from None

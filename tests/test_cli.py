@@ -360,7 +360,8 @@ class TestLocationReader:
         import oracles
 
         locs = tmp_path / "bad.csv"
-        locs.write_text("# sites\na,SP 513 061\nb,300000,300000\n\nc, ßP 51 06\nd,1,2,3\n")
+        locs.write_text("# sites\na,SP 513 061\nb,300000,300000\n\nc, ßP 51 06\nd,1,2,3\n",
+                        encoding="utf-8")
         assert main(["batch", *base_args(small_fixture), "--locations", str(locs)]) == 3
         with pytest.raises(ParseError) as exc:
             oracles.read_locations_file(str(locs))
@@ -431,6 +432,7 @@ def test_a_subnormal_keepout_radius_answers_without_a_warning(tmp_path, capsys):
                  "--seed", "3", "--out", str(tmp_path)]) == 0
     db = load_txdb((tmp_path / "transmitters.csv").read_text())
     (e, n), tx_id = db.floats[0, :2].tolist(), db.ids[0]
+    (tmp_path / "coverage" / f"{tx_id}.asc").unlink()  # so the .disk below is the disk
     (tmp_path / "coverage" / f"{tx_id}.disk").write_text(f"{e!r} {n!r} 5e-324\n")
     capsys.readouterr()
     with warnings.catch_warnings():
@@ -749,6 +751,20 @@ class TestHugeRequest:
         err = capsys.readouterr().err
         assert err.startswith("tvws: error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["grid", "synth"])
+    def test_a_cell_too_small_to_count_exits_2(self, uk81_dir, tmp_path, capsys, command):
+        """At --cell 1e-320 the cell count overflows to infinity, which no int holds."""
+        argv = {
+            "grid": ["grid", *base_args(uk81_dir), "--region", "0,0,700000,1300000",
+                     "--cell", "1e-320"],
+            "synth": ["synth", "--n", "1", "--region", "0,0,1000,1000", "--cell", "1e-320",
+                      "--out", str(tmp_path / "s")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "tvws: error: request too large: cannot convert float infinity to integer\n")
+
 
 class TestUndecodableInputs:
     """A file that is not UTF-8 exits 3 and names the file, whichever input it is."""
@@ -766,6 +782,26 @@ class TestUndecodableInputs:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    def test_utf8_is_read_under_an_ascii_locale(self, small_fixture, tmp_path):
+        """Input files are UTF-8 whatever the locale's encoding is."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tvws
+
+        locs = tmp_path / "locs.csv"
+        locs.write_bytes("# sites near the café\ncafe,SP 513 061\n".encode())
+        src = str(Path(tvws.__file__).resolve().parent.parent)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-m", "tvws.cli", "batch", *base_args(small_fixture),
+             "--locations", str(locs)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert b"\ncafe," in run.stdout
 
 
 def test_negative_zero_power_echoes_as_zero(small_fixture, tmp_path, capsys):
@@ -848,7 +884,7 @@ class TestBatchRows:
         points = [NgPoint(200_000.0 + 40_000 * i, 230_000.0 + 37_000 * i) for i in range(5)]
         locs = tmp_path / "locs.csv"
         locs.write_text("".join(f"{lab},{p.easting},{p.northing}\n"
-                                for lab, p in zip(labels, points)))
+                                for lab, p in zip(labels, points)), encoding="utf-8")
         runs = [(mode, power, flags)
                 for mode, power in (("disk", "0"), ("disk", "0.5"), ("raster", "0"))
                 for flags in ([], ["--strict-excluded"])]

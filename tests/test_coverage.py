@@ -305,7 +305,8 @@ class TestDirectoryLoaders:
         db, cov_dir = tree
         disks = load_disks(cov_dir, db)
         assert set(disks) == {tx.id for tx in db}
-        assert all((cov_dir / f"{tx.id}.disk").is_file() for tx in db)
+        assert not list(cov_dir.glob("*.disk"))  # the station pack is the only cache
+        assert (cov_dir / ".tvws-stations.pack").is_file()
         again = load_disks(cov_dir, db)
         assert again == disks
 
@@ -315,9 +316,12 @@ class TestDirectoryLoaders:
         with pytest.raises(FileNotFoundError, match="neither disk cache nor raster.*'s1'"):
             load_disks(cov_dir, db)
 
-    def test_load_disks_prefers_cache(self, tree):
+    def test_load_disks_prefers_the_raster(self, tree):
+        """A .disk beside its .asc is not read; with no .asc it is the disk."""
         db, cov_dir = tree
         fake = CoverageDisk("s0", db.transmitters[0].position, 123.0)
         (cov_dir / "s0.disk").write_text(write_disk(fake))
-        disks = load_disks(cov_dir, db)
-        assert disks["s0"].radius_m == 123.0
+        raster = read_asc((cov_dir / "s0.asc").read_text(), "s0")
+        assert load_disks(cov_dir, db)["s0"] == enclosing_disk(raster, db.transmitters[0])
+        (cov_dir / "s0.asc").unlink()
+        assert load_disks(cov_dir, db)["s0"] == fake

@@ -1,10 +1,11 @@
 """Coverage packs: a packed load always equals a file-by-file read.
 
 ``load_stations``/``load_disks``/``load_rasters`` take an entry from the
-directory's pack only while its source files' stat keys match and the
-sources are older than the pack.  Every test here changes the directory
-behind the pack's back and checks the load against ``load_txdb`` and
-``oracles.coverage_from_files``.
+directory's pack only while its source file's stat key matches and the
+source is older than the pack.  A station's disk has one source file: its
+``.asc``, or its ``.disk`` where there is no ``.asc``.  Every test here
+changes the directory behind the pack's back and checks the load against
+``load_txdb`` and ``oracles.coverage_from_files``.
 """
 
 import builtins
@@ -16,6 +17,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import types
 import warnings
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tvws
@@ -38,10 +40,11 @@ from tvws.keepout import PropagationParams, QueryParams
 from tvws.txdb import Transmitter, TransmitterDb, load_txdb, serialize
 
 KINDS = ("disks", "rasters")
-PACK = {"disks": "stations", "rasters": "rasters"}  # the pack each kind is kept in
-KEYS = {"disks": "disk_keys", "rasters": "keys"}
-SUFFIX = {"disks": ".disk", "rasters": ".asc"}
-LOAD = {"disks": cov.load_disks, "rasters": cov.load_rasters}
+# "disk-files" is "disks" on a tree with no .asc, so each disk comes from its .disk
+PACK = {"disks": "stations", "disk-files": "stations", "rasters": "rasters"}  # the pack of each
+KEYS = {"disks": "disk_keys", "disk-files": "disk_keys", "rasters": "keys"}
+SUFFIX = {"disks": ".asc", "disk-files": ".disk", "rasters": ".asc"}  # each entry's source file
+LOAD = {"disks": cov.load_disks, "disk-files": cov.load_disks, "rasters": cov.load_rasters}
 
 
 def make_db(n=3):
@@ -55,19 +58,12 @@ def make_db(n=3):
     )
 
 
-def write_sources(cov_dir, db):
-    """Each station's ``.asc``, and its ``.disk`` derived from it.
-
-    The ``.asc`` is stamped a minute older, as rasters are older than the
-    disks ``tvws disks`` writes, so moving a ``.disk``'s time back a little
-    never makes its raster the newer file.
-    """
+def write_sources(cov_dir, db, rasters=True, cell=2000.0):
+    """Each station's ``.disk`` derived from its raster, and with ``rasters`` the ``.asc``."""
     for i, tx in enumerate(db):
-        raster = cov.synth_coverage(tx, PropagationParams(), 2000.0, 0.2, seed=i)
-        asc = cov_dir / f"{tx.id}.asc"
-        asc.write_text(cov.write_asc(raster))
-        older = asc.stat().st_mtime_ns - 60 * 10**9
-        os.utime(asc, ns=(older, older))
+        raster = cov.synth_coverage(tx, PropagationParams(), cell, 0.2, seed=i)
+        if rasters:
+            (cov_dir / f"{tx.id}.asc").write_text(cov.write_asc(raster))
         (cov_dir / f"{tx.id}.disk").write_text(cov.write_disk(cov.enclosing_disk(raster, tx)))
 
 
@@ -109,8 +105,8 @@ def tree(tmp_path):
 
 @pytest.fixture
 def file_reads(monkeypatch):
-    """Counts of read_disk/read_asc/load_txdb calls made through the loaders."""
-    counts = {"disks": 0, "rasters": 0, "txdb": 0}
+    """Counts of read_disk/read_asc/load_txdb calls made through the loaders, by what they read."""
+    counts = {".disk": 0, ".asc": 0, "txdb": 0}
 
     def counting(kind, real):
         def wrapper(*args, **kwargs):
@@ -118,8 +114,8 @@ def file_reads(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cov, "read_disk", counting("disks", cov.read_disk))
-    monkeypatch.setattr(cov, "read_asc", counting("rasters", cov.read_asc))
+    monkeypatch.setattr(cov, "read_disk", counting(".disk", cov.read_disk))
+    monkeypatch.setattr(cov, "read_asc", counting(".asc", cov.read_asc))
     monkeypatch.setattr(cov, "load_txdb", counting("txdb", cov.load_txdb))
     return counts
 
@@ -127,14 +123,20 @@ def file_reads(monkeypatch):
 def check(kind, cov_dir, db, **kwargs):
     """Load, compare with the file-by-file reference, and return the load."""
     got = LOAD[kind](cov_dir, db, **kwargs)
-    assert coverage_values(got) == coverage_values(coverage_from_files(cov_dir, db, kind))
+    want = coverage_from_files(cov_dir, db, "rasters" if kind == "rasters" else "disks")
+    assert coverage_values(got) == coverage_values(want)
     return got
 
 
-def same_size_edit(path, kind):
-    """Change the value in ``path`` without changing its size."""
+def same_size_edit(path):
+    """Change the value in a ``.disk`` or ``.asc`` without changing its size.
+
+    In an ``.asc`` the last 0 becomes a 1: the south-east corner cell, which
+    lies farther from the transmitter than any covered cell, so the
+    raster's disk changes too.
+    """
     text = path.read_text()
-    if kind == "disks":
+    if path.suffix == ".disk":
         e, n, r = text.split()
         last = r[-1]
         edited = f"{e} {n} {r[:-1]}{'1' if last != '1' else '2'}\n"
@@ -149,28 +151,41 @@ def restore_mtime(path, st):
     os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
 
 
-@pytest.mark.parametrize("kind", KINDS)
+def drop_rasters(cov_dir):
+    for asc in cov_dir.glob("*.asc"):
+        asc.unlink()
+    settle(cov_dir)
+
+
+@pytest.mark.parametrize("kind", ["disks", "disk-files", "rasters"])
 class TestFreshness:
+    @pytest.fixture
+    def tree(self, kind, tree):
+        """The module's tree, without its rasters for ``disk-files``."""
+        if kind == "disk-files":
+            drop_rasters(tree[1])
+        return tree
+
     def test_second_load_comes_from_the_pack(self, kind, tree, file_reads):
         db, cov_dir = tree
         check(kind, cov_dir, db)
-        assert file_reads[kind] == len(db)
+        assert file_reads[SUFFIX[kind]] == len(db)
         assert pack_path(cov_dir, kind).is_file()
         check(kind, cov_dir, db)
-        assert file_reads[kind] == len(db)
+        assert file_reads[SUFFIX[kind]] == len(db)
 
     def test_same_size_edit_with_mtime_restored(self, kind, tree, file_reads):
         db, cov_dir = tree
         before = coverage_values(check(kind, cov_dir, db))
         source = cov_dir / f"s1{SUFFIX[kind]}"
         st = source.stat()
-        source.write_text(same_size_edit(source, kind))
+        source.write_text(same_size_edit(source))
         restore_mtime(source, st)
         assert source.stat().st_size == st.st_size
         assert source.stat().st_mtime_ns == st.st_mtime_ns
         after = coverage_values(check(kind, cov_dir, db))
         assert after["s1"] != before["s1"]
-        assert file_reads[kind] == len(db) + 1
+        assert file_reads[SUFFIX[kind]] == len(db) + 1
 
     @pytest.mark.parametrize("field", ["st_size", "st_mtime_ns", "st_ctime_ns", "st_ino"])
     def test_every_stat_field_is_in_the_key(self, kind, tree, file_reads, monkeypatch, field):
@@ -194,7 +209,7 @@ class TestFreshness:
 
         monkeypatch.setattr(os, "stat", shifted)
         LOAD[kind](cov_dir, db, write_cache=False)
-        assert file_reads[kind] == len(db) + 1
+        assert file_reads[SUFFIX[kind]] == len(db) + 1
 
     def test_edit_between_read_and_pack_write(self, kind, tree, monkeypatch):
         """An edit after the read but before the pack write is read again.
@@ -204,14 +219,14 @@ class TestFreshness:
         """
         db, cov_dir = tree
         path = cov_dir / f"s1{SUFFIX[kind]}"
-        name = {"disks": "read_disk", "rasters": "read_asc"}[kind]
+        name = {".disk": "read_disk", ".asc": "read_asc"}[SUFFIX[kind]]
         real = getattr(cov, name)
 
         def read_then_edit(text, tx_id, source):
             value = real(text, tx_id, source=source)
             if tx_id == "s1":
                 st = path.stat()
-                path.write_text(same_size_edit(path, kind))
+                path.write_text(same_size_edit(path))
                 restore_mtime(path, st)
             return value
 
@@ -228,7 +243,7 @@ class TestFreshness:
         source = cov_dir / f"s2{SUFFIX[kind]}"
         st = source.stat()
         new = cov_dir / "incoming.tmp"
-        new.write_text(same_size_edit(source, kind))
+        new.write_text(same_size_edit(source))
         restore_mtime(new, st)
         os.replace(new, source)
         after = coverage_values(check(kind, cov_dir, db))
@@ -239,7 +254,7 @@ class TestFreshness:
         check(kind, cov_dir, db)
         (cov_dir / f"s0{SUFFIX[kind]}").unlink()
         if kind == "disks":
-            check(kind, cov_dir, db)  # derived from s0.asc again
+            check(kind, cov_dir, db)  # read from s0.disk, now that s0 has no raster
         else:
             with pytest.raises(FileNotFoundError, match="s0"):
                 LOAD[kind](cov_dir, db)
@@ -248,14 +263,15 @@ class TestFreshness:
         db, cov_dir = tree
         check(kind, cov_dir, db)
         bigger = make_db(5)
-        write_sources(cov_dir, TransmitterDb(bigger.transmitters[3:], source="test"))
+        write_sources(cov_dir, TransmitterDb(bigger.transmitters[3:], source="test"),
+                      rasters=kind != "disk-files")
         settle(cov_dir)
         check(kind, cov_dir, bigger)
-        assert file_reads[kind] == len(db) + 2
+        assert file_reads[SUFFIX[kind]] == len(db) + 2
         check(kind, cov_dir, bigger)
-        assert file_reads[kind] == len(db) + 2
+        assert file_reads[SUFFIX[kind]] == len(db) + 2
         check(kind, cov_dir, db)  # a smaller txdb still reads the bigger pack
-        assert file_reads[kind] == len(db) + 2
+        assert file_reads[SUFFIX[kind]] == len(db) + 2
 
     def test_copytree(self, kind, tree, tmp_path):
         db, cov_dir = tree
@@ -264,7 +280,7 @@ class TestFreshness:
         shutil.copytree(cov_dir, copy)  # pack and sources, mtimes kept
         source = copy / f"s1{SUFFIX[kind]}"
         st = source.stat()
-        source.write_text(same_size_edit(source, kind))
+        source.write_text(same_size_edit(source))
         restore_mtime(source, st)
         copied = coverage_values(check(kind, copy, db))
         original = coverage_values(check(kind, cov_dir, db))
@@ -284,11 +300,9 @@ class TestFreshness:
         old = LOAD[kind](cov_dir, db)
         source = cov_dir / f"s1{SUFFIX[kind]}"
         st = source.stat()
-        source.write_text(same_size_edit(source, kind))
+        source.write_text(same_size_edit(source))
         os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
-        _mtime, arrays = cov._read_pack(str(pack_path(cov_dir, kind)), PACK[kind])
-        forged = arrays[KEYS[kind]].copy()
-        forged[:, :4] = cov._stat_keys([str(cov_dir / f"{tx.id}{SUFFIX[kind]}") for tx in db])
+        forged = cov._stat_keys([str(cov_dir / f"{tx.id}{SUFFIX[kind]}") for tx in db])
         rewrite_pack(cov_dir, kind, **{KEYS[kind]: forged})
         now = source.stat()
         pack_mtime = {"mtime": now.st_mtime_ns, "ctime": now.st_ctime_ns,
@@ -418,12 +432,12 @@ class TestBadPack:
         for name, data in [*bad_packs(kind, good), ("old-format", old_format_pack(kind, good))]:
             pack_path(cov_dir, kind).write_bytes(data)
             settle(cov_dir)
-            before = file_reads[kind]
+            before = file_reads[".asc"]
             check(kind, cov_dir, db)
-            assert file_reads[kind] == before + len(db), name
+            assert file_reads[".asc"] == before + len(db), name
             assert pack_path(cov_dir, kind).read_bytes() != data, name
             check(kind, cov_dir, db)
-            assert file_reads[kind] == before + len(db), f"{name}: pack not rewritten"
+            assert file_reads[".asc"] == before + len(db), f"{name}: pack not rewritten"
 
     def test_failed_write_is_skipped(self, kind, tree, monkeypatch):
         db, cov_dir = tree
@@ -549,7 +563,11 @@ class TestCli:
 
 
 class TestDiskCentre:
-    """A .disk whose centre is not its transmitter's position is refused."""
+    """A .disk whose centre is not its transmitter's position is refused.
+
+    Only a station with no .asc reads its .disk; a station with a raster has
+    its disk derived about its position wherever the database puts it.
+    """
 
     def moved(self, db, tx_id, by=1.0):
         return TransmitterDb(
@@ -564,31 +582,32 @@ class TestDiskCentre:
 
     def test_moved_transmitter(self, tree):
         db, cov_dir = tree
+        drop_rasters(cov_dir)
         with pytest.raises(ParseError, match="s1.disk") as info:
             cov.load_disks(cov_dir, self.moved(db, "s1"), write_cache=False)
         assert "not the position of 's1'" in str(info.value)
 
     def test_checked_on_a_pack_hit(self, tree, file_reads):
         db, cov_dir = tree
+        drop_rasters(cov_dir)
         cov.load_disks(cov_dir, db)
         with pytest.raises(ParseError, match="s2.disk"):
             cov.load_disks(cov_dir, self.moved(db, "s2", by=-0.5))
-        assert file_reads["disks"] == len(db)  # the second load read no file
+        assert file_reads[".disk"] == len(db) + 1  # only the moved station's file was read
 
-    def test_derived_disk_follows_a_moved_transmitter(self, tree, monkeypatch, file_reads):
+    def test_derived_disk_follows_a_moved_transmitter(self, tree, file_reads):
         """A packed disk derived from the raster holds only where it was derived."""
         db, cov_dir = tree
-        (cov_dir / "s1.disk").unlink()
-        TestWriteWarnings.refuse_disk_writes(monkeypatch)  # the derived disk stays unwritten
         cov.load_disks(cov_dir, db)
         settle(cov_dir)
         cov.load_disks(cov_dir, db)
-        assert file_reads["rasters"] == 1  # derived once, then taken from the pack
+        assert file_reads[".asc"] == len(db)  # derived once, then taken from the pack
         moved = self.moved(db, "s1", by=500.0)
         got = cov.load_disks(cov_dir, moved)
         assert coverage_values(got) == coverage_values(coverage_from_files(cov_dir, moved, "disks"))
         assert got["s1"].center == moved.transmitters[1].position
-        assert file_reads["rasters"] == 2
+        assert file_reads[".asc"] == len(db) + 1
+        assert file_reads[".disk"] == 0
 
     def test_cli_exits_3_naming_the_file(self, tmp_path, capsys):
         out = tmp_path / "tree"
@@ -599,29 +618,20 @@ class TestDiskCentre:
         row = lines[2].split(",")
         row[1] = repr(float(row[1]) + 10.0)
         txdb.write_text("\n".join([*lines[:2], ",".join(row), *lines[3:]]) + "\n")
+        argv = ["query", "--txdb", str(txdb), "--coverage", str(out / "coverage"),
+                "--loc", "250000,250000"]
+        assert main(argv) == 0  # derived from the raster about the new position
+        (out / "coverage" / f"{row[0]}.asc").unlink()
         capsys.readouterr()
-        code = main(["query", "--txdb", str(txdb), "--coverage", str(out / "coverage"),
-                     "--loc", "250000,250000"])
-        assert code == 3
+        assert main(argv) == 3
         assert f"{row[0]}.disk" in capsys.readouterr().err
 
 
 class TestWriteWarnings:
-    """A pack or ``.disk`` write that fails warns once on stderr, naming the file.
+    """A pack write that fails warns once on stderr, naming the file.
 
     The load itself, stdout and the exit code are as if the write had worked.
     """
-
-    @staticmethod
-    def refuse_disk_writes(monkeypatch):
-        real = cov.Path.write_text
-
-        def write_text(path, *args, **kwargs):
-            if path.suffix == ".disk":
-                raise PermissionError(13, "Permission denied", str(path))
-            return real(path, *args, **kwargs)
-
-        monkeypatch.setattr(cov.Path, "write_text", write_text)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_failed_pack_write(self, kind, tree, monkeypatch, capsys):
@@ -639,19 +649,6 @@ class TestWriteWarnings:
         check(kind, cov_dir, db, write_cache=False)  # nothing to write, nothing to say
         assert capsys.readouterr().err == ""
 
-    def test_failed_disk_write(self, tree, monkeypatch, capsys):
-        db, cov_dir = tree
-        for tx in db:
-            (cov_dir / f"{tx.id}.disk").unlink()
-        self.refuse_disk_writes(monkeypatch)
-        check("disks", cov_dir, db)
-        assert capsys.readouterr().err.splitlines() == [
-            f"tvws: warning: could not write disk cache {cov_dir / f'{tx.id}.disk'}: "
-            f"[Errno 13] Permission denied: '{cov_dir / f'{tx.id}.disk'}'"
-            for tx in db
-        ]
-        assert not list(cov_dir.glob("*.disk"))
-
     def test_cli_stdout_and_exit_code_unchanged(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "tree"
         assert main(["synth", "--n", "3", "--region", "200000,200000,300000,300000",
@@ -663,15 +660,13 @@ class TestWriteWarnings:
         raster = [*query, "--mode", "raster", "--power", "0"]
         capsys.readouterr()
         with monkeypatch.context() as failing:
-            self.refuse_disk_writes(failing)
             failing.setattr(cov.os, "replace", lambda *args: (_ for _ in ()).throw(OSError("full")))
-            assert main(query) == 0  # derives three disks, and cannot write them
+            assert main(query) == 0  # derives three disks, and cannot pack them
             disk_run = capsys.readouterr()
             assert main(raster) == 0  # reads three rasters, and cannot pack them
             raster_run = capsys.readouterr()
-        assert [line.split()[7] for line in disk_run.err.splitlines()] == [
-            *(f"{out / 'coverage' / f'tx{i}.disk'}:" for i in (1, 2, 3)),
-            f"{out / 'coverage' / '.tvws-stations.pack'}:",
+        assert disk_run.err.splitlines() == [
+            f"tvws: warning: could not write coverage pack {out / 'coverage' / '.tvws-stations.pack'}: full"
         ]
         assert raster_run.err.splitlines() == [  # the txdb is packed too: it was never written
             f"tvws: warning: could not write coverage pack {out / 'coverage' / name}: full"
@@ -681,6 +676,7 @@ class TestWriteWarnings:
             assert main(argv) == 0
             written = capsys.readouterr()
             assert (written.out, written.err) == (refused.out, "")
+        assert not list((out / "coverage").glob("*.disk"))  # a load writes no .disk
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +738,9 @@ class TestStationPack:
         txdb, cov_dir = stations
         db, _disks = load_checked(txdb, cov_dir)
         assert db.source == "test"  # from the # source: line
-        assert (file_reads["txdb"], file_reads["disks"]) == (1, 3)
+        assert (file_reads["txdb"], file_reads[".asc"]) == (1, 3)
         load_checked(txdb, cov_dir)
-        assert (file_reads["txdb"], file_reads["disks"]) == (1, 3)
+        assert (file_reads["txdb"], file_reads[".asc"]) == (1, 3)
         assert db._transmitters is not None
         hit, _disks = cov.load_stations(txdb, cov_dir)
         assert hit._transmitters is None  # no per-station object until asked for
@@ -791,7 +787,7 @@ class TestStationPack:
 
         monkeypatch.setattr(os, "stat", shifted)
         load_checked(txdb, cov_dir)
-        assert (file_reads["txdb"], file_reads["disks"]) == (2, 3)
+        assert (file_reads["txdb"], file_reads[".asc"]) == (2, 3)
 
     @pytest.mark.parametrize("stamp", ["mtime", "ctime", "older"])
     def test_racy_csv(self, stations, stamp):
@@ -820,16 +816,17 @@ class TestStationPack:
 
     def test_moved_station_exits_3_on_a_hit(self, stations, file_reads, capsys):
         txdb, cov_dir = stations
+        drop_rasters(cov_dir)
         argv = ["query", "--txdb", str(txdb), "--coverage", str(cov_dir), "--loc", "250000,250000"]
         assert main(argv) == 0
         settle(cov_dir, txdb.parent)
         assert main(argv) == 0
-        assert (file_reads["txdb"], file_reads["disks"]) == (1, 3)
+        assert (file_reads["txdb"], file_reads[".disk"]) == (1, 3)
         txdb.write_text(same_size_csv_edit(txdb.read_text(), "s1,240000.0,", "s1,240001.0,"))
         capsys.readouterr()
         assert main(argv) == 3
         assert f"{cov_dir / 's1.disk'}: disk centre (240000.0, 200000.0)" in capsys.readouterr().err
-        assert (file_reads["txdb"], file_reads["disks"]) == (2, 3)  # the disks were packed
+        assert (file_reads["txdb"], file_reads[".disk"]) == (2, 4)  # only s1's disk read again
 
     def test_edited_channel_list(self, stations, capsys):
         txdb, cov_dir = stations
@@ -866,12 +863,12 @@ class TestStationPack:
             db, _disks = load_checked(path, cov_dir)
             assert db.transmitters[0].channels == frozenset({41 if path == txdb else 46})
         assert file_reads["txdb"] == 4
-        assert file_reads["disks"] == 3  # both share the coverage files
+        assert file_reads[".asc"] == 3  # both share the coverage files
 
     def test_raster_mode_packs_only_the_txdb(self, stations, file_reads):
         txdb, cov_dir = stations
         db, disks = load_checked(txdb, cov_dir, disks=False)
-        assert disks is None and file_reads["disks"] == 0
+        assert disks is None and file_reads[".asc"] == 0
         settle(cov_dir, txdb.parent)
         load_checked(txdb, cov_dir, disks=False)
         assert file_reads["txdb"] == 1
@@ -884,22 +881,20 @@ class TestStationPack:
         of a same-size edit of its source, and the pack stamped at that
         source's ctime.  Then a load that checks only the other part misses
         and rewrites the pack with a later stamp: a raster-mode load after a
-        CSV edit (racy ``.disk``), or ``load_disks`` after a disk was touched
+        CSV edit (racy ``.asc``), or ``load_disks`` after a disk was touched
         (racy CSV).  The next full load must still read the racy source.
         """
         txdb, cov_dir = stations
         db, _disks = cov.load_stations(txdb, cov_dir)
-        source = cov_dir / "s1.disk" if racy == "disk" else txdb
+        source = cov_dir / "s1.asc" if racy == "disk" else txdb
         st = source.stat()
         if racy == "disk":
-            source.write_text(same_size_edit(source, "disks"))
+            source.write_text(same_size_edit(source))
         else:
             source.write_text(same_size_csv_edit(txdb.read_text(), ",42\n", ",45\n"))
         os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
         if racy == "disk":
-            _mtime, arrays = cov._read_pack(str(pack_path(cov_dir, "disks")), "stations")
-            forged = arrays["disk_keys"].copy()  # the pack's arrays are read-only views
-            forged[:, :4] = cov._stat_keys([str(cov_dir / f"{tx_id}.disk") for tx_id in db.ids])
+            forged = cov._stat_keys([str(cov_dir / f"{tx_id}.asc") for tx_id in db.ids])
             rewrite_pack(cov_dir, "disks", disk_keys=forged)
         else:
             rewrite_pack(cov_dir, "disks", txdb_key=cov._stat_keys([str(txdb)])[0])
@@ -912,12 +907,12 @@ class TestStationPack:
                                                "s2,280000.0,200000.0,60000.0"))
             load_checked(txdb, cov_dir, disks=False)
         else:
-            (cov_dir / "s0.disk").write_text((cov_dir / "s0.disk").read_text())
+            (cov_dir / "s0.asc").write_text((cov_dir / "s0.asc").read_text())
             cov.load_disks(cov_dir, db)
         assert pack_path(cov_dir, "disks").stat().st_mtime_ns > ctime  # the pack was rewritten
         load_checked(txdb, cov_dir)
         assert file_reads["txdb"] == reads["txdb"] + 1
-        assert file_reads["disks"] == reads["disks"] + (3 if racy == "disk" else 1)
+        assert file_reads[".asc"] == reads[".asc"] + (3 if racy == "disk" else 1)
 
     def test_old_format_and_damaged_packs_read_as_empty(self, stations, file_reads):
         txdb, cov_dir = stations
@@ -1053,13 +1048,12 @@ class TestWarmCalls:
 class TestStaleDisk:
     """The disk of a raster grown after ``tvws disks`` covers the new raster.
 
-    The edit is seen by the ``.asc`` being newer than its ``.disk``, or, with
-    the mtime put back, by the pack having taken the same ``.disk`` beside a
-    different ``.asc``.
+    The disk comes from the raster whatever the two files' mtimes say: the
+    ``.disk`` beside it, now too small, is not read.
     """
 
     @pytest.mark.parametrize("pack,stamp", [("warm", "newer"), ("none", "newer"),
-                                            ("warm", "older")])
+                                            ("warm", "older"), ("none", "older")])
     def test_grown_raster(self, uk81_dir, tmp_path, pack, stamp):
         data = tmp_path / "uk81"
         shutil.copytree(uk81_dir, data)
@@ -1090,7 +1084,6 @@ class TestStaleDisk:
 
         disks = cov.load_disks(cov_dir, db)
         assert disks[tx.id] == want
-        assert cov.read_disk(disk.read_text(), tx.id) == want  # written back
         assert coverage_from_files(cov_dir, db, "disks")[tx.id] == want
 
         rasters = cov.load_rasters(cov_dir, db)
@@ -1104,3 +1097,104 @@ class TestStaleDisk:
             by_raster = availability_lowpower(db, rasters, plan, p).vacant
             assert by_disk <= by_raster, p
         assert not tx.channels & availability(db, disks, plan, QueryParams(points[0], 0.0, prop)).vacant
+
+
+@pytest.fixture(scope="module")
+def edit_tree(tmp_path_factory):
+    """Three stations on 5 km cells, with no pack: each example edits a copy."""
+    db = make_db()
+    cov_dir = tmp_path_factory.mktemp("edits") / "coverage"
+    cov_dir.mkdir()
+    write_sources(cov_dir, db, cell=5000.0)
+    return db, cov_dir
+
+
+class TestRasterEdits:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_the_disk_is_the_current_rasters(self, edit_tree, data):
+        """A raster edited after its .disk was written gives the disk of the edit.
+
+        Random cells of one raster are grown or shrunk, and the raster is
+        stamped newer than its .disk, at the same time or older; with or
+        without a warm pack, ``load_disks`` returns the edited raster's
+        enclosing disk.  At P = 0 the disk model then blocks every channel
+        the raster model blocks at each of the raster's cell centres.
+        """
+        db, base = edit_tree
+        work = Path(tempfile.mkdtemp(dir=base.parent.parent))
+        try:
+            cov_dir = work / "coverage"
+            shutil.copytree(base, cov_dir)  # mtimes kept
+            tx = db.transmitters[data.draw(st.integers(0, len(db) - 1), label="station")]
+            if data.draw(st.booleans(), label="warm"):
+                cov.load_disks(cov_dir, db)
+                settle(cov_dir)
+            asc, disk = cov_dir / f"{tx.id}.asc", cov_dir / f"{tx.id}.disk"
+            raster = cov.read_asc(asc.read_text(), tx.id)
+            cells = raster.cells.copy()
+            nrows, ncols = cells.shape
+            for row, col, covered in data.draw(st.lists(
+                    st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), st.booleans()),
+                    min_size=1, max_size=30), label="cells"):
+                cells[row, col] = covered
+            assume(cells.any())
+            edited = cov.CoverageRaster(tx.id, raster.origin, raster.cell_size_m, cells)
+            asc.write_text(cov.write_asc(edited))
+            shift = data.draw(st.sampled_from([10**9, 0, -(10**9)]), label="asc mtime - disk mtime")
+            stamp = disk.stat().st_mtime_ns + shift
+            os.utime(asc, ns=(stamp, stamp))
+
+            disks = cov.load_disks(cov_dir, db)
+            assert disks[tx.id] == cov.enclosing_disk(edited, tx)
+            rasters = cov.load_rasters(cov_dir, db, write_cache=False)
+            plan, prop = default_plan(), PropagationParams()
+            for row in range(nrows):
+                for col in range(ncols):
+                    p = edited.cell_center(row, col)
+                    by_disk = availability(db, disks, plan, QueryParams(p, 0.0, prop)).vacant
+                    assert by_disk <= availability_lowpower(db, rasters, plan, p).vacant, p
+        finally:
+            shutil.rmtree(work)
+
+
+class TestStatCount:
+    @pytest.mark.parametrize("command", ["query", "batch", "grid"])
+    def test_a_warm_disk_call_stats_one_source_file_per_station(self, tmp_path, monkeypatch,
+                                                                 capsys, command):
+        """The loader stats the CSV and each station's .asc, and a .disk only where no .asc is.
+
+        The CLI's own check that the CSV is a file is the one other stat of a data file.
+        """
+        out = tmp_path / "tree"
+        assert main(["synth", "--n", "4", "--region", "200000,200000,300000,300000",
+                     "--seed", "3", "--cell", "5000", "--out", str(out)]) == 0
+        txdb, cov_dir = out / "transmitters.csv", out / "coverage"
+        (cov_dir / "tx2.asc").unlink()  # tx2's disk is its .disk
+        locations = tmp_path / "locations.csv"
+        locations.write_text("a,250000,250000\nb,210000,290000\n")
+        data = ["--txdb", str(txdb), "--coverage", str(cov_dir)]
+        argv = {
+            "query": ["query", *data, "--loc", "250000,250000"],
+            "batch": ["batch", *data, "--locations", str(locations)],
+            "grid": ["grid", *data, "--region", "200000,200000,300000,300000", "--cell", "5000"],
+        }[command]
+        assert main(argv) == 0
+        settle(cov_dir, out)
+        packs = pack_stamps(cov_dir)
+        stats = []
+        real_stat = os.stat
+
+        def recording_stat(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", recording_stat)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert packs == pack_stamps(cov_dir)  # a hit: no pack was rewritten
+        data_files = [p for p in stats if p == str(txdb) or p.startswith(str(cov_dir))]
+        assert sorted(data_files) == sorted([
+            str(txdb), str(txdb),
+            *(str(cov_dir / f"tx{i}.asc") for i in range(1, 5)), str(cov_dir / "tx2.disk"),
+        ])
