@@ -430,6 +430,39 @@ def _or_intervals(
                 part[:, half:] |= part[:, :-half]
 
 
+def _lattice_index(c: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(c, x, side)`` for ascending centres ``c`` spaced as a lattice.
+
+    Each index starts from the lattice formula, ceil((x - c[0]) / step), and
+    takes at most two steps against ``c`` itself until c[k-1] < x <= c[k]
+    (c[k-1] <= x < c[k] for ``"right"``), past the ends at k = 0 and k = n:
+    searchsorted's own definition, so the result is the same integer.  Keys
+    still unsettled, possible only where cells are below the coordinates'
+    ulp and centres repeat, are searched, as is every key when there is one
+    centre or the step is 0.
+    """
+    n = c.size
+    step = (c[-1] - c[0]) / (n - 1) if n > 1 else 0.0
+    if not step > 0.0:
+        return np.searchsorted(c, x, side)
+    with np.errstate(over="ignore"):  # a tiny step sends a far key to inf; the clip settles it
+        k = np.ceil((x - c[0]) / step)
+    k = np.clip(k, 0, n, out=k).astype(np.intp)
+    left = side == "left"
+    for _ in range(3):
+        below, above = c.take(k - 1, mode="clip"), c.take(k, mode="clip")
+        up = (above < x if left else above <= x) & (k < n)
+        down = (below >= x if left else below > x) & (k > 0)
+        moved = up | down
+        if not moved.any():
+            return k
+        k += up
+        k -= down
+    off = np.flatnonzero(moved)
+    k[off] = np.searchsorted(c, x[off], side)
+    return k
+
+
 def _grid_fill(
     masks: np.ndarray,
     kd: KeepoutDisks,
@@ -443,9 +476,9 @@ def _grid_fill(
     disk at ``kd.powers[0]`` strictly contains (``centers_e[col]``,
     ``centers_n[row]``); both centre arrays ascend.  In each row a disk's
     reach box touches, the cells it contains are one column interval: the
-    centres within sqrt(R'^2 - dy^2) of its easting, found by ``searchsorted``
-    and ORed in by :func:`_or_intervals`.  Rows go in bands of about
-    ``_CHUNK_PAIRS`` (transmitter, row) pairs.
+    centres within sqrt(R'^2 - dy^2) of its easting, found by
+    :func:`_lattice_index` and ORed in by :func:`_or_intervals`.  Rows go in
+    bands of about ``_CHUNK_PAIRS`` (transmitter, row) pairs.
 
     Exactness.  Outside the tie band, :meth:`KeepoutDisks.inside` answers
     d < R' with ``np.hypot`` (within an ulp), so a centre closer than
@@ -473,8 +506,8 @@ def _grid_fill(
     r_in, r_out = radius * (1.0 - _ZONE), radius * (1.0 + _ZONE)
     ends = np.abs([centers_e[0], centers_e[-1], centers_n[0], centers_n[-1]])
     margin = _MARGIN * max(float(ends.max()), float(east.max()), float(north.max()))
-    first = np.searchsorted(centers_n, north - (r_out + margin), "left")
-    last = np.searchsorted(centers_n, north + (r_out + margin), "right")
+    first = _lattice_index(centers_n, north - (r_out + margin), "left")
+    last = _lattice_index(centers_n, north + (r_out + margin), "right")
     edges = np.bincount(first, minlength=nrows + 1) - np.bincount(last, minlength=nrows + 1)
     per_row = np.cumsum(edges[:nrows])  # (transmitter, row) pairs in each row
     through = np.cumsum(per_row)
@@ -491,10 +524,10 @@ def _grid_fill(
         e, ri, ro = east[t], r_in[t], r_out[t]
         h_in = np.sqrt(np.maximum(ri - dy, 0.0)) * np.sqrt(ri + dy) - margin
         h_out = np.sqrt(np.maximum(ro - dy, 0.0)) * np.sqrt(ro + dy) + margin
-        lo = np.searchsorted(centers_e, e - h_out, "left")
-        il = np.searchsorted(centers_e, e - h_in, "right")
-        ih = np.maximum(np.searchsorted(centers_e, e + h_in, "left"), il)
-        hi = np.searchsorted(centers_e, e + h_out, "right")
+        lo = _lattice_index(centers_e, e - h_out, "left")
+        il = _lattice_index(centers_e, e - h_in, "right")
+        ih = np.maximum(_lattice_index(centers_e, e + h_in, "left"), il)
+        hi = _lattice_index(centers_e, e + h_out, "right")
         band, base = masks[r0:r1], (row - r0) * ncols
         full = np.flatnonzero(ih > il)
         _or_intervals(band, base[full] + il[full], ih[full] - il[full], bits[t[full]])

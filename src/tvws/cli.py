@@ -21,7 +21,9 @@ distances are metres.  ``TVWS_DATA_DIR`` supplies default locations for
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
+import io
 import json
 import math
 import os
@@ -547,6 +549,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout is UTF-8 like every artifact, whatever the locale says;
+    # surrogateescape writes back the bytes of an argument the locale could
+    # not decode, such as an --out path.  A stream a caller put in its place
+    # (an io.StringIO, or a UTF-8 wrapper) is left alone.
+    out = sys.stdout
+    if isinstance(out, io.TextIOWrapper) and codecs.lookup(out.encoding).name != "utf-8":
+        out.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = _build_parser().parse_args(argv)
     if args.mode == "raster" and args.power:  # only query and batch take --mode raster
         return _fail("--mode raster is the zero-power model; use --power 0", EXIT_USAGE)

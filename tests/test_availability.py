@@ -825,11 +825,15 @@ class TestLatticeKernel:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_lattice_masks_equal_occupied_masks_on_the_centres(self, data):
-        cell = data.draw(st.sampled_from([1e-3, 0.37, 250.0, 1_000.0, 2_500.0, 33_333.3]))
-        e0 = data.draw(st.floats(0, 600_000))
-        n0 = data.draw(st.floats(0, 1_200_000))
-        region = BoundingBox(e0, n0, e0 + data.draw(st.floats(cell / 3, 30 * cell)),
-                             n0 + data.draw(st.floats(cell / 3, 30 * cell)))
+        cell = data.draw(st.sampled_from([1e-11, 1e-3, 0.37, 250.0, 1_000.0, 2_500.0, 33_333.3]))
+        if cell < 1e-9:  # below the ulp at the envelope's top corner: centres repeat
+            region = BoundingBox(699_999.0, 1_299_999.0, 699_999.0 + 30 * cell,
+                                 1_299_999.0 + 30 * cell)
+        else:
+            e0 = data.draw(st.floats(0, 600_000))
+            n0 = data.draw(st.floats(0, 1_200_000))
+            region = BoundingBox(e0, n0, e0 + data.draw(st.floats(cell / 3, 30 * cell)),
+                                 n0 + data.draw(st.floats(cell / 3, 30 * cell)))
         centers_e, centers_n = grid_centres(region, cell)
         east, north = (a.ravel() for a in np.meshgrid(centers_e, centers_n))
         txs, disks = [], {}
@@ -843,6 +847,8 @@ class TestLatticeKernel:
             if data.draw(st.booleans()):  # R' at power 0 within an ulp of a centre's distance
                 d = math.hypot(east[k] - tx.position.easting, north[k] - tx.position.northing)
                 radius = float(data.draw(st.sampled_from(ulp_neighbours(d))))
+            elif cell < 1e-9:  # R' just past the kernel's margin: interval ends among the centres
+                radius = KERNEL._MARGIN * 1.3e6 + data.draw(st.floats(0, 60 * cell))
             else:
                 radius = data.draw(st.floats(1e-6, 60 * cell))
             disks[tx.id] = disk_for(tx, max(radius, 1e-9))
@@ -854,6 +860,26 @@ class TestLatticeKernel:
         KERNEL._grid_fill(masks, kd, bits, centers_e, centers_n)
         expected = occupied_masks(kd, bits, east, north).reshape(masks.shape)
         assert (masks == expected).all()
+
+    @pytest.mark.parametrize("e0, cell, n", [
+        (0.0, 3_000.0, 234),  # the envelope's eastings at 3 km
+        (12_345.678, 0.37, 1_000),
+        (250_000.0, 25_000.0, 1),  # one column
+        (690_000.0, 3_000.0, 20),  # centres past the envelope's edge
+        (699_999.0, 1e-11, 2),  # sub-ulp cells: the centres are equal, step 0
+        (699_999.0, 1e-11, 40),  # sub-ulp cells: centres repeat, runs of about 10
+        (0.0, 1e-305, 100),  # (x - c[0]) / step overflows
+    ])
+    def test_lattice_index_equals_searchsorted(self, e0, cell, n):
+        c = e0 + (np.arange(n) + 0.5) * cell
+        rng = np.random.default_rng(16)
+        keys = np.concatenate([
+            [-np.inf, np.inf, c[0] - 1e6, c[-1] + 1e6],
+            np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf), c - cell / 2, c + cell / 2,
+            rng.uniform(c[0] - 3 * cell, c[-1] + 3 * cell, 1_000),
+        ])
+        for side in ("left", "right"):
+            assert (KERNEL._lattice_index(c, keys, side) == np.searchsorted(c, keys, side)).all()
 
     def test_millimetre_cells_across_the_top_of_a_disk(self, monkeypatch):
         """Where a keep-out circle runs along a row, ~430 of its cells are in the zone."""

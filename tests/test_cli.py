@@ -784,7 +784,7 @@ class TestUndecodableInputs:
         assert str(bad) in err and "Traceback" not in err
 
     def test_utf8_is_read_under_an_ascii_locale(self, small_fixture, tmp_path):
-        """Input files are UTF-8 whatever the locale's encoding is."""
+        """Input files and stdout are UTF-8 whatever the locale's encoding is."""
         import subprocess
         import sys
         from pathlib import Path
@@ -792,16 +792,23 @@ class TestUndecodableInputs:
         import tvws
 
         locs = tmp_path / "locs.csv"
-        locs.write_bytes("# sites near the café\ncafe,SP 513 061\n".encode())
+        locs.write_bytes("# sites near the café\ncafe,SP 513 061\ncafé,SP 513 061\n".encode())
         src = str(Path(tvws.__file__).resolve().parent.parent)
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
-        run = subprocess.run(
-            [sys.executable, "-m", "tvws.cli", "batch", *base_args(small_fixture),
-             "--locations", str(locs)],
-            capture_output=True, env=env, timeout=60,
-        )
+
+        def tvws_cli(*args):
+            return subprocess.run([sys.executable, "-m", "tvws.cli", *args],
+                                  capture_output=True, env=env, timeout=60)
+
+        run = tvws_cli("batch", *base_args(small_fixture), "--locations", str(locs))
         assert (run.returncode, run.stderr) == (0, b"")
-        assert b"\ncafe," in run.stdout
+        assert b"\ncafe," in run.stdout and b"\ncaf\xc3\xa9," in run.stdout
+        # the locale cannot decode this argument; it prints as the bytes it came in
+        out = os.path.join(os.fsencode(tmp_path), "g_café".encode())
+        run = tvws_cli(b"grid", *base_args(small_fixture), b"--region",
+                       b"250000,250000,350000,350000", b"--cell", b"25000", b"--out", out)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout.endswith(b"\nwrote " + os.path.join(out, b"rho.asc") + b"\n")
 
 
 def test_negative_zero_power_echoes_as_zero(small_fixture, tmp_path, capsys):
