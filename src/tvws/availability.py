@@ -353,6 +353,34 @@ def vacancy(
     return vacant, vacant & ~(blocked << one) & ~(blocked >> one)
 
 
+def mask_counts(
+    vacant: np.ndarray, filtered: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rho, rho_filtered, widest)``, as ``uint8`` arrays of the masks' shape, from masks.
+
+    ``vacant`` and ``filtered`` are ``uint64`` channel masks (see :func:`vacancy`);
+    the counts are their set bits, and ``widest`` is the longest run of set
+    bits in ``vacant``: the number of ``m &= m >> 1`` steps that leave ``m``
+    nonzero.  That count is found by doubling, in about twice log2 of the
+    longest run of whole-array steps, so one row costs as few numpy calls as
+    many: ``runs[k]`` marks the bits that start a run of at least 2^k, and
+    from the top level down each mask takes 2^k more while some bit still
+    starts a run that long.
+    """
+    runs = [vacant]
+    while runs[-1].any():  # numpy shifts a uint64 by 64 to 0, so this ends by k = 7
+        k = len(runs) - 1
+        runs.append(runs[k] & (runs[k] >> np.uint64(1 << k)))
+    widest = np.zeros(vacant.shape, dtype=np.uint8)
+    starts = np.full(vacant.shape, ~np.uint64(0))  # the bits that start a run of `widest`
+    for k in range(len(runs) - 2, -1, -1):
+        longer = starts & (runs[k] >> widest)
+        grow = longer != 0
+        np.copyto(starts, longer, where=grow)
+        np.add(widest, np.uint8(1 << k), out=widest, where=grow)
+    return np.bitwise_count(vacant), np.bitwise_count(filtered), widest
+
+
 def power_sweep(
     db: TransmitterDb,
     disks: Mapping[str, CoverageDisk],

@@ -51,7 +51,7 @@ from tvws.availability import (
 from tvws.channel_plan import ChannelPlan, default_plan, load_plan, plan_hash
 from tvws.errors import ParseError, read_text
 from tvws.geo import (EASTING_MAX, NORTHING_MAX, OSGB_ENVELOPE, BoundingBox, NgPoint,
-                      parse_coords, parse_location)
+                      decode_coords, parse_coords, parse_location)
 from tvws.keepout import DEFAULT_ALPHA, DEFAULT_BETA_TH, PropagationParams, QueryParams
 from tvws.txdb import TransmitterDb, generate_synthetic, load_txdb, parse_watts, serialize
 
@@ -353,31 +353,46 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _read_locations_file(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The file's labels, and their locations' eastings and northings as arrays."""
+    """The file's labels, and their locations' eastings and northings as arrays.
+
+    Labels are checked line by line, up to the first bad one.  The locations
+    of the lines before it are decoded together by :func:`decode_coords`, and
+    :func:`parse_coords` decides the ones it leaves, in file order.  So the
+    first bad line of the file raises, with its own message.
+    """
     labels: list[str] = []
-    coords: list[tuple[float, float]] = []
+    texts: list[str] = []
+    lines: list[int] = []
     seen: dict[str, int] = {}
+    error = None
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         label, comma, loc_text = stripped.partition(",")
-        if not comma:
-            raise ParseError("expected 'label,location'", source=path, line=lineno)
         label = label.strip()
-        if not label:
-            raise ParseError("empty label", source=path, line=lineno)
-        if seen.setdefault(label, lineno) != lineno:
-            raise ParseError(f"duplicate label {label!r} (first on line {seen[label]})",
-                             source=path, line=lineno)
+        if not comma:
+            error = ParseError("expected 'label,location'", source=path, line=lineno)
+        elif not label:
+            error = ParseError("empty label", source=path, line=lineno)
+        elif seen.setdefault(label, lineno) != lineno:
+            error = ParseError(f"duplicate label {label!r} (first on line {seen[label]})",
+                               source=path, line=lineno)
+        if error:
+            break
         labels.append(label)
+        texts.append(loc_text.strip())
+        lines.append(lineno)
+    east, north, rest = decode_coords(texts)
+    for k in rest:
         try:
-            coords.append(parse_coords(loc_text.strip()))
+            east[k], north[k] = parse_coords(texts[k])
         except ParseError as exc:
-            raise ParseError(f"bad location: {exc}", source=path, line=lineno) from None
+            raise ParseError(f"bad location: {exc}", source=path, line=lines[k]) from None
+    if error:
+        raise error
     if not labels:
         raise ParseError("no locations", source=path)
-    east, north = np.array(coords, dtype=float).T
     return labels, east, north
 
 
@@ -549,13 +564,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # stdout is UTF-8 like every artifact, whatever the locale says;
-    # surrogateescape writes back the bytes of an argument the locale could
-    # not decode, such as an --out path.  A stream a caller put in its place
-    # (an io.StringIO, or a UTF-8 wrapper) is left alone.
-    out = sys.stdout
-    if isinstance(out, io.TextIOWrapper) and codecs.lookup(out.encoding).name != "utf-8":
-        out.reconfigure(encoding="utf-8", errors="surrogateescape")
+    # stdout and stderr are UTF-8 like every artifact, whatever the locale
+    # says; surrogateescape writes back the bytes of an argument the locale
+    # could not decode, such as an --out path.  A stream a caller put in its
+    # place (an io.StringIO, or a UTF-8 wrapper) is left alone.
+    for stream in (sys.stdout, sys.stderr):
+        if isinstance(stream, io.TextIOWrapper) and codecs.lookup(stream.encoding).name != "utf-8":
+            stream.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = _build_parser().parse_args(argv)
     if args.mode == "raster" and args.power:  # only query and batch take --mode raster
         return _fail("--mode raster is the zero-power model; use --power 0", EXIT_USAGE)

@@ -120,9 +120,14 @@ def enclosing_disk(raster: CoverageRaster, tx: Transmitter) -> CoverageDisk:
         raise ValueError(
             f"raster belongs to {raster.transmitter_id!r}, not {tx.id!r}"
         )
-    rows, cols = np.nonzero(raster.cells)
+    cells = raster.cells
+    rows = np.flatnonzero(cells.any(1))
     if rows.size == 0:
         raise ValueError(f"raster for {tx.id!r} has no covered cell")
+    # the distance to a centre is convex along a row, so each row's farthest
+    # covered centre is its first or its last covered cell
+    first, last = cells.argmax(1)[rows], cells.shape[1] - 1 - cells[:, ::-1].argmax(1)[rows]
+    rows, cols = np.concatenate([rows, rows]), np.concatenate([first, last])
     centers_e = raster.origin.easting + (cols + 0.5) * raster.cell_size_m
     centers_n = raster.origin.northing + (rows + 0.5) * raster.cell_size_m
     dists = np.hypot(centers_e - tx.position.easting, centers_n - tx.position.northing)

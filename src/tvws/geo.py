@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from tvws.errors import ParseError
 
@@ -85,6 +88,17 @@ def _index_letter(idx: int) -> str:
 _SQUARES = {_index_letter(l1) + _index_letter(l2): ((((l1 - 2) % 5) * 5 + l2 % 5) * 100_000,
                                                     ((19 - 5 * (l1 // 5)) - l2 // 5) * 100_000)
             for l1 in range(25) for l2 in range(25)}
+# _SQUARES by letter code, [ord(l1) - 65, ord(l2) - 65]: a pair with an "I" gets easting
+# EASTING_MAX, so its references fall off the envelope and parse_coords names the letter
+_SQUARE_ORIGINS = np.full((26, 26, 2), [EASTING_MAX, 0], dtype=np.int64)
+_codes = np.frombuffer("".join(_SQUARES).encode(), dtype=np.uint8).reshape(-1, 2) - 65
+_SQUARE_ORIGINS[_codes[:, 0], _codes[:, 1]] = np.fromiter(
+    _SQUARES.values(), dtype=(np.int64, 2), count=len(_SQUARES))
+# _PLACES[h, 0] and _PLACES[h, 1]: the metres of each of a reference's 2h digits in its
+# easting and in its northing
+_PLACES = np.zeros((6, 2, 10), dtype=np.int64)
+for _h in range(1, 6):
+    _PLACES[_h, 0, :_h] = _PLACES[_h, 1, _h : 2 * _h] = 10 ** np.arange(4, 4 - _h, -1)
 
 
 def parse_gridref(text: str) -> NgPoint:
@@ -169,3 +183,50 @@ def parse_coords(text: str) -> tuple[float, float]:
     if problem := _off_envelope(easting, northing):
         raise ParseError(problem)
     return easting, northing
+
+
+def decode_coords(texts: list[str]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """:func:`parse_coords` of many one-line texts at once, for the two plain forms.
+
+    Returns ``(east, north, rest)``.  ``rest`` lists, ascending, the indices
+    of the texts not decoded here, whose entries in ``east`` and ``north``
+    are left for :func:`parse_coords`: only it can give their value or their
+    error.  Every other entry is the value :func:`parse_coords` returns:
+
+    * a grid reference of two ASCII letters and an even count of 2-10 ASCII
+      digits, with spaces anywhere, is decoded as a matrix of code points,
+      one row per reference: its square's origin from a table and its
+      digits' metres by an exact integer dot product;
+    * an ``easting,northing`` pair goes through ``float`` as the two parts
+      :func:`parse_coords` would split off.
+    """
+    count = len(texts)
+    compact = "\n".join(texts).replace(" ", "").split("\n") if texts else []
+    if len(compact) != count:
+        raise ValueError("a text to decode holds a newline")
+    east, north = np.full(count, np.nan), np.full(count, np.nan)  # nan: not decoded
+    size = np.fromiter(map(len, compact), dtype=np.intp, count=count)
+    codes = np.array(compact, dtype="U12").view(np.uint32).reshape(count, 12)
+    letters = (codes[:, :2] & ~np.uint32(32)) - 65  # A-Z and a-z to 0-25, the rest above
+    digits = codes[:, 2:] - 48  # 0-9, the rest above (unsigned)
+    plain = ((letters < 26).all(1) & (size % 2 == 0) & (size >= 4) & (size <= 12)
+             & ((digits < 10) | (np.arange(10) >= size[:, np.newaxis] - 2)).all(1))
+    at = np.flatnonzero(plain)
+    metres = _SQUARE_ORIGINS[letters[at, 0], letters[at, 1]]
+    metres += (_PLACES[(size[at] - 2) // 2] * digits[at, np.newaxis]).sum(2)
+    east[at], north[at] = metres.T
+
+    others = list(compress(texts, (~plain).tolist()))
+    pair = ["," in text for text in others]
+    at = np.flatnonzero(~plain)[pair]
+    parts = ",".join(compress(others, pair)).split(",")
+    if at.size and len(parts) == 2 * at.size:  # one comma in each
+        try:
+            values = np.fromiter(map(float, parts), dtype=float, count=len(parts))
+        except ValueError:  # parse_coords says which part, and why
+            pass
+        else:
+            east[at], north[at] = values[0::2], values[1::2]
+
+    inside = (east >= 0) & (east < EASTING_MAX) & (north >= 0) & (north < NORTHING_MAX)
+    return east, north, np.flatnonzero(~inside).tolist()

@@ -20,7 +20,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from tvws.availability import AvailabilityResult, adjacent_filter, channel_mask, contiguity
+from tvws.availability import (AvailabilityResult, adjacent_filter, channel_mask, contiguity,
+                               mask_counts)
 from tvws.channel_plan import (
     CHANNEL_MAX,
     CHANNEL_MIN,
@@ -107,34 +108,43 @@ class ChannelRows:
         return reports
 
     @cached_property
-    def columns(self) -> tuple[list, ...]:
-        """The CSV columns after ``label`` as lists, the last one each row's channels as text.
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSV columns after ``label``: the five counts as text, then the masks' nibbles.
 
-        Counts and runs are taken on Python ints, which costs less than numpy calls for the
-        one row of a query; the widest run counts the ``m &= m >> 1`` steps that leave ``m``
-        nonzero.  The channel text joins one :data:`_BYTE_TEXT` entry per byte of the mask.
+        The counts (rho, rho_filtered, then the MHz of each and of the widest
+        run) come from :func:`mask_counts`, as an array of ``(5, rows)``; the
+        nibbles, 4 bits of the vacant mask each in an array of ``(rows, 12)``,
+        pick each row's channel text from the :func:`_nibble_table` tables.
         """
-        vacant, kept = self.vacant.tolist(), self.filtered.tolist()
-        widest = []
-        for m in vacant:
-            run = 0
-            while m:
-                m, run = m & (m >> 1), run + 1
-            widest.append(CHANNEL_WIDTH_MHZ * run)
+        counts = np.array(mask_counts(self.vacant, self.filtered), dtype=np.intp)
         octets = np.ascontiguousarray(self.vacant, dtype="<u8").view(np.uint8).reshape(-1, 8)
-        text = np.add.reduce(_BYTE_TEXT[range(len(_BYTE_TEXT)), octets[:, : len(_BYTE_TEXT)]], 1)
-        rho, rho_kept = [m.bit_count() for m in vacant], [m.bit_count() for m in kept]
-        return (rho, rho_kept, [CHANNEL_WIDTH_MHZ * r for r in rho],
-                [CHANNEL_WIDTH_MHZ * r for r in rho_kept], widest,
-                [t[1:] for t in text.tolist()])
+        nibbles = np.stack([octets & 15, octets >> 4], axis=2).reshape(-1, 16)[:, :_NIBBLES]
+        return _NUMBER_TEXT[np.concatenate([counts[:2], CHANNEL_WIDTH_MHZ * counts])], nibbles
 
 
-# _BYTE_TEXT[k, b]: ";ch" for each channel ch whose bit is set in b, byte k of a mask
-_BYTE_TEXT = np.array([
-    ["".join(f";{ch}" for i, ch in enumerate(range(CHANNEL_MIN + 8 * k, CHANNEL_MAX + 1))
-             if b >> i & 1) for b in range(256)]
-    for k in range(-(-(CHANNEL_MAX - CHANNEL_MIN + 1) // 8))
-], dtype=object)
+_NIBBLES = -(-(CHANNEL_MAX - CHANNEL_MIN + 1) // 4)  # nibbles of a mask that hold channels
+# the text of every count and width a row can hold
+_NUMBER_TEXT = np.array([str(n) for n in range(CHANNEL_WIDTH_MHZ * 64 + 1)], dtype=object)
+
+
+def _nibble_table(pieces: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, then)`` text tables from each channel's piece, which starts with a separator.
+
+    ``then[k, b]`` joins, in channel order, the pieces of the channels whose
+    bits are set in ``b`` as nibble ``k`` of a mask; ``first[k, b]`` is the
+    same text without its leading separator, for a row's first nonzero
+    nibble.  Nibbles keep the tables small: 16 entries a place, not 256.
+    """
+    then = np.empty((_NIBBLES, 16), dtype=object)
+    then[:, 0] = ""
+    for k in range(_NIBBLES):
+        for b in range(1, 16):  # the lowest channel's piece, then the rest's
+            then[k, b] = pieces[4 * k + (b & -b).bit_length() - 1] + then[k, b & (b - 1)]
+    return np.array([[text[1:] for text in row] for row in then.tolist()], dtype=object), then
+
+
+_CSV_CHANNELS = _nibble_table([f";{ch}" for ch in range(CHANNEL_MIN, CHANNEL_MAX + 1)])
+_JSON_CHANNELS = _nibble_table([f",\n        {ch}" for ch in range(CHANNEL_MIN, CHANNEL_MAX + 1)])
 # csv.writer (QUOTE_MINIMAL, "\n" line ends) may quote a field with one of these, so it
 # writes such a field itself, and labels get its rule exactly on every Python version
 _CSV_SPECIAL = re.compile('[,"\r\n]')
@@ -148,14 +158,47 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _join_rows(
+    rows: ChannelRows, head: str, labels: list[str], seps: list[str], channels: tuple,
+    after: list, tail: str,
+) -> str:
+    """``head``, every row, and ``tail`` in place of the last row's final piece, joined once.
+
+    A row is ``seps`` with its label and its five counts between them, then
+    its vacant channels, then the ``after`` pieces: each one str for every
+    row or a column of one per row.  The channels are a piece per nibble of
+    the mask from the ``(first, then)`` tables of :func:`_nibble_table`,
+    ``first`` for its first nonzero nibble.  The pieces fill one array of a
+    row per row, so no Python code runs per row and the text is copied once.
+    """
+    counts, nibbles = rows.columns
+    first, then = channels
+    start = 2 * len(seps) - 1  # the channels' first column
+    cells = np.empty((nibbles.shape[0], start + _NIBBLES + len(after)), dtype=object)
+    cells[:, 0:start:2] = seps
+    cells[:, 1] = labels
+    cells[:, 3:start:2] = counts.T
+    cells[:, start : start + _NIBBLES] = then[range(_NIBBLES), nibbles]
+    lead = (nibbles != 0).argmax(1)
+    row = np.arange(nibbles.shape[0])
+    cells[row, start + lead] = first[lead, nibbles[row, lead]]
+    for j, piece in enumerate(after, start=start + _NIBBLES):
+        cells[:, j] = piece
+    pieces = cells.ravel().tolist()
+    pieces.insert(0, head)
+    pieces[-1] = tail
+    return "".join(pieces)
+
+
 def emit_csv(reports: Sequence[LocationReport] | ChannelRows) -> str:
     """One row per location with before/after-filter channel counts."""
     rows = ChannelRows.of(reports)
     head = _params_comment(rows.alpha, rows.beta_th, rows.power_watts, rows.plan_digest)
-    return f"{head}\n{','.join(CSV_COLUMNS)}\n" + "".join([
-        f"{_csv_field(label)},{rho},{kept},{mhz},{kept_mhz},{widest},{channels}\n"
-        for label, rho, kept, mhz, kept_mhz, widest, channels in zip(rows.labels, *rows.columns)
-    ])
+    labels = rows.labels
+    if _CSV_SPECIAL.search("".join(labels)):
+        labels = [_csv_field(label) for label in labels]
+    return _join_rows(rows, f"{head}\n{','.join(CSV_COLUMNS)}\n", labels,
+                      ["", ",", ",", ",", ",", ",", ","], _CSV_CHANNELS, ["\n"], "\n")
 
 
 def emit_json(reports: Sequence[LocationReport] | ChannelRows) -> str:
@@ -164,17 +207,14 @@ def emit_json(reports: Sequence[LocationReport] | ChannelRows) -> str:
     params = {"alpha": rows.alpha, "beta_th": rows.beta_th,
               "power_watts": rows.power_watts, "plan": rows.plan_digest}
     head = json.dumps({"params": params, "reports": []}, indent=2)
-    lists = ("[\n        " + text.replace(";", ",\n        ") + "\n      ]" if text else "[]"
-             for text in rows.columns[-1])
-    entries = [
-        f'    {{\n      "label": {encode_basestring_ascii(label)},\n      "rho": {rho},\n'
-        f'      "rho_filtered": {kept},\n      "total_mhz": {mhz},\n'
-        f'      "filtered_mhz": {kept_mhz},\n      "max_contiguous_mhz": {widest},\n'
-        f'      "vacant_channels": {channels}\n    }}'
-        for label, rho, kept, mhz, kept_mhz, widest, _, channels
-        in zip(rows.labels, *rows.columns, lists)
-    ]
-    return head[: -len("[]\n}")] + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
+    listed = rows.columns[1].any(1)
+    return _join_rows(
+        rows, head[: -len("[]\n}")] + "[\n", list(map(encode_basestring_ascii, rows.labels)),
+        ['    {\n      "label": ', ',\n      "rho": ', ',\n      "rho_filtered": ',
+         ',\n      "total_mhz": ', ',\n      "filtered_mhz": ', ',\n      "max_contiguous_mhz": ',
+         ',\n      "vacant_channels": ['],
+        _JSON_CHANNELS, [np.where(listed, "\n      ]", "]"), "\n    },\n"], "\n    }\n  ]\n}\n",
+    )
 
 
 def emit_sweep(

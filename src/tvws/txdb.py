@@ -279,6 +279,9 @@ def serialize(db: TransmitterDb) -> str:
 # Previously-placed transmitters inside this radius have their channels
 # avoided when assigning a new transmitter's channels.
 _REUSE_DISTANCE_M = 100_000.0
+# a distance taken in numpy (which may round otherwise than math.hypot) past which
+# geo.distance cannot fall inside the reuse distance
+_CANDIDATE_M = _REUSE_DISTANCE_M * (1 + 1e-9) + 1.0
 
 
 def generate_synthetic(
@@ -303,6 +306,7 @@ def generate_synthetic(
     interleaved = sorted(plan.interleaved)
     width = len(str(n))
     transmitters: list[Transmitter] = []
+    east, north = np.empty(n), np.empty(n)  # of the stations placed so far
 
     for i in range(1, n + 1):
         position = NgPoint(
@@ -312,10 +316,13 @@ def generate_synthetic(
         erp = math.exp(rng.uniform(math.log(ERP_TYPICAL_MIN_W), math.log(ERP_TYPICAL_MAX_W)))
         height = rng.uniform(50.0, 300.0)
 
+        # numpy picks the stations that may lie within the reuse distance; geo.distance decides
+        near = np.hypot(east[: i - 1] - position.easting, north[: i - 1] - position.northing)
         used_nearby: set[int] = set()
-        for other in transmitters:
-            if distance(position, other.position) < _REUSE_DISTANCE_M:
-                used_nearby |= other.channels
+        for j in np.flatnonzero(near < _CANDIDATE_M).tolist():
+            if distance(position, transmitters[j].position) < _REUSE_DISTANCE_M:
+                used_nearby |= transmitters[j].channels
+        east[i - 1], north[i - 1] = position.easting, position.northing
 
         k = min(rng.randint(3, 6), len(interleaved))
         preferred = [c for c in interleaved if c not in used_nearby]

@@ -6,7 +6,11 @@ and exhaustive corner scans for disk containment.  The exceptions are
 ``coverage_from_files``, which reads each coverage file with the engine's
 per-file parsers: it is the reference for packed loads; and
 ``read_locations_file``, the batch location reader as it was written over
-one ``NgPoint`` per row, with its own grid-reference parser.  Keep it dumb.
+one ``NgPoint`` per row, with its own grid-reference parser; and the
+engine's former per-row code, kept as the reference for the code that
+replaced it: ``read_locations_by_line`` (one ``parse_coords`` per line),
+``synthetic_by_pairs`` (every earlier station's distance) and
+``enclosing_disk_of_every_cell``.  Keep it dumb.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ import csv
 import io
 import json
 import math
+import random
 from pathlib import Path
 
-from tvws.coverage import enclosing_disk, read_asc, read_disk
+import numpy as np
+
+from tvws.coverage import CoverageDisk, enclosing_disk, read_asc, read_disk
 from tvws.errors import ParseError, read_text
-from tvws.geo import NgPoint
+from tvws.geo import EASTING_MAX, NORTHING_MAX, NgPoint, distance, parse_coords
+from tvws.txdb import ERP_TYPICAL_MAX_W, ERP_TYPICAL_MIN_W, Transmitter, TransmitterDb
 
 
 def step(x: float) -> float:
@@ -250,3 +258,72 @@ def read_locations_file(path: str) -> list[tuple[str, NgPoint]]:
     if not entries:
         raise ParseError("no locations", source=path)
     return entries
+
+
+def read_locations_by_line(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The batch reader as it was: labels and one ``parse_coords`` per line, in file order."""
+    labels: list[str] = []
+    coords: list[tuple[float, float]] = []
+    seen: dict[str, int] = {}
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        label, comma, loc_text = stripped.partition(",")
+        if not comma:
+            raise ParseError("expected 'label,location'", source=path, line=lineno)
+        label = label.strip()
+        if not label:
+            raise ParseError("empty label", source=path, line=lineno)
+        if seen.setdefault(label, lineno) != lineno:
+            raise ParseError(f"duplicate label {label!r} (first on line {seen[label]})",
+                             source=path, line=lineno)
+        labels.append(label)
+        try:
+            coords.append(parse_coords(loc_text.strip()))
+        except ParseError as exc:
+            raise ParseError(f"bad location: {exc}", source=path, line=lineno) from None
+    if not labels:
+        raise ParseError("no locations", source=path)
+    east, north = np.array(coords, dtype=float).T
+    return labels, east, north
+
+
+def synthetic_by_pairs(seed, n, region, plan) -> TransmitterDb:
+    """``generate_synthetic`` as it was: each station tests every earlier one's distance."""
+    rng = random.Random(seed)
+    interleaved = sorted(plan.interleaved)
+    width = len(str(n))
+    transmitters = []
+    for i in range(1, n + 1):
+        position = NgPoint(
+            rng.uniform(region.min_e, min(region.max_e, EASTING_MAX - 1e-6)),
+            rng.uniform(region.min_n, min(region.max_n, NORTHING_MAX - 1e-6)),
+        )
+        erp = math.exp(rng.uniform(math.log(ERP_TYPICAL_MIN_W), math.log(ERP_TYPICAL_MAX_W)))
+        height = rng.uniform(50.0, 300.0)
+        used_nearby = set()
+        for other in transmitters:
+            if distance(position, other.position) < 100_000.0:
+                used_nearby |= other.channels
+        k = min(rng.randint(3, 6), len(interleaved))
+        preferred = [c for c in interleaved if c not in used_nearby]
+        if len(preferred) >= k:
+            channels = rng.sample(preferred, k)
+        else:
+            channels = preferred + rng.sample(
+                [c for c in interleaved if c in used_nearby], k - len(preferred)
+            )
+        transmitters.append(Transmitter(f"tx{i:0{width}d}", position, erp, height,
+                                        frozenset(channels)))
+    return TransmitterDb(tuple(transmitters), source=f"synthetic(seed={seed}, n={n})")
+
+
+def enclosing_disk_of_every_cell(raster, tx) -> CoverageDisk:
+    """``enclosing_disk`` as it was: the farthest of every covered cell's centre."""
+    rows, cols = np.nonzero(raster.cells)
+    centers_e = raster.origin.easting + (cols + 0.5) * raster.cell_size_m
+    centers_n = raster.origin.northing + (rows + 0.5) * raster.cell_size_m
+    dists = np.hypot(centers_e - tx.position.easting, centers_n - tx.position.northing)
+    radius = float(dists.max()) + raster.cell_size_m * math.sqrt(2.0) / 2.0
+    return CoverageDisk(transmitter_id=tx.id, center=tx.position, radius_m=radius)

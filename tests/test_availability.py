@@ -21,6 +21,7 @@ from tvws.availability import (
     channel_bits,
     channel_mask,
     contiguity,
+    mask_counts,
     occupied_masks,
     power_sweep,
 )
@@ -279,6 +280,38 @@ class TestContiguity:
         assert covered == vacant
         if runs:
             assert mhz == 8 * max(hi - lo + 1 for lo, hi in runs)
+
+
+class TestMaskCounts:
+    """``mask_counts`` equals ``bit_count`` and the ``m & (m >> 1)`` steps on Python ints."""
+
+    @staticmethod
+    def widest_by_steps(m: int) -> int:
+        run = 0
+        while m:
+            m, run = m & (m >> 1), run + 1
+        return run
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40), st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_python_int_steps(self, randoms, kept):
+        rng = random.Random(len(randoms))
+        masks = [0, 2**64 - 1, 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA,
+                 *(1 << b for b in range(64)),
+                 *((2**w - 1) << rng.randrange(65 - w) for w in range(1, 65)), *randoms]
+        vacant = np.array(masks, dtype=np.uint64)
+        rho, rho_kept, widest = mask_counts(vacant, vacant & np.uint64(kept))
+        assert rho.tolist() == [m.bit_count() for m in masks]
+        assert rho_kept.tolist() == [(m & kept).bit_count() for m in masks]
+        assert widest.tolist() == [self.widest_by_steps(m) for m in masks]
+        assert rho.dtype == rho_kept.dtype == widest.dtype == np.uint8
+
+    def test_keeps_the_masks_shape(self):
+        vacant = np.array([[0b1011, 0], [2**64 - 1, 0b110111]], dtype=np.uint64)
+        rho, rho_kept, widest = mask_counts(vacant, vacant >> np.uint64(1))
+        assert rho.tolist() == [[3, 0], [64, 5]]
+        assert rho_kept.tolist() == [[2, 0], [63, 4]]
+        assert widest.tolist() == [[2, 0], [64, 3]]
 
 
 class TestPowerSweep:

@@ -304,6 +304,34 @@ ROWS = st.lists(
 )
 
 
+# Whole location files for the columnar reader: plain grid references (spaces
+# anywhere) and e,n pairs, the exotic forms only parse_coords decodes, and bad lines
+# of every kind, several to a file so that the first one in the file must win.
+SPACED = st.builds(
+    lambda text, gaps: "".join(c + g for c, g in zip(text, gaps)),
+    st.builds("{}{}".format,
+              st.sampled_from(["SP", "sp", "Tq", "HP", "SV", "NZ", "TV", "OV", "JM", "HL"]),
+              st.integers(1, 5).flatmap(lambda h: st.text("0123456789", min_size=2 * h,
+                                                           max_size=2 * h))),
+    st.lists(st.sampled_from(["", "", " ", "  "]), min_size=12, max_size=12),
+)
+PAIRS = st.builds("{!r},{!r}".format, st.floats(0, 699_999.99), st.floats(0, 1_299_999.99))
+EXOTIC = st.sampled_from([
+    "SP\t51 06", "SP\u00a0513 061", "SP 513\u3000061", "SP \u0665\u0661\u0663 061", "sP51\u200906",
+    "5e5,1e5", "1_000,2_000", " 7 , 8 ", "+1,2", "1.,.5", "\u0661,\u0662", "-0,0", "0x,1",
+])
+BAD_LOCATIONS = st.sampled_from([
+    "", "S", "SP", "SP1", "SP 12 3", "SP 123456789012", "SI 12 34", "iS 12 34", "\u00dfP 12 34",
+    "S1 12 34", "SP 1\u00b2 34", "ZZ 12 34", "AA 12 34", "SP 12_34", "SP 1e 34",
+    "1,2,3", "a,b", "nan,1", "1,inf", "700000,1", "1,1300000", "-1,5", "1e309,1", ",", "1,",
+])
+LOCATION_LINE = st.one_of(SPACED, SPACED, PAIRS, PAIRS, EXOTIC)
+BAD_LINE = st.one_of(
+    st.tuples(st.just("location"), BAD_LOCATIONS),
+    st.tuples(st.sampled_from(["no comma", "empty label", "duplicate"]), LOCATION_LINE),
+)
+
+
 class TestLocationReader:
     """The columnar reader gives the per-row reader's rows and errors (``oracles``)."""
 
@@ -336,6 +364,41 @@ class TestLocationReader:
             got = [(label, e.hex(), n.hex())
                    for label, e, n in zip(labels, east.tolist(), north.tolist())]
         assert got == want
+
+    @given(locations=st.lists(LOCATION_LINE | st.sampled_from(["", "# note", " #x,y"]),
+                              max_size=60),
+           bad=st.lists(st.tuples(st.integers(0, 60), BAD_LINE), max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_by_line_reader(self, tmp_path_factory, locations, bad):
+        """``bad`` lines go in at the given places; labels and coordinates match to the bit."""
+        import oracles
+        from tvws.cli import _read_locations_file
+
+        lines = [text if text in ("", "# note", " #x,y") else f"p{i}, {text}"
+                 for i, text in enumerate(locations)]
+        for at, (kind, text) in bad:
+            lines.insert(at, {"location": f"q{at}{kind},{text}", "no comma": "lonely",
+                              "empty label": f" ,{text}", "duplicate": f"p0,{text}"}[kind])
+        path = tmp_path_factory.getbasetemp() / "by-line-locations.csv"
+        path.write_bytes("\n".join(lines).encode())
+        got = self.outcome(_read_locations_file, str(path))
+        want = self.outcome(oracles.read_locations_by_line, str(path))
+        if want[0] != "error":
+            got, want = ([(label, e.hex(), n.hex()) for label, e, n
+                          in zip(labels, east.tolist(), north.tolist())]
+                         for labels, east, north in (got, want))
+        assert got == want
+
+    def test_plain_forms_are_decoded_as_columns(self):
+        """Only the exotic forms, and the bad ones, are left to ``parse_coords``."""
+        from tvws.geo import decode_coords, parse_coords
+
+        plain = ["SP 513 061", "sp513061", "HP 99 99", "SV0000000000", "1.5,2", "699999.9,0"]
+        exotic = ["SP\t51 06", "SP \u0665\u0661 06", "SI 12 34", "SP 12 3", "nan,1", "1,1e400"]
+        east, north, rest = decode_coords(plain + exotic)
+        assert rest == list(range(len(plain), len(plain + exotic)))
+        assert [(e.hex(), n.hex()) for e, n in zip(east[: len(plain)], north[: len(plain)])] == [
+            (e.hex(), n.hex()) for e, n in map(parse_coords, plain)]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_lines_end_only_at_newlines(self, tmp_path, newline):
@@ -783,23 +846,25 @@ class TestUndecodableInputs:
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
 
-    def test_utf8_is_read_under_an_ascii_locale(self, small_fixture, tmp_path):
-        """Input files and stdout are UTF-8 whatever the locale's encoding is."""
+    @staticmethod
+    def tvws_cli(*args):
+        """``python -m tvws.cli *args`` under an ASCII locale."""
         import subprocess
         import sys
         from pathlib import Path
 
         import tvws
 
-        locs = tmp_path / "locs.csv"
-        locs.write_bytes("# sites near the café\ncafe,SP 513 061\ncafé,SP 513 061\n".encode())
         src = str(Path(tvws.__file__).resolve().parent.parent)
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "tvws.cli", *args],
+                              capture_output=True, env=env, timeout=60)
 
-        def tvws_cli(*args):
-            return subprocess.run([sys.executable, "-m", "tvws.cli", *args],
-                                  capture_output=True, env=env, timeout=60)
-
+    def test_utf8_is_read_under_an_ascii_locale(self, small_fixture, tmp_path):
+        """Input files and stdout are UTF-8 whatever the locale's encoding is."""
+        tvws_cli = self.tvws_cli
+        locs = tmp_path / "locs.csv"
+        locs.write_bytes("# sites near the café\ncafe,SP 513 061\ncafé,SP 513 061\n".encode())
         run = tvws_cli("batch", *base_args(small_fixture), "--locations", str(locs))
         assert (run.returncode, run.stderr) == (0, b"")
         assert b"\ncafe," in run.stdout and b"\ncaf\xc3\xa9," in run.stdout
@@ -809,6 +874,23 @@ class TestUndecodableInputs:
                        b"250000,250000,350000,350000", b"--cell", b"25000", b"--out", out)
         assert (run.returncode, run.stderr) == (0, b"")
         assert run.stdout.endswith(b"\nwrote " + os.path.join(out, b"rho.asc") + b"\n")
+
+    def test_stderr_is_utf8_under_an_ascii_locale(self, small_fixture, tmp_path):
+        """An error names a path as the bytes it came in; sweep's header line is unchanged."""
+        from tvws.channel_plan import default_plan, plan_hash
+        from tvws.keepout import DEFAULT_ALPHA, DEFAULT_BETA_TH
+
+        missing = os.path.join(os.fsencode(tmp_path), "nö.csv".encode())
+        run = self.tvws_cli(b"query", b"--txdb", missing, b"--coverage", os.fsencode(tmp_path),
+                            b"--loc", b"300000,300000")
+        assert run.returncode == 3
+        assert run.stderr == b"tvws: error: transmitter database not found: " + missing + b"\n"
+        run = self.tvws_cli("sweep", *base_args(small_fixture), "--loc", "SP 513 061",
+                            "--powers", "0.1,1")
+        assert run.returncode == 0
+        assert run.stderr == (f"sweep at SP 513 061: alpha={DEFAULT_ALPHA!r} "
+                              f"beta_th={DEFAULT_BETA_TH!r} plan={plan_hash(default_plan())}\n"
+                              ).encode()
 
 
 def test_negative_zero_power_echoes_as_zero(small_fixture, tmp_path, capsys):

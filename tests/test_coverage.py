@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covered_cell_corners, min_containing_radius
+from oracles import covered_cell_corners, enclosing_disk_of_every_cell, min_containing_radius
 from tvws.coverage import (
     CoverageDisk,
     CoverageRaster,
@@ -138,6 +138,44 @@ class TestEnclosingDisk:
         r = raster_from_rows([[1]])
         with pytest.raises(ValueError, match="belongs"):
             enclosing_disk(r, tx)
+
+
+class TestEnclosingDiskOfRowEnds:
+    """Each row's first and last covered cell give every cell's radius, to the bit."""
+
+    @staticmethod
+    def assert_same_radius(raster, tx):
+        got = enclosing_disk(raster, tx).radius_m
+        assert got.hex() == enclosing_disk_of_every_cell(raster, tx).radius_m.hex()
+
+    @pytest.mark.parametrize("shape", ["one cell", "one row", "one column", "full", "ring"])
+    @pytest.mark.parametrize("where", ["inside", "west", "north-east", "on an edge"])
+    def test_shapes(self, shape, where):
+        cells = {
+            "one cell": np.ones((1, 1)),
+            "one row": np.ones((1, 9)),
+            "one column": np.ones((9, 1)),
+            "full": np.ones((7, 5)),
+            "ring": np.pad(np.zeros((3, 4)), 1, constant_values=1),
+        }[shape]
+        origin = NgPoint(100_000.0, 100_000.0)
+        e, n = {"inside": (102_300.0, 101_700.0), "west": (90_000.0, 102_000.0),
+                "north-east": (140_000.0, 160_000.0), "on an edge": (102_000.0, 100_000.0)}[where]
+        raster = CoverageRaster("t1", origin, 1000.0, cells.astype(bool))
+        self.assert_same_radius(raster, make_tx(e, n))
+
+    @given(seed=st.integers(0, 10**6), cell=st.sampled_from([1e-3, 0.7, 1000.0, 2500.0]),
+           shift=st.tuples(st.floats(-3, 3), st.floats(-3, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_rasters(self, seed, cell, shift):
+        rng = random.Random(seed)
+        tx = make_tx()
+        raster = random_raster(rng, tx, max_side=20, cell=cell)
+        side = raster.ncols * cell
+        moved = make_tx(tx.position.easting + shift[0] * side,
+                        tx.position.northing + shift[1] * side)
+        self.assert_same_radius(raster, tx)
+        self.assert_same_radius(raster, moved)
 
 
 class TestSynthCoverage:

@@ -1,12 +1,14 @@
+import random
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tvws.channel_plan import default_plan
 from tvws.errors import ParseError
-from tvws.geo import BoundingBox
+from tvws.geo import BoundingBox, distance
 from tvws.txdb import (
     CSV_HEADER,
     Transmitter,
@@ -187,6 +189,37 @@ class TestGenerateSynthetic:
     def test_loads_after_serialize_with_81_rows(self):
         db = generate_synthetic(7, 81, REGION, default_plan())
         assert len(load_txdb(serialize(db))) == 81
+
+
+class TestSyntheticByCandidates:
+    """Stations picked by numpy, then decided by ``geo.distance``, give the pairwise database."""
+
+    @given(st.integers(0, 1_000_000), st.integers(1, 120))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_pairwise_reference(self, seed, n):
+        plan = default_plan()
+        want = oracles.synthetic_by_pairs(seed, n, REGION, plan)
+        assert serialize(generate_synthetic(seed, n, REGION, plan)) == serialize(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stations_exactly_the_reuse_distance_apart(self, monkeypatch, seed):
+        """On a 20 km lattice many pairs are 100 km apart, some as a 60-80-100 triangle."""
+        region = BoundingBox(0, 0, 200_000, 200_000)
+
+        class Lattice(random.Random):
+            def uniform(self, a, b):
+                value = super().uniform(a, b)
+                return round(value / 20_000) * 20_000.0 if (a, b) == (0, 200_000) else value
+
+        monkeypatch.setattr(random, "Random", Lattice)
+        plan = default_plan()
+        db = generate_synthetic(seed, 60, region, plan)
+        pairs = [(a, b) for a in db for b in db if a.id < b.id]
+        assert any(distance(a.position, b.position) == 100_000.0 for a, b in pairs)
+        assert any(abs(a.position.easting - b.position.easting) == 60_000.0
+                   and abs(a.position.northing - b.position.northing) == 80_000.0
+                   for a, b in pairs)
+        assert serialize(db) == serialize(oracles.synthetic_by_pairs(seed, 60, region, plan))
 
 
 class TestValidation:
