@@ -9,6 +9,9 @@ Subcommands:
 * ``synth``  -- generate a synthetic transmitter database plus coverage.
 * ``disks``  -- write each raster's enclosing disk to ``<id>.disk``.
 
+A station's coverage input is its ``<id>.asc`` alone: every command derives
+the station's disk from it, and no command reads a ``.disk``.
+
 Exit codes: 0 success, 2 usage or location parse error, 3 missing or
 invalid data files, 4 internal invariant violation.
 
@@ -71,13 +74,25 @@ def _watts(text: str) -> float:
     return value or 0.0  # -0 is echoed as 0.0
 
 
-def _positive(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+
+
+def _positive(text: str) -> float:
+    value = _number(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _exponent(text: str) -> float:
+    """A pathloss exponent: finite and >= 1, as PropagationParams requires, before any I/O."""
+    value = _number(text)
+    if not (math.isfinite(value) and value >= 1):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 1, got {text!r}")
     return value
 
 
@@ -150,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--plan", metavar="FILE", help="channel plan file (default: built-in)")
-    model.add_argument("--alpha", type=_positive, default=DEFAULT_ALPHA,
+    model.add_argument("--alpha", type=_exponent, default=DEFAULT_ALPHA,
                        help=f"pathloss exponent (default {DEFAULT_ALPHA})")
     beta = model.add_mutually_exclusive_group()
     beta.add_argument("--beta", type=_positive,
@@ -509,8 +524,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             tx, prop, args.cell, args.irregularity, seed=args.seed * 1_000_003 + i
         )
         (coverage_dir / f"{tx.id}.asc").write_text(cov.write_asc(raster), encoding="utf-8")
-        disk = cov.enclosing_disk(raster, tx)
-        (coverage_dir / f"{tx.id}.disk").write_text(cov.write_disk(disk), encoding="utf-8")
 
     if args.preset == "uk81":
         (out / "locations.csv").write_text(_synthetic_locations(args.seed), encoding="utf-8")
@@ -518,7 +531,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     print(
         f"wrote {out / 'transmitters.csv'} ({n} transmitters) and "
-        f"{n} rasters + disks under {coverage_dir}"
+        f"{n} rasters under {coverage_dir}"
     )
     return EXIT_OK
 
@@ -542,14 +555,16 @@ def _synthetic_locations(seed: int) -> str:
 
 def cmd_disks(args: argparse.Namespace) -> int:
     txdb_path, coverage_dir = _data_paths(args)
-    # the tree synth and disks leave holds no pack: a pack's stat keys differ
-    # from one build of the same tree to the next
+    # no loader runs here, so the tree synth and disks leave holds no pack:
+    # a pack's stat keys differ from one build of the same tree to the next
     db = load_txdb(read_text(str(txdb_path)), source=str(txdb_path))
-    rasters = cov.load_rasters(coverage_dir, db, write_cache=False)
-    for tx in db:
-        disk = cov.enclosing_disk(rasters[tx.id], tx)
-        (coverage_dir / f"{tx.id}.disk").write_text(cov.write_disk(disk), encoding="utf-8")
-        print(f"{tx.id} {disk.radius_m!r}")
+    # every disk is derived before any is written: a missing or bad raster writes none
+    disks = [cov.enclosing_disk(cov.read_raster(str(coverage_dir / f"{tx.id}.asc"), tx.id), tx)
+             for tx in db]
+    for disk in disks:
+        tx_id = disk.transmitter_id
+        (coverage_dir / f"{tx_id}.disk").write_text(cov.write_disk(disk), encoding="utf-8")
+        print(f"{tx_id} {disk.radius_m!r}")
     return EXIT_OK
 
 

@@ -370,20 +370,14 @@ def write_disk(disk: CoverageDisk) -> str:
     return f"{disk.center.easting!r} {disk.center.northing!r} {disk.radius_m!r}\n"
 
 
-def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageDisk:
-    parts = text.split()
-    if len(parts) != 3:
-        raise ParseError(
-            f"expected 'center_e center_n radius_m', got {text.strip()!r}", source=source
-        )
-    try:
-        e, n, r = (float(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad disk numbers {text.strip()!r}", source=source) from None
-    try:
-        return CoverageDisk(transmitter_id=transmitter_id, center=NgPoint(e, n), radius_m=r)
-    except ValueError as exc:  # a radius <= 0 or not finite, a centre off the envelope
-        raise ParseError(str(exc), source=source) from None
+def read_raster(path: str, transmitter_id: str) -> CoverageRaster:
+    """The station's ``<id>.asc`` at ``path``, through :func:`read_asc`.
+
+    Where ``path`` is not a regular file the FileNotFoundError names it.
+    """
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"no coverage raster for {transmitter_id!r}: {path}")
+    return read_asc(read_text(path), transmitter_id, source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +393,14 @@ def read_disk(text: str, transmitter_id: str, source: str = "disk") -> CoverageD
 #
 # * the station pack: the txdb's parsed columns and ERP-range warnings,
 #   keyed on the CSV's path as given and its stat key; and per station its
-#   disk (centre, radius), keyed on the stat key of its source file (<id>.asc,
-#   or <id>.disk where there is no .asc) and on the station's position;
+#   disk (centre, radius), keyed on the stat key of its <id>.asc and on the
+#   station's position;
 # * the raster pack: each <id>.asc's cells, keyed on that file's stat key.
 #
 # A stat key is (size, mtime, ctime, inode), all zeros for a path that is
-# not a regular file.  An entry is taken only while its keys match and each
-# keyed file is strictly older than the pack: a file changed within the
-# timestamp tick the pack was written in can still show its old key (git's
-# racy-clean rule).  Anything else is read from its file, after which the
-# pack is rewritten.  A pack that is missing, unreadable, damaged or not in
+# not a regular file.  An entry is taken only while its keyed file is fresh
+# (see _fresh).  Anything else is read from its file, after which the pack
+# is rewritten.  A pack that is missing, unreadable, damaged or not in
 # this format (one an older version wrote, too) reads as empty, and is
 # rebuilt by the next load that reads a source file.
 
@@ -428,7 +420,7 @@ _PACK_FIELDS = {
         "tx_channels": ("<u8", ("t",)),
         "tx_notes": ("U", ("w",)),  # the ERP-range warnings, as issued
         "disk_ids": ("U", ("d",)),
-        "disk_keys": ("<u8", ("d", 4)),  # <id>.asc's stat key, or <id>.disk's with no .asc
+        "disk_keys": ("<u8", ("d", 4)),  # <id>.asc's stat key
         "disk_floats": ("<f8", ("d", 3)),  # centre easting, northing, radius
     },
     "rasters": {
@@ -457,9 +449,15 @@ def _stat_keys(paths: list[str]) -> np.ndarray:
     return np.array(keys, dtype=np.uint64).reshape(-1, 4)
 
 
-def _newest(keys: np.ndarray) -> np.ndarray:
-    """The later of mtime and ctime of each stat key, in signed ns."""
-    return keys[:, 1:3].astype(np.int64).max(axis=1)
+def _fresh(keys: np.ndarray, packed: np.ndarray, mtime_ns: int) -> np.ndarray:
+    """Which files a pack written at ``mtime_ns`` still vouches for, by their stat ``keys``.
+
+    Each must be a regular file, have its ``packed`` key, and be strictly older
+    than the pack: a file changed within the timestamp tick the pack was
+    written in can still show its old key (git's racy-clean rule).
+    """
+    newest = keys[:, 1:3].astype(np.int64).max(axis=1)  # the later of mtime and ctime
+    return keys.any(axis=1) & (keys == packed).all(axis=1) & (newest < mtime_ns)
 
 
 def _empty_pack(kind: str) -> dict[str, np.ndarray]:
@@ -587,7 +585,7 @@ def _packed_rasters(pack_path: str, ids: list[str], keys: np.ndarray) -> dict[st
     if not ends.size or (shapes < 1).any() or ends[-1] != cells.size:
         return {}
     rows = _pack_rows(pack["ids"], ids)
-    fresh = (rows >= 0) & (keys == pack["keys"][rows]).all(axis=1) & (_newest(keys) < mtime_ns)
+    fresh = (rows >= 0) & _fresh(keys, pack["keys"][rows], mtime_ns)
     rasters = {}
     try:
         for i in np.flatnonzero(fresh).tolist():
@@ -600,13 +598,11 @@ def _packed_rasters(pack_path: str, ids: list[str], keys: np.ndarray) -> dict[st
     return rasters
 
 
-def load_rasters(
-    coverage_dir: str | Path, db: TransmitterDb, write_cache: bool = True
-) -> dict[str, CoverageRaster]:
+def load_rasters(coverage_dir: str | Path, db: TransmitterDb) -> dict[str, CoverageRaster]:
     """Read ``<id>.asc`` for every transmitter in the database.
 
-    Fresh entries come from the directory's raster pack; with
-    ``write_cache`` the pack is rewritten when any raster was read from its file.
+    Fresh entries come from the directory's raster pack, which is rewritten
+    when any raster was read from its file.
     """
     prefix = _prefix(coverage_dir)
     pack_path = prefix + _PACK_NAMES["rasters"]
@@ -615,11 +611,9 @@ def load_rasters(
     rasters = _packed_rasters(pack_path, db.ids, keys)
     read = [i for i, tx_id in enumerate(db.ids) if tx_id not in rasters]
     for i in read:
-        if not keys[i].any():
-            raise FileNotFoundError(f"no coverage raster for {db.ids[i]!r}: {paths[i]}")
-        rasters[db.ids[i]] = read_asc(read_text(paths[i]), db.ids[i], source=paths[i])
+        rasters[db.ids[i]] = read_raster(paths[i], db.ids[i])
     rasters = {tx_id: rasters[tx_id] for tx_id in db.ids}
-    if read and write_cache:
+    if read:
         entries = list(rasters.values())
         _write_pack(pack_path, "rasters", {
             "ids": np.array(db.ids, dtype=str),
@@ -665,58 +659,37 @@ class DiskSet(Mapping):
 
 
 def _station_disks(
-    coverage_dir: Path, prefix: str, db: TransmitterDb, mtime_ns: int,
-    pack: dict[str, np.ndarray],
+    prefix: str, db: TransmitterDb, mtime_ns: int, pack: dict[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], bool]:
-    """Every station's disk fields for the next station pack, and whether any was read from a file.
+    """Every station's disk fields for the next station pack, and whether any was derived here.
 
-    A station's disk is derived from ``<id>.asc``; only a station with no
-    ``.asc`` reads ``<id>.disk``.  A disk is taken from ``pack`` while the
-    stat key of that source file matches, the file is older than the pack,
-    and the disk is centred on the station's position.
+    A station's disk is derived from its ``<id>.asc`` about its position.  It
+    is taken from ``pack`` while that file is fresh and the packed disk is
+    centred on the station's position.
     """
     n = len(db)
     paths = [prefix + tx_id + ".asc" for tx_id in db.ids]
     keys = _stat_keys(paths)
-    has_asc = keys.any(axis=1)
-    no_asc = np.flatnonzero(~has_asc).tolist()
-    for i in no_asc:
-        paths[i] = prefix + db.ids[i] + ".disk"
-    keys[no_asc] = _stat_keys([paths[i] for i in no_asc])
     rows = _pack_rows(pack["disk_ids"], db.ids)
     listed = rows >= 0
-    packed_keys = np.zeros((n, 4), dtype=np.uint64)
+    packed_keys = np.zeros((n, 4), dtype=np.uint64)  # a key no regular file has
     floats = np.zeros((n, 3))
     packed_keys[listed] = pack["disk_keys"][rows[listed]]
     floats[listed] = pack["disk_floats"][rows[listed]]
-    fresh = (
-        listed
-        & (keys == packed_keys).all(axis=1)
-        & (_newest(keys) < mtime_ns)
-        & (floats[:, 0] == db.east) & (floats[:, 1] == db.north)
-    )
+    fresh = (_fresh(keys, packed_keys, mtime_ns)
+             & (floats[:, 0] == db.east) & (floats[:, 1] == db.north))
     if fresh.all() and np.array_equal(rows, np.arange(len(pack["disk_ids"]))):
         # the same stations in the same order: the pack's own views, no copy
         return {name: array for name, array in pack.items() if name.startswith("disk")}, False
     for i in np.flatnonzero(~fresh).tolist():
-        tx_id, path = db.ids[i], paths[i]
-        if has_asc[i]:
-            raster = read_asc(read_text(path), tx_id, source=path)
-            disk = enclosing_disk(raster, db.transmitters[i])
-        elif keys[i].any():
-            disk = read_disk(read_text(path), tx_id, source=path)
-        else:
-            raise FileNotFoundError(
-                f"neither disk cache nor raster found for {tx_id!r} in {coverage_dir}"
-            )
+        disk = enclosing_disk(read_raster(paths[i], db.ids[i]), db.transmitters[i])
         floats[i] = disk.center.easting, disk.center.northing, disk.radius_m
     fields = {"disk_ids": np.array(db.ids, dtype=str), "disk_keys": keys, "disk_floats": floats}
     return fields, not fresh.all()
 
 
 def _load_stations(
-    coverage_dir: Path, db: TransmitterDb | None, txdb_path: str | None,
-    with_disks: bool, write_cache: bool,
+    coverage_dir: str | Path, db: TransmitterDb | None, txdb_path: str | None, with_disks: bool
 ) -> tuple[TransmitterDb, DiskSet | None, list[str]]:
     """``db`` (or the database read from ``txdb_path``), its disks if asked, and its ERP notes."""
     prefix = _prefix(coverage_dir)
@@ -729,8 +702,7 @@ def _load_stations(
     stale = False
     if db is None:
         key = _stat_keys([txdb_path])
-        if (key.any() and pack["txdb_text"][0] == txdb_path
-                and (pack["txdb_key"] == key[0]).all() and _newest(key)[0] < mtime_ns):
+        if pack["txdb_text"][0] == txdb_path and _fresh(key, pack["txdb_key"], mtime_ns)[0]:
             db = TransmitterDb.from_columns(pack["tx_ids"].tolist(), pack["tx_floats"],
                                             pack["tx_channels"], str(pack["txdb_text"][1]))
             notes = pack["tx_notes"].tolist()
@@ -745,23 +717,12 @@ def _load_stations(
             stale = True
     disks = None
     if with_disks:
-        disk_fields, read = _station_disks(coverage_dir, prefix, db, mtime_ns, pack)
+        disk_fields, read = _station_disks(prefix, db, mtime_ns, pack)
         fields.update(disk_fields)
         stale = stale or read
         disks = DiskSet(db.ids, disk_fields["disk_floats"])
-    if stale and write_cache:
+    if stale:
         _write_pack(pack_path, "stations", fields)
-    if disks is not None:
-        moved = np.flatnonzero((disks.floats[:, 0] != db.east) | (disks.floats[:, 1] != db.north))
-        if moved.size:
-            i = int(moved[0])
-            (e, n), (tx_e, tx_n) = disks.floats[i, :2].tolist(), (db.east[i], db.north[i])
-            raise ParseError(
-                f"disk centre ({e!r}, {n!r}) is not the position of {db.ids[i]!r} in the "
-                f"transmitter database ({float(tx_e)!r}, {float(tx_n)!r}); "
-                "correct the file or the database",
-                source=str(coverage_dir / f"{db.ids[i]}.disk"),
-            )
     return db, disks, notes
 
 
@@ -776,20 +737,16 @@ def load_stations(
     then rewritten with the parts this call checked.  ERP-range warnings are
     issued the same way whether the database came from the pack or the CSV.
     """
-    db, disk_set, notes = _load_stations(Path(coverage_dir), None, str(txdb_path), disks, True)
+    db, disk_set, notes = _load_stations(coverage_dir, None, str(txdb_path), disks)
     for note in notes:
         warnings.warn(note, stacklevel=2)
     return db, disk_set
 
 
-def load_disks(
-    coverage_dir: str | Path, db: TransmitterDb, write_cache: bool = True
-) -> DiskSet:
-    """Every transmitter's disk: derived from ``<id>.asc``, or ``<id>.disk`` where there is no ``.asc``.
+def load_disks(coverage_dir: str | Path, db: TransmitterDb) -> DiskSet:
+    """Every transmitter's disk, derived from its ``<id>.asc`` about its position.
 
-    Fresh disks come from the station pack.  With ``write_cache`` the pack is
-    rewritten, without a txdb part, when any disk was read from a file.  A
-    ``.disk`` whose centre is not its transmitter's position is a ParseError
-    naming the file.
+    Fresh disks come from the station pack, which is rewritten, without a
+    txdb part, when any disk was derived.
     """
-    return _load_stations(Path(coverage_dir), db, None, True, write_cache)[1]
+    return _load_stations(coverage_dir, db, None, True)[1]

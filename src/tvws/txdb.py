@@ -210,7 +210,8 @@ def load_txdb(text: str, source: str = "txdb", *, notes: list[str] | None = None
             )
         tx_id, e_s, n_s, erp_s, height_s, chan_s = (f.strip() for f in fields)
 
-        # <id>.asc and <id>.disk must be one file in the coverage directory
+        # the <id>.asc read and the <id>.disk `tvws disks` writes must each be
+        # one file in the coverage directory
         if "/" in tx_id or tx_id in (".", ".."):
             raise ParseError(
                 f"id {tx_id!r} cannot name a coverage file", source=source, line=lineno

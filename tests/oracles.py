@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tvws.coverage import CoverageDisk, enclosing_disk, read_asc, read_disk
+from tvws.coverage import CoverageDisk, enclosing_disk, read_asc
 from tvws.errors import ParseError, read_text
 from tvws.geo import EASTING_MAX, NORTHING_MAX, NgPoint, distance, parse_coords
 from tvws.txdb import ERP_TYPICAL_MAX_W, ERP_TYPICAL_MIN_W, Transmitter, TransmitterDb
@@ -108,20 +108,13 @@ def coverage_from_files(coverage_dir, db, kind: str) -> dict:
     """What ``load_disks``/``load_rasters`` must return, read file by file.
 
     Each transmitter's own ``<id>.asc`` goes through the per-file parser,
-    and its disk is derived from that raster; ``<id>.disk`` is read only
-    where there is no ``.asc``.  No pack is read, so this is the reference
-    for every packed load.
+    and its disk is derived from that raster.  No pack and no ``.disk`` is
+    read, so this is the reference for every packed load.
     """
     out = {}
     for tx in db:
-        disk = Path(coverage_dir) / f"{tx.id}.disk"
-        raster = Path(coverage_dir) / f"{tx.id}.asc"
-        if kind == "disks" and not raster.is_file():
-            out[tx.id] = read_disk(disk.read_text(), tx.id)
-        elif kind == "disks":
-            out[tx.id] = enclosing_disk(read_asc(raster.read_text(), tx.id), tx)
-        else:
-            out[tx.id] = read_asc(raster.read_text(), tx.id)
+        raster = read_asc((Path(coverage_dir) / f"{tx.id}.asc").read_text(), tx.id)
+        out[tx.id] = enclosing_disk(raster, tx) if kind == "disks" else raster
     return out
 
 

@@ -257,7 +257,7 @@ def test_criterion_9_manchester_sweep_matches_golden(tmp_path):
     from tvws.txdb import load_txdb
 
     db = load_txdb((fixture / "transmitters.csv").read_text())
-    disks = load_disks(fixture / "coverage", db, write_cache=False)
+    disks = load_disks(fixture / "coverage", db)
     loc = parse_gridref("SJ 839 980")
     for power, rho in zip(powers, rhos):
         assert rho == rho_by_enumeration(db, disks, PLAN, loc, power, 3.0, 1.0)

@@ -62,7 +62,7 @@ class TestSynth:
         db = load_txdb((out / "transmitters.csv").read_text())
         assert len(db) == 1
         assert (out / "coverage" / f"{db.transmitters[0].id}.asc").is_file()
-        assert (out / "coverage" / f"{db.transmitters[0].id}.disk").is_file()
+        assert not (out / "coverage" / f"{db.transmitters[0].id}.disk").exists()  # disks writes it
 
     def test_generated_fixture_passes_validation(self, small_fixture):
         db = load_txdb((small_fixture / "transmitters.csv").read_text())
@@ -137,7 +137,32 @@ class TestQuery:
             path.unlink()
         code = main(["query"] + base_args(data) + ["--loc", "300000,300000"])
         assert code == 3
-        assert "neither disk cache nor raster found for 'tx1'" in capsys.readouterr().err
+        asc = data / "coverage" / "tx1.asc"
+        assert capsys.readouterr().err == f"tvws: error: no coverage raster for 'tx1': {asc}\n"
+
+    @pytest.mark.parametrize("command", ["query", "batch", "sweep", "grid"])
+    def test_a_disk_file_without_its_raster_exits_3(self, small_fixture, tmp_path, capsys,
+                                                    command):
+        """A station's .asc is its one coverage input: the .disk beside no .asc is not read."""
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(small_fixture, data)
+        assert main(["disks", *base_args(data)]) == 0
+        asc = data / "coverage" / "tx1.asc"
+        asc.unlink()
+        locations = tmp_path / "locations.csv"
+        locations.write_text("a,300000,300000\n")
+        flags = {
+            "query": ["--loc", "300000,300000"],
+            "batch": ["--locations", str(locations)],
+            "sweep": ["--loc", "300000,300000", "--powers", "0.1,1"],
+            "grid": ["--region", "200000,200000,400000,400000", "--cell", "50000"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *base_args(data), *flags]) == 3
+        assert (data / "coverage" / "tx1.disk").is_file()
+        assert capsys.readouterr().err == f"tvws: error: no coverage raster for 'tx1': {asc}\n"
 
     def test_bad_txdb_row_exit_3_names_the_file(self, small_fixture, tmp_path, capsys):
         csv_path = tmp_path / "transmitters.csv"
@@ -486,7 +511,12 @@ class TestBatchPool:
 
 
 def test_a_subnormal_keepout_radius_answers_without_a_warning(tmp_path, capsys):
-    """R' = 5e-324 overflows d / R'; the answer stands and nothing reaches stderr."""
+    """R' = 1e-323 overflows d / R'; the answer stands and nothing reaches stderr.
+
+    The radius comes from a one-cell raster of cell size 1e-323 at the
+    station's position: its centre rounds to the position, and half the
+    cell diagonal rounds to 1e-323 (at 5e-324 it would round to 0).
+    """
     import warnings
 
     from tvws.channel_plan import default_plan
@@ -495,8 +525,8 @@ def test_a_subnormal_keepout_radius_answers_without_a_warning(tmp_path, capsys):
                  "--seed", "3", "--out", str(tmp_path)]) == 0
     db = load_txdb((tmp_path / "transmitters.csv").read_text())
     (e, n), tx_id = db.floats[0, :2].tolist(), db.ids[0]
-    (tmp_path / "coverage" / f"{tx_id}.asc").unlink()  # so the .disk below is the disk
-    (tmp_path / "coverage" / f"{tx_id}.disk").write_text(f"{e!r} {n!r} 5e-324\n")
+    (tmp_path / "coverage" / f"{tx_id}.asc").write_text(
+        f"ncols 1\nnrows 1\nxllcorner {e!r}\nyllcorner {n!r}\ncellsize 1e-323\n1\n")
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -572,13 +602,26 @@ class TestDisks:
         assert main(["synth", "--n", "2", "--region", "200000,200000,300000,300000",
                      "--seed", "4", "--cell", "2000", "--out", str(out)]) == 0
         capsys.readouterr()
-        for f in (out / "coverage").glob("*.disk"):
-            f.unlink()
+        assert not list((out / "coverage").glob("*.disk"))  # synth writes none
         code = main(["disks", "--txdb", str(out / "transmitters.csv"),
                      "--coverage", str(out / "coverage")])
         assert code == 0
         assert len(list((out / "coverage").glob("*.disk"))) == 2
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_a_missing_raster_writes_no_disk(self, tmp_path, capsys):
+        """Every disk is derived before any is written, so a station with no .asc fails alone."""
+        out = tmp_path / "fx"
+        assert main(["synth", "--n", "3", "--region", "200000,200000,300000,300000",
+                     "--seed", "4", "--cell", "2000", "--out", str(out)]) == 0
+        db = load_txdb((out / "transmitters.csv").read_text())
+        asc = out / "coverage" / f"{db.ids[2]}.asc"
+        asc.unlink()
+        capsys.readouterr()
+        assert main(["disks", *base_args(out)]) == 3
+        message = f"tvws: error: no coverage raster for {db.ids[2]!r}: {asc}\n"
+        assert capsys.readouterr() == ("", message)
+        assert not list((out / "coverage").glob("*.disk"))
 
 
 class TestPlanFlag:
@@ -927,6 +970,25 @@ class TestBadNumbers:
         with pytest.raises(SystemExit) as exc:
             main(["sweep"] + base_args(small_fixture) + ["--loc", "1,2", "--powers", powers])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["query", "batch", "sweep", "grid", "synth"])
+    def test_alpha_below_one_exits_2_before_any_io(self, small_fixture, tmp_path, capsys,
+                                                   command):
+        """The parser refuses what PropagationParams would, before a file is read or written."""
+        out = tmp_path / "D"
+        data = [*base_args(small_fixture), "--out", str(out)]
+        args = {
+            "query": [*data, "--loc", "300000,300000"],
+            "batch": [*data, "--locations", str(tmp_path / "missing.csv")],
+            "sweep": [*data, "--loc", "300000,300000", "--powers", "1"],
+            "grid": [*data, "--region", "200000,200000,400000,400000"],
+            "synth": ["--n", "1", "--region", "200000,200000,300000,300000", "--out", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--alpha", "0.5"])
+        assert exc.value.code == 2
+        assert "argument --alpha: must be finite and >= 1, got '0.5'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_refuses_infinite_region(self, small_fixture):
         with pytest.raises(SystemExit) as exc:

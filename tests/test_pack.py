@@ -2,9 +2,9 @@
 
 ``load_stations``/``load_disks``/``load_rasters`` take an entry from the
 directory's pack only while its source file's stat key matches and the
-source is older than the pack.  A station's disk has one source file: its
-``.asc``, or its ``.disk`` where there is no ``.asc``.  Every test here
-changes the directory behind the pack's back and checks the load against
+source is older than the pack.  A station's disk has one source file, its
+``.asc``; the ``.disk`` beside it is output only.  Every test here changes
+the directory behind the pack's back and checks the load against
 ``load_txdb`` and ``oracles.coverage_from_files``.
 """
 
@@ -34,17 +34,14 @@ from tvws import coverage as cov
 from tvws.availability import availability, availability_lowpower
 from tvws.channel_plan import default_plan
 from tvws.cli import main
-from tvws.errors import ParseError
 from tvws.geo import NgPoint
 from tvws.keepout import PropagationParams, QueryParams
 from tvws.txdb import Transmitter, TransmitterDb, load_txdb, serialize
 
 KINDS = ("disks", "rasters")
-# "disk-files" is "disks" on a tree with no .asc, so each disk comes from its .disk
-PACK = {"disks": "stations", "disk-files": "stations", "rasters": "rasters"}  # the pack of each
-KEYS = {"disks": "disk_keys", "disk-files": "disk_keys", "rasters": "keys"}
-SUFFIX = {"disks": ".asc", "disk-files": ".disk", "rasters": ".asc"}  # each entry's source file
-LOAD = {"disks": cov.load_disks, "disk-files": cov.load_disks, "rasters": cov.load_rasters}
+PACK = {"disks": "stations", "rasters": "rasters"}  # the pack of each
+KEYS = {"disks": "disk_keys", "rasters": "keys"}
+LOAD = {"disks": cov.load_disks, "rasters": cov.load_rasters}
 
 
 def make_db(n=3):
@@ -58,12 +55,11 @@ def make_db(n=3):
     )
 
 
-def write_sources(cov_dir, db, rasters=True, cell=2000.0):
-    """Each station's ``.disk`` derived from its raster, and with ``rasters`` the ``.asc``."""
+def write_sources(cov_dir, db, cell=2000.0):
+    """Each station's ``.asc``, and the ``.disk`` ``tvws disks`` writes, which no load reads."""
     for i, tx in enumerate(db):
         raster = cov.synth_coverage(tx, PropagationParams(), cell, 0.2, seed=i)
-        if rasters:
-            (cov_dir / f"{tx.id}.asc").write_text(cov.write_asc(raster))
+        (cov_dir / f"{tx.id}.asc").write_text(cov.write_asc(raster))
         (cov_dir / f"{tx.id}.disk").write_text(cov.write_disk(cov.enclosing_disk(raster, tx)))
 
 
@@ -105,8 +101,8 @@ def tree(tmp_path):
 
 @pytest.fixture
 def file_reads(monkeypatch):
-    """Counts of read_disk/read_asc/load_txdb calls made through the loaders, by what they read."""
-    counts = {".disk": 0, ".asc": 0, "txdb": 0}
+    """Counts of read_asc/load_txdb calls made through the loaders, by what they read."""
+    counts = {".asc": 0, "txdb": 0}
 
     def counting(kind, real):
         def wrapper(*args, **kwargs):
@@ -114,35 +110,29 @@ def file_reads(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cov, "read_disk", counting(".disk", cov.read_disk))
     monkeypatch.setattr(cov, "read_asc", counting(".asc", cov.read_asc))
     monkeypatch.setattr(cov, "load_txdb", counting("txdb", cov.load_txdb))
     return counts
 
 
-def check(kind, cov_dir, db, **kwargs):
+def check(kind, cov_dir, db):
     """Load, compare with the file-by-file reference, and return the load."""
-    got = LOAD[kind](cov_dir, db, **kwargs)
+    got = LOAD[kind](cov_dir, db)
     want = coverage_from_files(cov_dir, db, "rasters" if kind == "rasters" else "disks")
     assert coverage_values(got) == coverage_values(want)
     return got
 
 
 def same_size_edit(path):
-    """Change the value in a ``.disk`` or ``.asc`` without changing its size.
+    """Change a cell of an ``.asc`` without changing its size.
 
-    In an ``.asc`` the last 0 becomes a 1: the south-east corner cell, which
-    lies farther from the transmitter than any covered cell, so the
-    raster's disk changes too.
+    The last 0 becomes a 1: the south-east corner cell, which lies farther
+    from the transmitter than any covered cell, so the raster's disk
+    changes too.
     """
     text = path.read_text()
-    if path.suffix == ".disk":
-        e, n, r = text.split()
-        last = r[-1]
-        edited = f"{e} {n} {r[:-1]}{'1' if last != '1' else '2'}\n"
-    else:
-        cut = text.rindex("0")
-        edited = text[:cut] + "1" + text[cut + 1:]
+    cut = text.rindex("0")
+    edited = text[:cut] + "1" + text[cut + 1:]
     assert len(edited) == len(text) and edited != text
     return edited
 
@@ -151,33 +141,20 @@ def restore_mtime(path, st):
     os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
 
 
-def drop_rasters(cov_dir):
-    for asc in cov_dir.glob("*.asc"):
-        asc.unlink()
-    settle(cov_dir)
-
-
-@pytest.mark.parametrize("kind", ["disks", "disk-files", "rasters"])
+@pytest.mark.parametrize("kind", KINDS)
 class TestFreshness:
-    @pytest.fixture
-    def tree(self, kind, tree):
-        """The module's tree, without its rasters for ``disk-files``."""
-        if kind == "disk-files":
-            drop_rasters(tree[1])
-        return tree
-
     def test_second_load_comes_from_the_pack(self, kind, tree, file_reads):
         db, cov_dir = tree
         check(kind, cov_dir, db)
-        assert file_reads[SUFFIX[kind]] == len(db)
+        assert file_reads[".asc"] == len(db)
         assert pack_path(cov_dir, kind).is_file()
         check(kind, cov_dir, db)
-        assert file_reads[SUFFIX[kind]] == len(db)
+        assert file_reads[".asc"] == len(db)
 
     def test_same_size_edit_with_mtime_restored(self, kind, tree, file_reads):
         db, cov_dir = tree
         before = coverage_values(check(kind, cov_dir, db))
-        source = cov_dir / f"s1{SUFFIX[kind]}"
+        source = cov_dir / "s1.asc"
         st = source.stat()
         source.write_text(same_size_edit(source))
         restore_mtime(source, st)
@@ -185,7 +162,7 @@ class TestFreshness:
         assert source.stat().st_mtime_ns == st.st_mtime_ns
         after = coverage_values(check(kind, cov_dir, db))
         assert after["s1"] != before["s1"]
-        assert file_reads[SUFFIX[kind]] == len(db) + 1
+        assert file_reads[".asc"] == len(db) + 1
 
     @pytest.mark.parametrize("field", ["st_size", "st_mtime_ns", "st_ctime_ns", "st_ino"])
     def test_every_stat_field_is_in_the_key(self, kind, tree, file_reads, monkeypatch, field):
@@ -195,7 +172,7 @@ class TestFreshness:
         """
         db, cov_dir = tree
         check(kind, cov_dir, db)
-        target = str(cov_dir / f"s1{SUFFIX[kind]}")
+        target = str(cov_dir / "s1.asc")
         real_stat = os.stat
 
         def shifted(path, *args, **kwargs):
@@ -208,8 +185,8 @@ class TestFreshness:
             return types.SimpleNamespace(**fields)
 
         monkeypatch.setattr(os, "stat", shifted)
-        LOAD[kind](cov_dir, db, write_cache=False)
-        assert file_reads[SUFFIX[kind]] == len(db) + 1
+        LOAD[kind](cov_dir, db)
+        assert file_reads[".asc"] == len(db) + 1
 
     def test_edit_between_read_and_pack_write(self, kind, tree, monkeypatch):
         """An edit after the read but before the pack write is read again.
@@ -218,9 +195,8 @@ class TestFreshness:
         gives it away once the pack is stamped later than the edit.
         """
         db, cov_dir = tree
-        path = cov_dir / f"s1{SUFFIX[kind]}"
-        name = {".disk": "read_disk", ".asc": "read_asc"}[SUFFIX[kind]]
-        real = getattr(cov, name)
+        path = cov_dir / "s1.asc"
+        real = cov.read_asc
 
         def read_then_edit(text, tx_id, source):
             value = real(text, tx_id, source=source)
@@ -230,7 +206,7 @@ class TestFreshness:
                 restore_mtime(path, st)
             return value
 
-        monkeypatch.setattr(cov, name, read_then_edit)
+        monkeypatch.setattr(cov, "read_asc", read_then_edit)
         LOAD[kind](cov_dir, db)
         monkeypatch.undo()
         later = path.stat().st_ctime_ns + 1
@@ -240,7 +216,7 @@ class TestFreshness:
     def test_replace_by_rename(self, kind, tree):
         db, cov_dir = tree
         before = coverage_values(check(kind, cov_dir, db))
-        source = cov_dir / f"s2{SUFFIX[kind]}"
+        source = cov_dir / "s2.asc"
         st = source.stat()
         new = cov_dir / "incoming.tmp"
         new.write_text(same_size_edit(source))
@@ -250,35 +226,34 @@ class TestFreshness:
         assert after["s2"] != before["s2"]
 
     def test_deleted_source(self, kind, tree):
+        """With its .asc gone a station fails, naming the .asc, though its .disk is still there."""
         db, cov_dir = tree
         check(kind, cov_dir, db)
-        (cov_dir / f"s0{SUFFIX[kind]}").unlink()
-        if kind == "disks":
-            check(kind, cov_dir, db)  # read from s0.disk, now that s0 has no raster
-        else:
-            with pytest.raises(FileNotFoundError, match="s0"):
-                LOAD[kind](cov_dir, db)
+        (cov_dir / "s0.asc").unlink()
+        assert (cov_dir / "s0.disk").is_file()
+        with pytest.raises(FileNotFoundError) as info:
+            LOAD[kind](cov_dir, db)
+        assert str(info.value) == f"no coverage raster for 's0': {cov_dir / 's0.asc'}"
 
     def test_transmitter_added_to_the_txdb(self, kind, tree, file_reads):
         db, cov_dir = tree
         check(kind, cov_dir, db)
         bigger = make_db(5)
-        write_sources(cov_dir, TransmitterDb(bigger.transmitters[3:], source="test"),
-                      rasters=kind != "disk-files")
+        write_sources(cov_dir, TransmitterDb(bigger.transmitters[3:], source="test"))
         settle(cov_dir)
         check(kind, cov_dir, bigger)
-        assert file_reads[SUFFIX[kind]] == len(db) + 2
+        assert file_reads[".asc"] == len(db) + 2
         check(kind, cov_dir, bigger)
-        assert file_reads[SUFFIX[kind]] == len(db) + 2
+        assert file_reads[".asc"] == len(db) + 2
         check(kind, cov_dir, db)  # a smaller txdb still reads the bigger pack
-        assert file_reads[SUFFIX[kind]] == len(db) + 2
+        assert file_reads[".asc"] == len(db) + 2
 
     def test_copytree(self, kind, tree, tmp_path):
         db, cov_dir = tree
         check(kind, cov_dir, db)
         copy = tmp_path / "copy"
         shutil.copytree(cov_dir, copy)  # pack and sources, mtimes kept
-        source = copy / f"s1{SUFFIX[kind]}"
+        source = copy / "s1.asc"
         st = source.stat()
         source.write_text(same_size_edit(source))
         restore_mtime(source, st)
@@ -298,26 +273,21 @@ class TestFreshness:
         """
         db, cov_dir = tree
         old = LOAD[kind](cov_dir, db)
-        source = cov_dir / f"s1{SUFFIX[kind]}"
+        source = cov_dir / "s1.asc"
         st = source.stat()
         source.write_text(same_size_edit(source))
         os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
-        forged = cov._stat_keys([str(cov_dir / f"{tx.id}{SUFFIX[kind]}") for tx in db])
+        forged = cov._stat_keys([str(cov_dir / f"{tx.id}.asc") for tx in db])
         rewrite_pack(cov_dir, kind, **{KEYS[kind]: forged})
         now = source.stat()
         pack_mtime = {"mtime": now.st_mtime_ns, "ctime": now.st_ctime_ns,
                       "older": now.st_ctime_ns + 1}[stamp]
         os.utime(pack_path(cov_dir, kind), ns=(pack_mtime, pack_mtime))
         if stamp == "older":
-            got = LOAD[kind](cov_dir, db, write_cache=False)
+            got = LOAD[kind](cov_dir, db)
             assert coverage_values(got) == coverage_values(old)
         else:
             check(kind, cov_dir, db)
-
-    def test_write_cache_false_writes_no_pack(self, kind, tree):
-        db, cov_dir = tree
-        check(kind, cov_dir, db, write_cache=False)
-        assert not pack_path(cov_dir, kind).exists()
 
 
 def npy(*arrays, allow_pickle=False):
@@ -542,7 +512,7 @@ class TestFuzz:
         ))
         pack_path(cov_dir, kind).write_bytes(damaged)
         os.utime(pack_path(cov_dir, kind), ns=(time.time_ns(),) * 2)
-        check(kind, cov_dir, db, write_cache=False)
+        check(kind, cov_dir, db)
 
 
 class TestCli:
@@ -550,10 +520,10 @@ class TestCli:
         out = tmp_path / "tree"
         assert main(["synth", "--n", "3", "--region", "200000,200000,300000,300000",
                      "--seed", "9", "--cell", "2000", "--out", str(out)]) == 0
-        names = sorted(p.name for p in (out / "coverage").iterdir())
         data = ["--txdb", str(out / "transmitters.csv"), "--coverage", str(out / "coverage")]
         assert main(["disks", *data]) == 0
-        assert sorted(p.name for p in (out / "coverage").iterdir()) == names
+        names = sorted(p.name for p in (out / "coverage").iterdir())
+        assert sorted(Path(name).suffix for name in names) == [".asc"] * 3 + [".disk"] * 3
         settle(out / "coverage")
         assert main(["query", *data, "--loc", "250000,250000"]) == 0
         assert main(["query", *data, "--loc", "250000,250000", "--mode", "raster",
@@ -563,10 +533,9 @@ class TestCli:
 
 
 class TestDiskCentre:
-    """A .disk whose centre is not its transmitter's position is refused.
+    """A station's disk is derived about its position wherever the database puts it.
 
-    Only a station with no .asc reads its .disk; a station with a raster has
-    its disk derived about its position wherever the database puts it.
+    A packed disk is taken only while its centre is the station's position.
     """
 
     def moved(self, db, tx_id, by=1.0):
@@ -580,21 +549,6 @@ class TestDiskCentre:
             source="moved",
         )
 
-    def test_moved_transmitter(self, tree):
-        db, cov_dir = tree
-        drop_rasters(cov_dir)
-        with pytest.raises(ParseError, match="s1.disk") as info:
-            cov.load_disks(cov_dir, self.moved(db, "s1"), write_cache=False)
-        assert "not the position of 's1'" in str(info.value)
-
-    def test_checked_on_a_pack_hit(self, tree, file_reads):
-        db, cov_dir = tree
-        drop_rasters(cov_dir)
-        cov.load_disks(cov_dir, db)
-        with pytest.raises(ParseError, match="s2.disk"):
-            cov.load_disks(cov_dir, self.moved(db, "s2", by=-0.5))
-        assert file_reads[".disk"] == len(db) + 1  # only the moved station's file was read
-
     def test_derived_disk_follows_a_moved_transmitter(self, tree, file_reads):
         """A packed disk derived from the raster holds only where it was derived."""
         db, cov_dir = tree
@@ -607,7 +561,15 @@ class TestDiskCentre:
         assert coverage_values(got) == coverage_values(coverage_from_files(cov_dir, moved, "disks"))
         assert got["s1"].center == moved.transmitters[1].position
         assert file_reads[".asc"] == len(db) + 1
-        assert file_reads[".disk"] == 0
+
+    def test_a_station_the_pack_does_not_list_at_the_origin(self, tree):
+        """An unlisted station's packed key and centre read as zeros: (0, 0) with no .asc."""
+        db, cov_dir = tree
+        cov.load_disks(cov_dir, db)
+        settle(cov_dir)
+        origin = Transmitter("s9", NgPoint(0.0, 0.0), 50_000.0, 100.0, frozenset({50}))
+        with pytest.raises(FileNotFoundError, match="'s9'"):
+            cov.load_disks(cov_dir, TransmitterDb((*db.transmitters, origin), source="test"))
 
     def test_cli_exits_3_naming_the_file(self, tmp_path, capsys):
         out = tmp_path / "tree"
@@ -621,10 +583,11 @@ class TestDiskCentre:
         argv = ["query", "--txdb", str(txdb), "--coverage", str(out / "coverage"),
                 "--loc", "250000,250000"]
         assert main(argv) == 0  # derived from the raster about the new position
-        (out / "coverage" / f"{row[0]}.asc").unlink()
+        asc = out / "coverage" / f"{row[0]}.asc"
+        asc.unlink()
         capsys.readouterr()
         assert main(argv) == 3
-        assert f"{row[0]}.disk" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"tvws: error: no coverage raster for {row[0]!r}: {asc}\n"
 
 
 class TestWriteWarnings:
@@ -646,15 +609,11 @@ class TestWriteWarnings:
             f"tvws: warning: could not write coverage pack {pack_path(cov_dir, kind)}: "
             "[Errno 28] No space left on device"
         ]
-        check(kind, cov_dir, db, write_cache=False)  # nothing to write, nothing to say
-        assert capsys.readouterr().err == ""
 
     def test_cli_stdout_and_exit_code_unchanged(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "tree"
         assert main(["synth", "--n", "3", "--region", "200000,200000,300000,300000",
                      "--seed", "9", "--cell", "2000", "--out", str(out)]) == 0
-        for disk in (out / "coverage").glob("*.disk"):
-            disk.unlink()
         query = ["query", "--txdb", str(out / "transmitters.csv"),
                  "--coverage", str(out / "coverage"), "--loc", "250000,250000"]
         raster = [*query, "--mode", "raster", "--power", "0"]
@@ -813,20 +772,6 @@ class TestStationPack:
             assert got == old
         else:
             load_checked(txdb, cov_dir)
-
-    def test_moved_station_exits_3_on_a_hit(self, stations, file_reads, capsys):
-        txdb, cov_dir = stations
-        drop_rasters(cov_dir)
-        argv = ["query", "--txdb", str(txdb), "--coverage", str(cov_dir), "--loc", "250000,250000"]
-        assert main(argv) == 0
-        settle(cov_dir, txdb.parent)
-        assert main(argv) == 0
-        assert (file_reads["txdb"], file_reads[".disk"]) == (1, 3)
-        txdb.write_text(same_size_csv_edit(txdb.read_text(), "s1,240000.0,", "s1,240001.0,"))
-        capsys.readouterr()
-        assert main(argv) == 3
-        assert f"{cov_dir / 's1.disk'}: disk centre (240000.0, 200000.0)" in capsys.readouterr().err
-        assert (file_reads["txdb"], file_reads[".disk"]) == (2, 4)  # only s1's disk read again
 
     def test_edited_channel_list(self, stations, capsys):
         txdb, cov_dir = stations
@@ -1060,10 +1005,12 @@ class TestStaleDisk:
         cov_dir = data / "coverage"
         for stale_pack in cov_dir.glob(".tvws-*"):
             stale_pack.unlink()
+        assert main(["disks", "--txdb", str(data / "transmitters.csv"),
+                     "--coverage", str(cov_dir)]) == 0
         db = load_txdb((data / "transmitters.csv").read_text())
         tx = db.transmitters[0]
         asc, disk = cov_dir / f"{tx.id}.asc", cov_dir / f"{tx.id}.disk"
-        before = cov.read_disk(disk.read_text(), tx.id).radius_m
+        before = float(disk.read_text().split()[2])
         if pack == "warm":
             settle(cov_dir)
             cov.load_disks(cov_dir, db)
@@ -1147,7 +1094,7 @@ class TestRasterEdits:
 
             disks = cov.load_disks(cov_dir, db)
             assert disks[tx.id] == cov.enclosing_disk(edited, tx)
-            rasters = cov.load_rasters(cov_dir, db, write_cache=False)
+            rasters = cov.load_rasters(cov_dir, db)
             plan, prop = default_plan(), PropagationParams()
             for row in range(nrows):
                 for col in range(ncols):
@@ -1162,7 +1109,7 @@ class TestStatCount:
     @pytest.mark.parametrize("command", ["query", "batch", "grid"])
     def test_a_warm_disk_call_stats_one_source_file_per_station(self, tmp_path, monkeypatch,
                                                                  capsys, command):
-        """The loader stats the CSV and each station's .asc, and a .disk only where no .asc is.
+        """The loader stats the CSV and each station's .asc, and no .disk.
 
         The CLI's own check that the CSV is a file is the one other stat of a data file.
         """
@@ -1170,7 +1117,7 @@ class TestStatCount:
         assert main(["synth", "--n", "4", "--region", "200000,200000,300000,300000",
                      "--seed", "3", "--cell", "5000", "--out", str(out)]) == 0
         txdb, cov_dir = out / "transmitters.csv", out / "coverage"
-        (cov_dir / "tx2.asc").unlink()  # tx2's disk is its .disk
+        assert main(["disks", "--txdb", str(txdb), "--coverage", str(cov_dir)]) == 0
         locations = tmp_path / "locations.csv"
         locations.write_text("a,250000,250000\nb,210000,290000\n")
         data = ["--txdb", str(txdb), "--coverage", str(cov_dir)]
@@ -1196,5 +1143,5 @@ class TestStatCount:
         data_files = [p for p in stats if p == str(txdb) or p.startswith(str(cov_dir))]
         assert sorted(data_files) == sorted([
             str(txdb), str(txdb),
-            *(str(cov_dir / f"tx{i}.asc") for i in range(1, 5)), str(cov_dir / "tx2.disk"),
+            *(str(cov_dir / f"tx{i}.asc") for i in range(1, 5)),
         ])
