@@ -75,7 +75,7 @@ class AvailabilityResult:
 
 def channel_bits(db: TransmitterDb, plan: ChannelPlan) -> np.ndarray:
     """Per transmitter, bit ``ch - 21`` set for each interleaved channel ``ch`` it carries."""
-    return db.channels & np.uint64(channel_mask(plan.interleaved))
+    return db.channels & np.uint64(plan.interleaved_mask)
 
 
 def _radii(db: TransmitterDb, disks: Mapping[str, CoverageDisk]) -> np.ndarray:
@@ -347,7 +347,7 @@ def vacancy(
     occupied: np.ndarray, plan: ChannelPlan, extra_blockers: Iterable[int] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vacant and N+-1 filtered masks for occupied ones: ``result.vacant`` and adjacent_filter."""
-    vacant = np.uint64(channel_mask(plan.interleaved)) & ~occupied
+    vacant = np.uint64(plan.interleaved_mask) & ~occupied
     blocked = occupied | np.uint64(channel_mask(extra_blockers))
     one = np.uint64(1)
     return vacant, vacant & ~(blocked << one) & ~(blocked >> one)
@@ -601,7 +601,7 @@ def availability_grid(
     _grid_fill(masks, kd, channel_bits(db, plan), centers_e, centers_n)
     # the masks hold interleaved channels only, so the vacant ones are the rest
     np.invert(masks, out=masks)
-    masks &= np.uint64(channel_mask(plan.interleaved))
+    masks &= np.uint64(plan.interleaved_mask)
     values = np.bitwise_count(masks)
     return RhoGrid(
         origin=NgPoint(region.min_e, region.min_n), cell_size_m=cell_size_m, values=values

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from tvws.errors import ParseError
 
@@ -107,27 +108,42 @@ class ChannelPlan:
             return "excluded"
         return "cleared"
 
+    # A plan is immutable, so what is derived from it alone is derived once.
+    @cached_property
+    def interleaved_mask(self) -> int:
+        """:func:`channel_mask` of the interleaved set."""
+        return channel_mask(self.interleaved)
+
+    @cached_property
+    def _digest(self) -> str:
+        """:func:`plan_hash`'s value."""
+        canon = "|".join(
+            name + ":" + ",".join(str(c) for c in sorted(getattr(self, name)))
+            for name in _SET_NAMES
+        )
+        return hashlib.sha256(canon.encode("ascii")).hexdigest()[:12]
+
+
+_DEFAULT_PLAN = ChannelPlan(
+    interleaved=frozenset(range(21, 31)) | frozenset(range(41, 61)),
+    cleared=frozenset(range(31, 41)) | frozenset(range(63, 69)),
+    excluded=frozenset({61, 62}),
+)
+
 
 def default_plan() -> ChannelPlan:
-    """The built-in post-switchover plan.
+    """The built-in post-switchover plan (one instance, shared: a plan is immutable).
 
     30 interleaved channels (21-30 and 41-60, 240 MHz), channels 61 and 62
     excluded, the remainder cleared.  See the module docstring for the
     status of this reconstruction.
     """
-    interleaved = frozenset(range(21, 31)) | frozenset(range(41, 61))
-    excluded = frozenset({61, 62})
-    cleared = ALL_CHANNELS - interleaved - excluded
-    return ChannelPlan(interleaved=interleaved, cleared=cleared, excluded=excluded)
+    return _DEFAULT_PLAN
 
 
 def plan_hash(plan: ChannelPlan) -> str:
     """Short stable digest of a plan, echoed into every report."""
-    canon = "|".join(
-        name + ":" + ",".join(str(c) for c in sorted(getattr(plan, name)))
-        for name in _SET_NAMES
-    )
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()[:12]
+    return plan._digest
 
 
 def _parse_channel_token(token: str, *, source: str, line: int) -> Iterable[int]:

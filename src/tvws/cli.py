@@ -559,8 +559,7 @@ def cmd_disks(args: argparse.Namespace) -> int:
     # a pack's stat keys differ from one build of the same tree to the next
     db = load_txdb(read_text(str(txdb_path)), source=str(txdb_path))
     # every disk is derived before any is written: a missing or bad raster writes none
-    disks = [cov.enclosing_disk(cov.read_raster(str(coverage_dir / f"{tx.id}.asc"), tx.id), tx)
-             for tx in db]
+    disks = [cov.derive_disk(str(coverage_dir / f"{tx.id}.asc"), tx) for tx in db]
     for disk in disks:
         tx_id = disk.transmitter_id
         (coverage_dir / f"{tx_id}.disk").write_text(cov.write_disk(disk), encoding="utf-8")

@@ -380,6 +380,15 @@ def read_raster(path: str, transmitter_id: str) -> CoverageRaster:
     return read_asc(read_text(path), transmitter_id, source=path)
 
 
+def derive_disk(path: str, tx: Transmitter) -> CoverageDisk:
+    """``tx``'s disk, from its ``<id>.asc`` at ``path``; where it has none the error names both."""
+    raster = read_raster(path, tx.id)
+    try:
+        return enclosing_disk(raster, tx)
+    except ValueError as exc:  # no covered cell, or a radius that rounds to 0
+        raise ParseError(f"no coverage disk for {tx.id!r}: {exc}", source=path) from None
+
+
 # ---------------------------------------------------------------------------
 # Packs.  What the loaders parse is kept in two binary files per coverage
 # directory, each one ASCII JSON header line, then the raw C-order bytes of
@@ -458,6 +467,12 @@ def _fresh(keys: np.ndarray, packed: np.ndarray, mtime_ns: int) -> np.ndarray:
     """
     newest = keys[:, 1:3].astype(np.int64).max(axis=1)  # the later of mtime and ctime
     return keys.any(axis=1) & (keys == packed).all(axis=1) & (newest < mtime_ns)
+
+
+def _fresh_file(key: list[int], packed: list[int], mtime_ns: int) -> bool:
+    """:func:`_fresh` for one file, its keys as Python ints."""
+    newest = max(t - (t >> 63 << 64) for t in key[1:3])  # each time read as int64, as there
+    return any(key) and key == packed and newest < mtime_ns
 
 
 def _empty_pack(kind: str) -> dict[str, np.ndarray]:
@@ -586,11 +601,11 @@ def _packed_rasters(pack_path: str, ids: list[str], keys: np.ndarray) -> dict[st
         return {}
     rows = _pack_rows(pack["ids"], ids)
     fresh = (rows >= 0) & _fresh(keys, pack["keys"][rows], mtime_ns)
+    floats, shapes, ends = pack["floats"].tolist(), shapes.tolist(), ends.tolist()
     rasters = {}
     try:
-        for i in np.flatnonzero(fresh).tolist():
-            row = rows[i]
-            (e, n, cell), (nr, nc), end = pack["floats"][row].tolist(), shapes[row].tolist(), ends[row]
+        for i, row in zip(np.flatnonzero(fresh).tolist(), rows[fresh].tolist()):
+            (e, n, cell), (nr, nc), end = floats[row], shapes[row], ends[row]
             raster = cells[end - nr * nc : end].reshape(nr, nc)
             rasters[ids[i]] = CoverageRaster(ids[i], NgPoint(e, n), cell, raster)
     except ValueError:  # values no load could have written
@@ -670,19 +685,23 @@ def _station_disks(
     n = len(db)
     paths = [prefix + tx_id + ".asc" for tx_id in db.ids]
     keys = _stat_keys(paths)
-    rows = _pack_rows(pack["disk_ids"], db.ids)
-    listed = rows >= 0
-    packed_keys = np.zeros((n, 4), dtype=np.uint64)  # a key no regular file has
-    floats = np.zeros((n, 3))
-    packed_keys[listed] = pack["disk_keys"][rows[listed]]
-    floats[listed] = pack["disk_floats"][rows[listed]]
+    in_order = pack["disk_ids"].tolist() == db.ids  # the same stations in the same order
+    if in_order:
+        packed_keys, floats = pack["disk_keys"], pack["disk_floats"]
+    else:
+        rows = _pack_rows(pack["disk_ids"], db.ids)
+        listed = rows >= 0
+        packed_keys = np.zeros((n, 4), dtype=np.uint64)  # a key no regular file has
+        floats = np.zeros((n, 3))
+        packed_keys[listed] = pack["disk_keys"][rows[listed]]
+        floats[listed] = pack["disk_floats"][rows[listed]]
     fresh = (_fresh(keys, packed_keys, mtime_ns)
              & (floats[:, 0] == db.east) & (floats[:, 1] == db.north))
-    if fresh.all() and np.array_equal(rows, np.arange(len(pack["disk_ids"]))):
-        # the same stations in the same order: the pack's own views, no copy
-        return {name: array for name, array in pack.items() if name.startswith("disk")}, False
+    if in_order and fresh.all():  # the pack's own views, no copy
+        return {name: pack[name] for name in ("disk_ids", "disk_keys", "disk_floats")}, False
+    floats = np.array(floats)  # a view of the pack is read-only
     for i in np.flatnonzero(~fresh).tolist():
-        disk = enclosing_disk(read_raster(paths[i], db.ids[i]), db.transmitters[i])
+        disk = derive_disk(paths[i], db.transmitters[i])
         floats[i] = disk.center.easting, disk.center.northing, disk.radius_m
     fields = {"disk_ids": np.array(db.ids, dtype=str), "disk_keys": keys, "disk_floats": floats}
     return fields, not fresh.all()
@@ -695,22 +714,22 @@ def _load_stations(
     prefix = _prefix(coverage_dir)
     pack_path = prefix + _PACK_NAMES["stations"]
     mtime_ns, pack = _read_pack(pack_path, "stations") or (0, _empty_pack("stations"))
-    # The next pack holds only the parts checked here: one carried over
-    # unchecked would be stamped anew, and could pass the racy-clean rule it failed.
-    fields = _empty_pack("stations")
+    txdb_fields: Mapping[str, np.ndarray] = {}  # the pack's, or those of the CSV read here
+    disk_fields: dict[str, np.ndarray] = {}
     notes: list[str] = []
     stale = False
     if db is None:
-        key = _stat_keys([txdb_path])
-        if pack["txdb_text"][0] == txdb_path and _fresh(key, pack["txdb_key"], mtime_ns)[0]:
+        key = _stat_keys([txdb_path])[0]
+        packed = pack["txdb_key"].tolist()
+        if pack["txdb_text"][0] == txdb_path and _fresh_file(key.tolist(), packed, mtime_ns):
             db = TransmitterDb.from_columns(pack["tx_ids"].tolist(), pack["tx_floats"],
                                             pack["tx_channels"], str(pack["txdb_text"][1]))
             notes = pack["tx_notes"].tolist()
-            fields.update((name, array) for name, array in pack.items() if name.startswith("tx"))
+            txdb_fields = pack
         else:
             db = load_txdb(read_text(txdb_path), source=txdb_path, notes=notes)
-            fields.update(
-                txdb_text=np.array([txdb_path, db.source]), txdb_key=key[0],
+            txdb_fields = dict(
+                txdb_text=np.array([txdb_path, db.source]), txdb_key=key,
                 tx_ids=np.array(db.ids, dtype=str), tx_floats=db.floats,
                 tx_channels=db.channels, tx_notes=np.array(notes, dtype=str),
             )
@@ -718,10 +737,14 @@ def _load_stations(
     disks = None
     if with_disks:
         disk_fields, read = _station_disks(prefix, db, mtime_ns, pack)
-        fields.update(disk_fields)
         stale = stale or read
         disks = DiskSet(db.ids, disk_fields["disk_floats"])
     if stale:
+        # The next pack holds only the parts checked here: one carried over
+        # unchecked would be stamped anew, and could pass the racy-clean rule it failed.
+        fields = _empty_pack("stations")
+        fields.update((name, array) for name, array in txdb_fields.items() if name.startswith("tx"))
+        fields.update(disk_fields)
         _write_pack(pack_path, "stations", fields)
     return db, disks, notes
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +180,13 @@ class TestLoadPlan:
         assert p.interleaved == interleaved
         assert p.excluded == excluded
         assert p.interleaved | p.cleared | p.excluded == ALL_CHANNELS
+        # what is derived from the plan, computed here from the sets it was given
+        cleared = ALL_CHANNELS - interleaved - excluded
+        canon = "|".join(f"{name}:{','.join(map(str, sorted(chans)))}" for name, chans in
+                         [("interleaved", interleaved), ("cleared", cleared), ("excluded", excluded)])
+        for _call in range(2):
+            assert plan_hash(p) == hashlib.sha256(canon.encode()).hexdigest()[:12]
+            assert p.interleaved_mask == sum(1 << (c - 21) for c in interleaved)
 
 
 class TestPlanHash:

@@ -510,23 +510,29 @@ class TestBatchPool:
         assert made == []
 
 
-def test_a_subnormal_keepout_radius_answers_without_a_warning(tmp_path, capsys):
-    """R' = 1e-323 overflows d / R'; the answer stands and nothing reaches stderr.
+def one_cell_station(out, cellsize):
+    """A one-station tree whose ``.asc`` is one covered cell at the station's position.
 
-    The radius comes from a one-cell raster of cell size 1e-323 at the
-    station's position: its centre rounds to the position, and half the
-    cell diagonal rounds to 1e-323 (at 5e-324 it would round to 0).
+    The cell's centre rounds to the position, so the disk's radius is half
+    the cell diagonal: 1e-323 for ``cellsize 1e-323``, 0 for ``5e-324``.
+    Returns (easting, northing, id, the .asc's path).
     """
+    assert main(["synth", "--n", "1", "--region", "200000,200000,300000,300000",
+                 "--seed", "3", "--out", str(out)]) == 0
+    db = load_txdb((out / "transmitters.csv").read_text())
+    (e, n), tx_id = db.floats[0, :2].tolist(), db.ids[0]
+    asc = out / "coverage" / f"{tx_id}.asc"
+    asc.write_text(f"ncols 1\nnrows 1\nxllcorner {e!r}\nyllcorner {n!r}\ncellsize {cellsize}\n1\n")
+    return e, n, tx_id, asc
+
+
+def test_a_subnormal_keepout_radius_answers_without_a_warning(tmp_path, capsys):
+    """R' = 1e-323 overflows d / R'; the answer stands and nothing reaches stderr."""
     import warnings
 
     from tvws.channel_plan import default_plan
 
-    assert main(["synth", "--n", "1", "--region", "200000,200000,300000,300000",
-                 "--seed", "3", "--out", str(tmp_path)]) == 0
-    db = load_txdb((tmp_path / "transmitters.csv").read_text())
-    (e, n), tx_id = db.floats[0, :2].tolist(), db.ids[0]
-    (tmp_path / "coverage" / f"{tx_id}.asc").write_text(
-        f"ncols 1\nnrows 1\nxllcorner {e!r}\nyllcorner {n!r}\ncellsize 1e-323\n1\n")
+    e, n, _tx_id, _asc = one_cell_station(tmp_path, "1e-323")
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -537,6 +543,20 @@ def test_a_subnormal_keepout_radius_answers_without_a_warning(tmp_path, capsys):
     rho = len(default_plan().interleaved)  # the station, 0.5 m from its centre, blocks nothing
     assert f"vacant (rho={rho}, {8 * rho} MHz)" in captured.out
     assert "occupied: none" in captured.out
+
+
+@pytest.mark.parametrize("command", ["query", "grid", "disks"])
+def test_a_disk_radius_that_rounds_to_zero_names_the_station_and_file(tmp_path, capsys, command):
+    e, n, tx_id, asc = one_cell_station(tmp_path, "5e-324")
+    flags = {
+        "query": ["--loc", f"{e!r},{n!r}"],
+        "grid": ["--region", "200000,200000,300000,300000", "--cell", "50000"],
+        "disks": [],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *base_args(tmp_path), *flags]) == 3
+    assert capsys.readouterr() == ("", f"tvws: error: {asc}: no coverage disk for {tx_id!r}: "
+                                       "disk radius must be positive, got 0.0\n")
 
 
 class TestSweep:
@@ -634,6 +654,28 @@ class TestPlanFlag:
         )
         assert code == 0
         assert "rho=4" in capsys.readouterr().out
+
+    def test_a_plan_file_edited_between_calls(self, small_fixture, tmp_path, capsys):
+        """What is derived from a plan is kept with its plan object, not with the file's name."""
+        import hashlib
+
+        plan_file = tmp_path / "plan.txt"
+        argv = ["query", *base_args(small_fixture), "--loc", "650000,1250000",
+                "--plan", str(plan_file)]
+        for text, interleaved, excluded in [
+            ("interleaved = 21-24\n", [21, 22, 23, 24], []),
+            ("interleaved = 41,43\nexcluded = 61\n", [41, 43], [61]),
+        ]:
+            plan_file.write_text(text)
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            cleared = sorted(set(range(21, 69)) - set(interleaved) - set(excluded))
+            canon = "|".join(f"{name}:{','.join(map(str, chans))}" for name, chans in
+                             [("interleaved", interleaved), ("cleared", cleared),
+                              ("excluded", excluded)])
+            assert f"plan: {hashlib.sha256(canon.encode()).hexdigest()[:12]}\n" in out
+            vacant = " ".join(map(str, interleaved))  # the location is clear of every station
+            assert f"vacant (rho={len(interleaved)}, {8 * len(interleaved)} MHz): {vacant}\n" in out
 
     def test_broken_plan_file_exit_3(self, small_fixture, tmp_path, capsys):
         plan_file = tmp_path / "plan.txt"

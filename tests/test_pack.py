@@ -810,6 +810,29 @@ class TestStationPack:
         assert file_reads["txdb"] == 4
         assert file_reads[".asc"] == 3  # both share the coverage files
 
+    def test_stations_reordered_in_the_csv(self, stations, file_reads):
+        """The same stations in another order each keep their own disk and cells.
+
+        A warm pack listing as many stations as the CSV, in another order, is
+        not the CSV's: disk- and raster-mode loads must equal the file-by-file
+        reference, without reading any .asc again.
+        """
+        txdb, cov_dir = stations
+        db, _disks = load_checked(txdb, cov_dir)
+        cov.load_rasters(cov_dir, db)
+        lines = txdb.read_text().splitlines(keepends=True)
+        txdb.write_text("".join(lines[:2] + lines[:1:-1]))  # the source and header lines first
+        settle(cov_dir, txdb.parent)
+        reads = dict(file_reads)
+        for _run in ("reordered pack", "rewritten pack"):
+            db, _disks = load_checked(txdb, cov_dir)
+            assert db.ids == ["s2", "s1", "s0"]
+            rasters = cov.load_rasters(cov_dir, db)
+            assert coverage_values(rasters) == coverage_values(coverage_from_files(cov_dir, db,
+                                                                                   "rasters"))
+            settle(cov_dir, txdb.parent)
+        assert file_reads == {"txdb": reads["txdb"] + 1, ".asc": reads[".asc"]}
+
     def test_raster_mode_packs_only_the_txdb(self, stations, file_reads):
         txdb, cov_dir = stations
         db, disks = load_checked(txdb, cov_dir, disks=False)
