@@ -13,13 +13,16 @@ Two tracks, mirroring how such studies are actually run:
   over-protects by construction, so its vacant set can only be a subset
   of the raster answer at zero power.
 
-Every disk-model answer is decided by one keep-out test,
-:meth:`KeepoutDisks.inside`, through one of three kernels picked by the
-input's shape: :func:`_point_masks` for one point at many powers
-(:func:`availability` and :func:`power_sweep` only shape its input and
-output), :func:`occupied_masks` for scattered points (:func:`batch_kernel`),
-and :func:`_grid_fill` for the cell centres of :func:`availability_grid`, a
-lattice, where each transmitter blocks one column interval per row.
+Every disk-model answer is decided by one keep-out test, d < R' with its
+tie rule (:func:`_strictly_inside`, which :meth:`KeepoutDisks.inside`
+applies), through one of four kernels picked by the input's shape:
+:func:`_point_masks` for one point at given powers (:func:`availability`
+only shapes its input and output), :func:`power_sweep` for one point at
+many powers, a step function with one breakpoint per transmitter, found
+once and confirmed by the test, :func:`occupied_masks` for scattered points
+(:func:`batch_kernel`), and :func:`_grid_fill` for the cell centres of
+:func:`availability_grid`, a lattice, where each transmitter blocks one
+column interval per row.
 
 Transmitters carrying cleared or excluded channels still show up in
 :func:`availability`'s ``per_channel_blockers`` for diagnostics, but never
@@ -45,12 +48,17 @@ from tvws.txdb import TransmitterDb
 # and lays one lattice over at most _BLOCK_POINTS points.
 _CHUNK_PAIRS = 1 << 12
 _BLOCK_POINTS = 1 << 12
-# power_sweep computes R' for at most this many (power, transmitter) pairs at a time.
-_SWEEP_PAIRS = 1 << 14
 # numpy's hypot and ** can differ from math.hypot and Python's ** in the
 # last place, so a distance this close to R' (relative) is re-decided with
 # the scalar definitions, geo.distance's arithmetic and keepout_radius.
 _TIE_BAND = 2.0**-40
+# power_sweep trusts a transmitter's breakpoint only where R' clears d by this
+# much (relative), and by _STEP_FLOOR (absolute), just outside its window; the
+# bound is argued there.
+_STEP_CLEARANCE = 2.0**-30
+_STEP_FLOOR = 2.0**-1060
+# power_sweep's window: the two powers either side of a breakpoint, and one more each way
+_WINDOW = np.array([[-2], [-1], [0], [1]])
 # _grid_fill leaves to KeepoutDisks.inside only the cells between the half-widths
 # of R'(1 - _ZONE) and R'(1 + _ZONE), each widened by _MARGIN times the largest
 # coordinate; the bound is argued there.
@@ -113,32 +121,58 @@ class KeepoutDisks:
         ERP and coverage radius are positive by construction of
         :class:`Transmitter` and :class:`CoverageDisk`; powers are checked here.
         """
-        for p in powers:
-            if not (math.isfinite(p) and p >= 0.0):
-                raise ValueError(f"transmit power must be >= 0 W, got {p}")
-        east, north, erp, coverage = db.east, db.north, db.erp, _radii(db, disks)
-        with np.errstate(over="ignore"):  # overflow gives R' = inf, as in keepout_radius
-            radii = prop.beta_th * np.array(powers, dtype=float)[:, np.newaxis] / erp
-            np.power(radii, 1.0 / prop.alpha, out=radii)
-            radii += 1.0
-            radii *= coverage
-        return cls([float(p) for p in powers], prop, east, north, erp, coverage, radii)
+        p = _checked_powers(powers)
+        coverage = _radii(db, disks)
+        radii = _keepout_radii(p[:, np.newaxis], db.erp, coverage, prop)
+        return cls(p.tolist(), prop, db.east, db.north, db.erp, coverage, radii)
 
     def inside(self, east: np.ndarray, north: np.ndarray, t: np.ndarray) -> np.ndarray:
         """d < R' at every power, pairing point (``east[k]``, ``north[k]``) with ``t[k]``."""
         d = np.hypot(east - self.east[t], north - self.north[t])
-        r = self.radii[:, t]
-        inside = d < r
-        with np.errstate(over="ignore"):  # a subnormal R' gives gap = inf, outside the band
-            gap = d / r  # |d / R' - 1|, computed in place
-        gap -= 1.0
-        for p, k in zip(*np.nonzero(np.abs(gap, out=gap) <= _TIE_BAND)):
+
+        def exact(p: int, k: int) -> bool:
             tk = t[k]
-            exact = math.hypot(east[k] - self.east[tk], north[k] - self.north[tk])
-            inside[p, k] = exact < keepout_radius(
+            return math.hypot(east[k] - self.east[tk], north[k] - self.north[tk]) < keepout_radius(
                 self.powers[p], float(self.erp[tk]), float(self.coverage[tk]), self.prop
             )
-        return inside
+
+        return _strictly_inside(d, self.radii[:, t], exact)
+
+
+def _checked_powers(powers: Sequence[float]) -> np.ndarray:
+    """``powers`` as a float array; ValueError names the first that is not finite and >= 0."""
+    for p in powers:
+        if not (math.isfinite(p) and p >= 0.0):
+            raise ValueError(f"transmit power must be >= 0 W, got {p}")
+    return np.array(powers, dtype=float)
+
+
+def _keepout_radii(
+    powers: np.ndarray, erp: np.ndarray, coverage: np.ndarray, prop: PropagationParams
+) -> np.ndarray:
+    """R' by :func:`keepout_radius`'s formula, ``powers`` broadcast against the stations'."""
+    with np.errstate(over="ignore"):  # overflow gives R' = inf, as in keepout_radius
+        radii = prop.beta_th * powers / erp
+        np.power(radii, 1.0 / prop.alpha, out=radii)
+        radii += 1.0
+        radii *= coverage
+    return radii
+
+
+def _strictly_inside(
+    d: np.ndarray, radii: np.ndarray, exact: Callable[..., bool]
+) -> np.ndarray:
+    """The keep-out test d < R', broadcast; a pair within ``_TIE_BAND`` of a tie gets ``exact``.
+
+    ``exact(*index)`` decides that pair by the scalar definitions.
+    """
+    inside = d < radii
+    with np.errstate(over="ignore"):  # a subnormal R' gives gap = inf, outside the band
+        gap = d / radii  # |d / R' - 1|, computed in place
+    gap -= 1.0
+    for index in zip(*np.nonzero(np.abs(gap, out=gap) <= _TIE_BAND)):
+        inside[index] = exact(*index)
+    return inside
 
 
 def _lattice(
@@ -394,14 +428,84 @@ def power_sweep(
     Returns ``(power_watts, rho, filtered_rho)`` per input power, in input
     order.  Keep-out radii grow with power, so rho is nonincreasing along
     any ascending power list.
+
+    The disk-model kernel for one point at many powers.  Each transmitter
+    carrying an interleaved channel blocks from one power on: its
+    breakpoint P* = (P_tv / beta) * (d / R_tv - 1)^alpha, where R' = d, made
+    negative when d < R_tv (it blocks at every power, 0 W included).  P*
+    only nominates: ``searchsorted`` places it among the ascending powers;
+    the power either side of it, its window, goes through the keep-out test
+    with its tie rule (:func:`_strictly_inside`, the arithmetic of
+    :meth:`KeepoutDisks.inside`), which must find it outside, then inside;
+    and R' must be below d(1 - eps) - f at the power just below the window
+    and above d(1 + eps) + f at the power just above it, eps =
+    ``_STEP_CLEARANCE`` = 2^-30, f = ``_STEP_FLOOR`` = 2^-1060 (a window at
+    an end of the list has no neighbour to check there).
+    A transmitter that passes blocks at every power from its window's upper
+    one on, so each power's occupied mask is a cumulative OR over the
+    breakpoints: O(T + P) once the powers are sorted.  One that fails goes
+    through :func:`_point_masks` at every power, as every transmitter once
+    did; that takes a power within about eps of its step, or a repeat of one.
+
+    Exactness: every (power, transmitter) decision equals the keep-out
+    test's.  (1) The ratio x = fl(fl(beta * P) / P_tv) never decreases as P
+    grows, since IEEE rounding is monotone, and the exact R'(x) =
+    (1 + x^e) * R_tv, e = fl(1 / alpha) > 0, is strictly increasing in x.
+    (2) The test's R' (a power, an add and a multiply on x, whether numpy
+    takes a vector or a scalar loop) is within a few ulps of R'(x), and
+    ``np.hypot`` within two of d, some 2^-48 together, far inside eps; a
+    subnormal R' or d is off by a few 2^-1074 more, far inside f, and f is
+    below 2^-38 d for any normal d.  (3) So at any power up to the one just
+    below the window, whose R' is below d(1 - eps) - f, the R' the test
+    computes is below d(1 - 2^-40): outside, and outside the 2^-40 tie
+    band, so the tie rule re-decides nothing there; symmetrically every
+    power from the one just above the window on is inside.  The
+    window's two powers are the test's own decisions.  (4) Overflow: P* =
+    inf when (d / R_tv - 1)^alpha or its product overflows, and it sorts
+    past every power; R' = inf when beta * P overflows (1e308 W) or R'(x)
+    exceeds the largest float, and it sorts above every d, as the test
+    finds.  Past either end of the list the window's R' is taken as -inf
+    below and inf above, which the clearance and the test pass as outside
+    and inside.
     """
     if not powers:
         raise ValueError("powers must be nonempty")
+    p = _checked_powers(powers)
+    coverage = _radii(db, disks)
     bits = channel_bits(db, plan)
-    block = max(1, _SWEEP_PAIRS // max(1, len(db)))  # powers per kernel call
-    kds = (KeepoutDisks.build(db, disks, powers[i : i + block], prop)
-           for i in range(0, len(powers), block))
-    masks = np.concatenate([_point_masks(kd, bits, loc)[0] for kd in kds])
+    keep = bits.nonzero()[0]
+    east, north, erp, coverage, bits = (
+        db.east[keep], db.north[keep], db.erp[keep], coverage[keep], bits[keep])
+    ascending = np.sort(p)
+    n = ascending.size
+    d = np.hypot(loc.easting - east, loc.northing - north)
+    with np.errstate(over="ignore"):  # a P* past every float is inf
+        p_star = np.maximum(d / coverage - 1.0, 0.0) ** prop.alpha * erp / prop.beta_th
+    p_star[d < coverage] = -1.0
+    step = np.searchsorted(ascending, p_star, "right")  # the first power inside
+    at = step + _WINDOW
+    window = ascending.take(at, mode="clip")
+    radii = _keepout_radii(window, erp, coverage, prop)
+    radii[at < 0] = -np.inf
+    radii[at >= n] = np.inf
+
+    def exact(i: int, k: int) -> bool:
+        return math.hypot(loc.easting - east[k], loc.northing - north[k]) < keepout_radius(
+            float(window[i + 1, k]), float(erp[k]), float(coverage[k]), prop
+        )
+
+    inside = _strictly_inside(d, radii[1:3], exact)
+    clear = ~inside[0] & inside[1]
+    clear &= radii[0] < d * (1.0 - _STEP_CLEARANCE) - _STEP_FLOOR
+    clear &= radii[3] > d * (1.0 + _STEP_CLEARANCE) + _STEP_FLOOR
+    steps = np.zeros(n + 1, dtype=np.uint64)
+    np.bitwise_or.at(steps, np.where(clear, step, n), bits)
+    masks = np.bitwise_or.accumulate(steps[:n])[np.searchsorted(ascending, p)]
+    slow = (~clear).nonzero()[0]
+    if slow.size:
+        kd = KeepoutDisks(p.tolist(), prop, east[slow], north[slow], erp[slow], coverage[slow],
+                          _keepout_radii(p[:, np.newaxis], erp[slow], coverage[slow], prop))
+        masks |= _point_masks(kd, bits[slow], loc)[0]
     vacant, kept = vacancy(masks, plan)
     return list(zip(powers, np.bitwise_count(vacant).tolist(), np.bitwise_count(kept).tolist()))
 

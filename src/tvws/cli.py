@@ -446,7 +446,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     db, disks = _load_data(args)
     prop = PropagationParams(args.alpha, args.beta)
-    points = power_sweep(db, disks, plan, loc, args.powers, prop)
+    points = rep.SweepPoints(power_sweep(db, disks, plan, loc, args.powers, prop))
     digest = plan_hash(plan)
     print(
         f"sweep at {args.loc}: alpha={args.alpha!r} beta_th={args.beta!r} plan={digest}",

@@ -13,10 +13,11 @@ import csv
 import io
 import json
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -166,11 +167,15 @@ def _join_rows(
 
     A row is ``seps`` with its label and its five counts between them, then
     its vacant channels, then the ``after`` pieces: each one str for every
-    row or a column of one per row.  The channels are a piece per nibble of
-    the mask from the ``(first, then)`` tables of :func:`_nibble_table`,
-    ``first`` for its first nonzero nibble.  The pieces fill one array of a
-    row per row, so no Python code runs per row and the text is copied once.
+    row, or a pair of the text for a row that lists channels and the text for
+    one that lists none.  The channels are a piece per nibble of the mask
+    from the ``(first, then)`` tables of :func:`_nibble_table`, ``first`` for
+    its first nonzero nibble.  The pieces fill one array of a row per row, so
+    no Python code runs per row and the text is copied once; one row is
+    rendered from Python ints instead, where numpy's fixed cost would dominate.
     """
+    if len(labels) == 1:
+        return _join_row(rows, head, labels[0], seps, channels, after, tail)
     counts, nibbles = rows.columns
     first, then = channels
     start = 2 * len(seps) - 1  # the channels' first column
@@ -179,13 +184,42 @@ def _join_rows(
     cells[:, 1] = labels
     cells[:, 3:start:2] = counts.T
     cells[:, start : start + _NIBBLES] = then[range(_NIBBLES), nibbles]
-    lead = (nibbles != 0).argmax(1)
+    listed = nibbles != 0
+    lead = listed.argmax(1)
     row = np.arange(nibbles.shape[0])
     cells[row, start + lead] = first[lead, nibbles[row, lead]]
+    listed = listed.any(1)
     for j, piece in enumerate(after, start=start + _NIBBLES):
-        cells[:, j] = piece
+        cells[:, j] = piece if isinstance(piece, str) else np.where(listed, *piece)
     pieces = cells.ravel().tolist()
     pieces.insert(0, head)
+    pieces[-1] = tail
+    return "".join(pieces)
+
+
+def _join_row(
+    rows: ChannelRows, head: str, label: str, seps: list[str], channels: tuple, after: list,
+    tail: str,
+) -> str:
+    """:func:`_join_rows` for one row: the same pieces, from Python ints and the same tables."""
+    vacant, filtered = int(rows.vacant[0]), int(rows.filtered[0])
+    widest, run = 0, vacant
+    while run:  # the m &= m >> 1 steps of mask_counts
+        run &= run >> 1
+        widest += 1
+    rho, kept = vacant.bit_count(), filtered.bit_count()
+    mhz = [str(CHANNEL_WIDTH_MHZ * n) for n in (rho, kept, widest)]
+    cells = [label, str(rho), str(kept), *mhz]
+    pieces = [head]
+    for sep, cell in zip(seps, cells):
+        pieces += (sep, cell)
+    pieces.append(seps[-1])
+    first, then = channels
+    nibbles = [vacant >> 4 * k & 15 for k in range(_NIBBLES)]
+    listed = any(nibbles)
+    lead = next((k for k, b in enumerate(nibbles) if b), 0)
+    pieces += [(first if k == lead else then)[k, b] for k, b in enumerate(nibbles)]
+    pieces += [piece if isinstance(piece, str) else piece[not listed] for piece in after]
     pieces[-1] = tail
     return "".join(pieces)
 
@@ -207,14 +241,47 @@ def emit_json(reports: Sequence[LocationReport] | ChannelRows) -> str:
     params = {"alpha": rows.alpha, "beta_th": rows.beta_th,
               "power_watts": rows.power_watts, "plan": rows.plan_digest}
     head = json.dumps({"params": params, "reports": []}, indent=2)
-    listed = rows.columns[1].any(1)
     return _join_rows(
         rows, head[: -len("[]\n}")] + "[\n", list(map(encode_basestring_ascii, rows.labels)),
         ['    {\n      "label": ', ',\n      "rho": ', ',\n      "rho_filtered": ',
          ',\n      "total_mhz": ', ',\n      "filtered_mhz": ', ',\n      "max_contiguous_mhz": ',
          ',\n      "vacant_channels": ['],
-        _JSON_CHANNELS, [np.where(listed, "\n      ]", "]"), "\n    },\n"], "\n    }\n  ]\n}\n",
+        _JSON_CHANNELS, [("\n      ]", "]"), "\n    },\n"], "\n    }\n  ]\n}\n",
     )
+
+
+class SweepPoints(tuple):
+    """Sweep points ``(power_watts, rho, filtered_rho)`` in ascending power, for both emitters.
+
+    ``texts`` holds each power's text, made once: ``repr``'s, which is also
+    json's for a finite float or an int, so a sweep's CSV and JSON share it.
+    Other powers raise ValueError.
+    """
+
+    texts: list[str]
+
+    def __new__(cls, points: Iterable[tuple[float, int, int]]) -> SweepPoints:
+        self = super().__new__(cls, sorted(points, key=itemgetter(0)))
+        powers = [point[0] for point in self]
+        if not set(map(type, powers)) <= {float, int}:
+            raise ValueError("sweep powers must be floats or ints")
+        try:
+            self.texts = json.dumps(powers, allow_nan=False)[1:-1].split(", ")
+        except ValueError:  # inf or nan, which repr and json write differently
+            raise ValueError("sweep powers must be finite") from None
+        return self
+
+
+def _sweep_rows(
+    points: Sequence[tuple[float, int, int]], text: Callable[[list], list[str]]
+) -> tuple[Sequence[tuple[float, int, int]], list[str]]:
+    """``points`` in ascending power, and each power's text (a :class:`SweepPoints`' own)."""
+    if not points:
+        raise ValueError("no sweep points to emit")
+    if isinstance(points, SweepPoints):
+        return points, points.texts
+    ordered = sorted(points, key=itemgetter(0))
+    return ordered, text([point[0] for point in ordered])
 
 
 def emit_sweep(
@@ -225,11 +292,10 @@ def emit_sweep(
     plan_digest: str,
 ) -> str:
     """Power-sweep curve as CSV: power_watts, channels, mhz (ascending power; csv's ``repr``)."""
-    if not points:
-        raise ValueError("no sweep points to emit")
+    ordered, powers = _sweep_rows(points, lambda powers: list(map(repr, powers)))
     head = f"# alpha={alpha!r} beta_th={beta_th!r} plan={plan_digest}\npower_watts,channels,mhz\n"
-    return head + "".join([f"{power!r},{rho},{CHANNEL_WIDTH_MHZ * rho}\n"
-                           for power, rho, _filtered in sorted(points, key=lambda t: t[0])])
+    return head + "".join([f"{power},{rho},{CHANNEL_WIDTH_MHZ * rho}\n"
+                           for power, (_, rho, _filtered) in zip(powers, ordered)])
 
 
 def emit_sweep_json(
@@ -240,13 +306,10 @@ def emit_sweep_json(
     plan_digest: str,
 ) -> str:
     """JSON mirror of :func:`emit_sweep`, as ``json.dumps(indent=2)`` writes it."""
-    if not points:
-        raise ValueError("no sweep points to emit")
-    ordered = sorted(points, key=lambda t: t[0])
+    # json's own text for every power, from one call
+    ordered, powers = _sweep_rows(points, lambda powers: json.dumps(powers)[1:-1].split(", "))
     params = {"alpha": alpha, "beta_th": beta_th, "plan": plan_digest}
     head = json.dumps({"params": params, "sweep": []}, indent=2)
-    # json's own text for every power, from one call
-    powers = json.dumps([power for power, _rho, _filtered in ordered])[1:-1].split(", ")
     entries = [
         f'    {{\n      "power_watts": {power},\n      "channels": {rho},\n'
         f'      "mhz": {CHANNEL_WIDTH_MHZ * rho}\n    }}'

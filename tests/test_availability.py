@@ -24,6 +24,7 @@ from tvws.availability import (
     mask_counts,
     occupied_masks,
     power_sweep,
+    vacancy,
 )
 from tvws.channel_plan import default_plan, load_plan
 from tvws.coverage import CoverageDisk, enclosing_disk, synth_coverage
@@ -696,11 +697,11 @@ def kernel_masks(db, disks, points, powers):
 KERNEL = sys.modules["tvws.availability"]  # the package re-exports a function by that name
 
 
-@pytest.fixture(params=[None, (5, 7, 5)], ids=["default-steps", "tiny-steps"])
+@pytest.fixture(params=[None, (5, 7)], ids=["default-steps", "tiny-steps"])
 def steps(request, monkeypatch):
     """Run with the kernel's own step sizes, and with tiny blocks and pair budgets."""
     if request.param:
-        for name, value in zip(("_CHUNK_PAIRS", "_BLOCK_POINTS", "_SWEEP_PAIRS"), request.param):
+        for name, value in zip(("_CHUNK_PAIRS", "_BLOCK_POINTS"), request.param):
             monkeypatch.setattr(KERNEL, name, value)
 
 
@@ -1013,3 +1014,133 @@ class TestPointKernel:
             disks = {"a": disk_for(tx, float(radius))}
             occupied += self.check(TransmitterDb((tx,)), disks, loc, [0.0]).tolist()
         assert occupied == [0, 0, 1]  # strictly inside only past the point
+
+
+class TestPowerStaircase:
+    """``power_sweep``'s staircase against ``occupied_masks`` at each power, and the oracle."""
+
+    @staticmethod
+    def check(db, disks, loc, powers, prop=PROP):
+        """Sweep masks (spied from ``vacancy``) and how many transmitters fell back."""
+        seen, slow = [], []
+        point_masks = KERNEL._point_masks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(KERNEL, "vacancy",
+                       lambda masks, plan: seen.append(masks.copy()) or vacancy(masks, plan))
+            mp.setattr(KERNEL, "_point_masks",
+                       lambda kd, bits, at: slow.append(kd.east.size) or point_masks(kd, bits, at))
+            sweep = power_sweep(db, disks, PLAN, loc, powers, prop)
+        assert [p for p, _, _ in sweep] == list(powers)
+        (masks,) = seen
+        bits = channel_bits(db, PLAN)
+        east, north = np.array([loc.easting]), np.array([loc.northing])
+        for power, mask in zip(powers, masks.tolist()):
+            one = KeepoutDisks.build(db, disks, [power], prop)
+            assert mask == occupied_masks(one, bits, east, north)[0]
+            assert mask == channel_mask(occupied_by_enumeration(
+                db, disks, PLAN, loc, power, prop.alpha, prop.beta_th))
+        vacant, kept = vacancy(masks, PLAN)
+        assert [(rho, filtered) for _, rho, filtered in sweep] == list(
+            zip(np.bitwise_count(vacant).tolist(), np.bitwise_count(kept).tolist()))
+        return masks, sum(slow)
+
+    @staticmethod
+    def step_power(d, erp, radius, prop):
+        """The power at which R' = d, by the scalar formula: its ulp neighbours lie on the step."""
+        with np.errstate(over="ignore"):
+            ratio = np.float64(d / radius - 1.0)
+            return float(np.float64(erp / prop.beta_th) * ratio**prop.alpha)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_equals_occupied_masks_power_by_power(self, data):
+        loc = NgPoint(data.draw(st.floats(0, 699_999)), data.draw(st.floats(0, 1_299_999)))
+        prop = PropagationParams(data.draw(st.sampled_from([1.0, 3.0, 3.0, 2.5, 40.0])),
+                                 data.draw(st.sampled_from([1.0, 0.5, 7.0])))
+        txs, disks, powers = [], {}, []
+        for i in range(data.draw(st.integers(0, 6))):
+            e = min(max(loc.easting + data.draw(st.floats(-1e5, 1e5)), 0.0), 699_999.0)
+            n = min(max(loc.northing + data.draw(st.floats(-1e5, 1e5)), 0.0), 1_299_999.0)
+            channels = data.draw(st.sampled_from([{21}, {22, 35}, {35}, {23, 24, 60}]))
+            tx = make_tx(f"s{i}", e, n, data.draw(st.floats(0.5, 2e5)), channels)
+            txs.append(tx)
+            d = math.hypot(loc.easting - e, loc.northing - n)
+            shape = data.draw(st.sampled_from(["step", "step", "edge", "covers", "any"]))
+            if shape == "step" and d > 0:  # a power within ulps of R' = d, and its neighbours
+                radius = d / data.draw(st.floats(1.0, 40.0))
+                p = self.step_power(d, tx.erp_watts, radius, prop)
+                if math.isfinite(p):
+                    powers += [float(x) for x in ulp_neighbours(p)]
+                    powers += [float(np.nextafter(p, -math.inf) * (1 - 2**-52)), p * (1 + 2**-50)]
+            elif shape == "edge":  # d == R_tv: the step sits at 0 W
+                radius = d
+            elif shape == "covers":  # d < R_tv: blocks at every power
+                radius = d * data.draw(st.floats(1.0, 3.0)) + 1e-6
+            else:
+                radius = data.draw(st.floats(1e-6, 2e5))
+            disks[tx.id] = disk_for(tx, max(radius, 1e-9))
+        powers = [p for p in powers if p >= 0.0]
+        powers += data.draw(st.lists(
+            st.sampled_from([0.0, 1e-3, 1.0, 4.0, 1e308, 5e-324]) | st.floats(0.0, 1e4)
+            | st.floats(0.0, 1e-6) | st.floats(1e6, 1e300), max_size=12))
+        powers = data.draw(st.permutations(powers or [0.0]))
+        powers += data.draw(st.lists(st.sampled_from(powers), max_size=3))  # repeats
+        self.check(TransmitterDb(tuple(txs)), disks, loc, powers, prop)
+
+    def test_no_transmitters(self):
+        masks, slow = self.check(TransmitterDb(()), {}, NgPoint(300_000.0, 300_000.0), [4.0, 0.0])
+        assert masks.tolist() == [0, 0] and slow == 0
+
+    def test_clear_steps_need_no_per_power_test(self):
+        # a covers the point, b blocks from between 4 and 20 W, c only at 1e308 W (R' = inf)
+        loc = NgPoint(300_000.0, 300_000.0)
+        txs = (make_tx("a", 310_000.0, 300_000.0, 1000, {21}),
+               make_tx("b", 300_000.0, 350_000.0, 1000, {22}),
+               make_tx("c", 300_000.0, 500_000.0, 10, {23}))
+        disks = {"a": disk_for(txs[0], 20_000.0), "b": disk_for(txs[1], 40_000.0),
+                 "c": disk_for(txs[2], 10_000.0)}
+        powers = [4.0, 0.0, 1e-3, 20.0, 1e308, 4.0]
+        masks, slow = self.check(TransmitterDb(txs), disks, loc, powers)
+        assert masks.tolist() == [1, 1, 1, 3, 7, 1]
+        assert slow == 0
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.0, 60.0])
+    def test_powers_an_ulp_either_side_of_the_step(self, alpha):
+        prop = PropagationParams(alpha)
+        loc = NgPoint(312_345.678, 301_234.5)
+        tx = make_tx("a", 300_000.0, 300_000.0, 1000, {21, 35})
+        d, radius = distance(loc, tx.position), 8_000.0
+        p = self.step_power(d, 1000, radius, prop)
+        while keepout_radius(p, 1000, radius, prop) <= d:  # the first power past the step
+            p = float(np.nextafter(p, math.inf))
+        below = float(np.nextafter(p, -math.inf))
+        slow = []
+        for powers in ([below, p], [0.0, below, p, 1e308], [p, below, below, 1e308],
+                       [0.0, p, below, p]):
+            masks, fell_back = self.check(TransmitterDb((tx,)), {"a": disk_for(tx, radius)}, loc,
+                                          powers, prop)
+            assert masks.tolist() == [int(power >= p) for power in powers]
+            slow.append(fell_back)
+        # a repeat of the power below (above) the step leaves no clearance below (above)
+        # the window, wherever the breakpoint lands: that station is tested at every power
+        assert slow[2:] == [1, 1]
+
+    def test_coverage_edge_on_the_point(self):
+        loc = NgPoint(312_345.678, 301_234.5)
+        tx = make_tx("a", 300_000.0, 300_000.0, 1000, {21})
+        for radius, zero in ((distance(loc, tx.position), 0), (12_000.0, 0), (50_000.0, 1)):
+            masks, _ = self.check(TransmitterDb((tx,)), {"a": disk_for(tx, radius)}, loc,
+                                  [0.0, 0.0, 1e-9, 2.0, 0.0])
+            assert masks[0] == zero and masks[3] == 1
+
+    def test_subnormal_distances_and_radii(self):
+        # a point a few 2^-1074 m from the station, radii of the same size: R' and d subnormal
+        tx = make_tx("a", 0.0, 0.0, 1000, {21})
+        powers = [0.0, 5e-324, 1e-300, 1.0, 1e3, 1e6, 1e308]
+        for east in (5e-324, 2.5e-322, 1e-310):
+            loc = NgPoint(east, 0.0)
+            for radius in (5e-324, max(east / 3, 5e-324), east, float(np.nextafter(east, 1)),
+                           1e-300):
+                for alpha in (1.0, 3.0):
+                    self.check(TransmitterDb((tx,)), {"a": disk_for(tx, radius)}, loc, powers,
+                               PropagationParams(alpha))

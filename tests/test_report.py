@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from tvws.report import (
     emit_json,
     emit_sweep,
     emit_sweep_json,
+    SweepPoints,
 )
 from tvws.txdb import Transmitter, TransmitterDb
 
@@ -211,8 +214,16 @@ class TestEmitSweep:
                       for power, rho, _filtered in ordered],
         }
         args = dict(alpha=alpha, beta_th=1.0, plan_digest="abc")
-        assert emit_sweep(points, **args) == out.getvalue()
-        assert emit_sweep_json(points, **args) == json.dumps(payload, indent=2) + "\n"
+        shared = SweepPoints(points)  # each power's text made once, for both emitters
+        for given_points in (points, shared):
+            assert emit_sweep(given_points, **args) == out.getvalue()
+            assert emit_sweep_json(given_points, **args) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("power", [np.float64(0.5), True, Fraction(1, 3), math.inf, math.nan])
+    def test_shared_text_only_for_finite_floats_and_ints(self, power):
+        with pytest.raises(ValueError, match="sweep powers"):
+            SweepPoints([(0.25, 3, 3), (power, 2, 2)])
+        assert SweepPoints([(4, 3, 3), (0.5, 2, 2)]).texts == ["0.5", "4"]
 
     @pytest.mark.parametrize("emit", [emit_sweep, emit_sweep_json])
     def test_no_points_rejected(self, emit):
@@ -268,6 +279,28 @@ LABELS = st.builds(
     st.text(alphabet=st.one_of(st.sampled_from('"\\,;#\r\n\t\x00\x1f\x7f\x85\u2028 é€ü漢😀'),
                                st.characters()), max_size=8),
 )
+
+
+class TestOneRow:
+    """One row is rendered from Python ints; the bytes are the array path's."""
+
+    @given(label=LABELS, vacant=st.integers(0, 2**64 - 1), filtered=st.integers(0, 2**64 - 1),
+           runs=st.sampled_from([0, 2**40 - 1, 2**64 - 1, 0x5555_5555_5555_5555, 1 << 63]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_row_of_the_array_path(self, label, vacant, filtered, runs):
+        """Two equal rows go through the array path: each must be the one-row text."""
+        vacant ^= runs
+        params = (3.0, 1.0, 0.1, "abc")
+        one = ChannelRows([label], *np.array([[vacant], [filtered]], dtype=np.uint64), *params)
+        two = ChannelRows([label] * 2, *np.array([[vacant] * 2, [filtered] * 2], dtype=np.uint64),
+                          *params)
+        text = emit_csv(one)
+        start = text.index("\n", text.index("\n") + 1) + 1  # after the comment and header lines
+        assert emit_csv(two) == text + text[start:]
+        text = emit_json(one)
+        start = text.index('"reports": [\n') + len('"reports": [\n')
+        end = len(text) - len("\n    }\n  ]\n}\n")
+        assert emit_json(two) == text[:end] + "\n    },\n" + text[start:]
 
 
 class TestMaskRowsAgainstTheSetPath:
