@@ -188,9 +188,8 @@ def _join_rows(
     lead = listed.argmax(1)
     row = np.arange(nibbles.shape[0])
     cells[row, start + lead] = first[lead, nibbles[row, lead]]
-    listed = listed.any(1)
     for j, piece in enumerate(after, start=start + _NIBBLES):
-        cells[:, j] = piece if isinstance(piece, str) else np.where(listed, *piece)
+        cells[:, j] = piece if isinstance(piece, str) else np.where(listed.any(1), *piece)
     pieces = cells.ravel().tolist()
     pieces.insert(0, head)
     pieces[-1] = tail
