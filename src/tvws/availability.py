@@ -24,6 +24,15 @@ once and confirmed by the test, :func:`occupied_masks` for scattered points
 :func:`availability_grid`, a lattice, where each transmitter blocks one
 column interval per row.
 
+Every raster-model answer is decided by :func:`~tvws.coverage.covers` and
+its snap rule, through one kernel, :func:`raster_masks`, over the rasters
+as columns (:class:`~tvws.coverage.RasterSet`, which any mapping of rasters
+becomes).  One vectorised test of each point against every raster's
+extent nominates the stations that can cover it, exactly those whose
+extent holds it, and ``covers`` decides each nominee.
+:func:`availability_lowpower` asks it for one point; ``batch --mode
+raster`` for many (:func:`raster_kernel`).
+
 Transmitters carrying cleared or excluded channels still show up in
 :func:`availability`'s ``per_channel_blockers`` for diagnostics, but never
 change ``rho``: availability is accounted over the interleaved plan only.
@@ -39,13 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvws.channel_plan import CHANNEL_WIDTH_MHZ, ChannelPlan, channel_mask, mask_channels
-from tvws.coverage import CoverageDisk, CoverageRaster, DiskSet, covers
+from tvws.coverage import CoverageDisk, CoverageRaster, DiskSet, RasterSet, covers
 from tvws.geo import BoundingBox, NgPoint
 from tvws.keepout import PropagationParams, QueryParams, keepout_radius
 from tvws.txdb import TransmitterDb
 
-# occupied_masks tests about this many (point, transmitter) pairs at a time,
-# and lays one lattice over at most _BLOCK_POINTS points.
+# occupied_masks and raster_masks test about this many (point, transmitter)
+# pairs at a time; occupied_masks lays one lattice over at most _BLOCK_POINTS points.
 _CHUNK_PAIRS = 1 << 12
 _BLOCK_POINTS = 1 << 12
 # numpy's hypot and ** can differ from math.hypot and Python's ** in the
@@ -126,17 +135,23 @@ class KeepoutDisks:
         radii = _keepout_radii(p[:, np.newaxis], db.erp, coverage, prop)
         return cls(p.tolist(), prop, db.east, db.north, db.erp, coverage, radii)
 
-    def inside(self, east: np.ndarray, north: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """d < R' at every power, pairing point (``east[k]``, ``north[k]``) with ``t[k]``."""
-        d = np.hypot(east - self.east[t], north - self.north[t])
+    def inside(
+        self, east: np.ndarray | float, north: np.ndarray | float, t: np.ndarray | slice = slice(None)
+    ) -> np.ndarray:
+        """d < R' at every power, pairing point (``east[k]``, ``north[k]``) with transmitter ``t[k]``.
+
+        ``t`` defaults to every transmitter in order: with floats for
+        ``east`` and ``north``, one point against each, through views of the
+        columns.
+        """
+        de, dn = east - self.east[t], north - self.north[t]
 
         def exact(p: int, k: int) -> bool:
-            tk = t[k]
-            return math.hypot(east[k] - self.east[tk], north[k] - self.north[tk]) < keepout_radius(
-                self.powers[p], float(self.erp[tk]), float(self.coverage[tk]), self.prop
+            return math.hypot(de[k], dn[k]) < keepout_radius(
+                self.powers[p], float(self.erp[t][k]), float(self.coverage[t][k]), self.prop
             )
 
-        return _strictly_inside(d, self.radii[:, t], exact)
+        return _strictly_inside(np.hypot(de, dn), self.radii[:, t], exact)
 
 
 def _checked_powers(powers: Sequence[float]) -> np.ndarray:
@@ -262,8 +277,7 @@ def _point_masks(
     over every transmitter; ``masks[p]`` ORs the ``bits`` (see
     :func:`channel_bits`) of the transmitters inside at that power.
     """
-    t = np.arange(kd.east.size)
-    inside = kd.inside(np.full(t.size, loc.easting), np.full(t.size, loc.northing), t)
+    inside = kd.inside(loc.easting, loc.northing)
     return np.bitwise_or.reduce(np.where(inside, bits, np.uint64(0)), axis=1), inside
 
 
@@ -317,6 +331,42 @@ def batch_kernel(
     return functools.partial(occupied_masks, kd, channel_bits(db, plan))
 
 
+def raster_masks(
+    rasters: RasterSet, bits: np.ndarray, east: np.ndarray, north: np.ndarray
+) -> np.ndarray:
+    """The raster-model kernel: one ``uint64`` occupied mask per point.
+
+    A transmitter blocks its channels ``bits`` (see :func:`channel_bits`)
+    where :func:`covers` finds the point on a covered cell of its raster.
+    Only the transmitters whose raster extent holds the point are asked.
+    With q = (x - x0) / cell, the two correctly rounded IEEE operations
+    :func:`covers` starts from, its cell index ceil(q) - 1 lies in [0, n)
+    exactly when 0 < q <= n, so one vectorised test of that over the
+    columns of ``rasters`` nominates them: no more and no fewer.  Points go
+    a block of about ``_CHUNK_PAIRS`` (point, transmitter) pairs at a time.
+    """
+    masks = np.zeros(east.size, dtype=np.uint64)
+    e0, n0, cell = rasters.floats.T
+    nrows, ncols = rasters.shapes.T
+    step = max(1, _CHUNK_PAIRS // max(1, len(rasters)))
+    for i in range(0, east.size, step):
+        e, n = east[i : i + step, np.newaxis], north[i : i + step, np.newaxis]
+        with np.errstate(over="ignore"):  # a q past every float is inf: outside, as in covers
+            q_col, q_row = (e - e0) / cell, (n - n0) / cell
+        held = (q_col > 0) & (q_col <= ncols) & (q_row > 0) & (q_row <= nrows)
+        for k, t in zip(*(index.tolist() for index in np.nonzero(held))):
+            if covers(rasters.raster(t), NgPoint(float(e[k, 0]), float(n[k, 0]))):
+                masks[i + k] |= bits[t]
+    return masks
+
+
+def raster_kernel(
+    db: TransmitterDb, rasters: Mapping[str, CoverageRaster], plan: ChannelPlan
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """:func:`batch_kernel` for the raster model: masks as a function of the locations alone."""
+    return functools.partial(raster_masks, RasterSet.of(rasters, db.ids), channel_bits(db, plan))
+
+
 def availability_lowpower(
     db: TransmitterDb,
     rasters: Mapping[str, CoverageRaster],
@@ -327,16 +377,12 @@ def availability_lowpower(
 
     A transmitter blocks its channels exactly where its coverage map says
     it can be received.  This is the most optimistic vacant set a location
-    can have; any positive transmit power only removes channels.
+    can have; any positive transmit power only removes channels.  Any
+    mapping of rasters goes through :meth:`RasterSet.of` and
+    :func:`raster_masks`.
     """
-    occupied = 0
-    for tx_id, mask in zip(db.ids, db.channels.tolist()):
-        raster = rasters.get(tx_id)
-        if raster is None:
-            raise ValueError(f"no coverage raster for transmitter {tx_id!r}")
-        if covers(raster, loc):
-            occupied |= mask
-    return _result(loc, 0.0, plan, mask_channels(occupied))
+    masks = raster_kernel(db, rasters, plan)(np.array([loc.easting]), np.array([loc.northing]))
+    return _result(loc, 0.0, plan, mask_channels(int(masks[0])))
 
 
 def adjacent_filter(

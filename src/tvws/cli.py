@@ -47,8 +47,8 @@ from tvws.availability import (
     availability_grid,
     availability_lowpower,
     batch_kernel,
-    channel_mask,
     power_sweep,
+    raster_kernel,
     vacancy,
 )
 from tvws.channel_plan import ChannelPlan, default_plan, load_plan, plan_hash
@@ -248,22 +248,25 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _data_paths(args: argparse.Namespace) -> tuple[Path, Path]:
-    """``--txdb`` and ``--coverage``, each defaulting to its place under ``TVWS_DATA_DIR``."""
-    data_root = os.environ.get("TVWS_DATA_DIR")
-    txdb_path = Path(args.txdb) if args.txdb else None
-    coverage_dir = Path(args.coverage) if args.coverage else None
-    if txdb_path is None and data_root:
-        txdb_path = Path(data_root) / "transmitters.csv"
-    if coverage_dir is None and data_root:
-        coverage_dir = Path(data_root) / "coverage"
-    if txdb_path is None:
+def _data_paths(args: argparse.Namespace) -> tuple[str, str]:
+    """``--txdb`` and ``--coverage``, each defaulting to its place under ``TVWS_DATA_DIR``.
+
+    The database path is normalised as ``Path`` prints it, as every message
+    and the station pack name it; the loaders stat it, so a CSV that is not
+    a file is theirs to refuse.  The loaders normalise the directory.
+    """
+    txdb_path, coverage_dir = args.txdb, args.coverage
+    if not (txdb_path and coverage_dir):
+        data_root = os.environ.get("TVWS_DATA_DIR")
+        if not txdb_path and data_root:
+            txdb_path = os.path.join(data_root, "transmitters.csv")
+        if not coverage_dir and data_root:
+            coverage_dir = os.path.join(data_root, "coverage")
+    if not txdb_path:
         raise FileNotFoundError("no transmitter database: pass --txdb or set TVWS_DATA_DIR")
-    if coverage_dir is None:
+    if not coverage_dir:
         raise FileNotFoundError("no coverage directory: pass --coverage or set TVWS_DATA_DIR")
-    if not txdb_path.is_file():
-        raise FileNotFoundError(f"transmitter database not found: {txdb_path}")
-    return txdb_path, coverage_dir
+    return str(Path(txdb_path)), coverage_dir
 
 
 def _plan(args: argparse.Namespace) -> ChannelPlan:
@@ -296,12 +299,7 @@ def _masks_of_part(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Occupied-channel masks of the locations (``east[k]``, ``north[k]``) under ``--mode``."""
     if args.mode == "raster":
-        def raster_masks(east: np.ndarray, north: np.ndarray) -> np.ndarray:
-            results = (availability_lowpower(db, model, plan, NgPoint(e, n))
-                       for e, n in zip(east.tolist(), north.tolist()))
-            return np.array([channel_mask(r.occupied) for r in results], dtype=np.uint64)
-
-        return raster_masks
+        return raster_kernel(db, model, plan)
     return batch_kernel(db, model, plan, args.power, PropagationParams(args.alpha, args.beta))
 
 
@@ -555,9 +553,12 @@ def _synthetic_locations(seed: int) -> str:
 
 def cmd_disks(args: argparse.Namespace) -> int:
     txdb_path, coverage_dir = _data_paths(args)
+    if not os.path.isfile(txdb_path):
+        raise FileNotFoundError(f"transmitter database not found: {txdb_path}")
     # no loader runs here, so the tree synth and disks leave holds no pack:
     # a pack's stat keys differ from one build of the same tree to the next
-    db = load_txdb(read_text(str(txdb_path)), source=str(txdb_path))
+    db = load_txdb(read_text(txdb_path), source=txdb_path)
+    coverage_dir = Path(coverage_dir)
     # every disk is derived before any is written: a missing or bad raster writes none
     disks = [cov.derive_disk(str(coverage_dir / f"{tx.id}.asc"), tx) for tx in db]
     for disk in disks:

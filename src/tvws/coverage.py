@@ -16,6 +16,7 @@ format stores the northernmost row first, as ESRI ASCII grids do.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tvws.channel_plan import CHANNEL_MAX, CHANNEL_MIN
 from tvws.errors import ParseError, read_text
 from tvws.geo import EASTING_MAX, NORTHING_MAX, NgPoint
 from tvws.keepout import PropagationParams
@@ -87,23 +89,19 @@ class CoverageDisk:
             raise ValueError(f"disk radius must be positive, got {self.radius_m}")
 
 
-def _snap_index(offset: float, cell: float) -> int:
-    # Nearest-centre cell index on an infinite lattice; a point exactly on
-    # a cell boundary snaps to the lower index.
-    return math.ceil(offset / cell) - 1
-
-
 def covers(raster: CoverageRaster, p: NgPoint) -> bool:
     """Whether ``p`` lands on a covered cell.
 
     The point is snapped to the nearest cell centre (boundary ties go to
     the lower row, then lower column); anything outside the raster extent
-    is uncovered.
+    is uncovered.  On the lattice the cell index is ceil(q) - 1 for the
+    offset in cells q = (x - x0) / cell; a q too large to be a float
+    (a far point and a subnormal cell) lies outside every raster.
     """
-    col = _snap_index(p.easting - raster.origin.easting, raster.cell_size_m)
-    row = _snap_index(p.northing - raster.origin.northing, raster.cell_size_m)
-    if 0 <= row < raster.nrows and 0 <= col < raster.ncols:
-        return bool(raster.cells[row, col])
+    q_col = (p.easting - raster.origin.easting) / raster.cell_size_m
+    q_row = (p.northing - raster.origin.northing) / raster.cell_size_m
+    if 0 < q_col <= raster.ncols and 0 < q_row <= raster.nrows:  # 0 <= ceil(q) - 1 < n
+        return bool(raster.cells[math.ceil(q_row) - 1, math.ceil(q_col) - 1])
     return False
 
 
@@ -411,7 +409,11 @@ def derive_disk(path: str, tx: Transmitter) -> CoverageDisk:
 # (see _fresh).  Anything else is read from its file, after which the pack
 # is rewritten.  A pack that is missing, unreadable, damaged or not in
 # this format (one an older version wrote, too) reads as empty, and is
-# rebuilt by the next load that reads a source file.
+# rebuilt by the next load that reads a source file.  So does one holding a
+# value no load could have written (see _plausible): a position off the
+# envelope, an ERP, cell size or radius that is not finite and positive, a
+# channel mask that is empty or past channel 68, or a raster shape that is
+# not its share of the cells.
 
 _PACK_NAMES = {"stations": ".tvws-stations.pack", "rasters": ".tvws-rasters.pack"}
 _PACK_FORMAT = "tvws coverage pack 6"
@@ -440,6 +442,20 @@ _PACK_FIELDS = {
         "cells": ("|b1", ("c",)),
     },
 }
+# per kind, each field as _parse_pack checks it: (name, dtype string, its dtype or None for "U", shape)
+_PACK_SPECS = {
+    kind: [(name, dtype, None if dtype == "U" else np.dtype(dtype), shape)
+           for name, (dtype, shape) in fields.items()]
+    for kind, fields in _PACK_FIELDS.items()
+}
+_HEADER_KEYS = {"format", "kind", "fields"}
+# A packed row (easting, northing, v) is one a load could have written when
+# _LOW <= row < _HIGH: the point inside the OSGB envelope, as NgPoint has it,
+# and v finite and positive, as an ERP, a cell size and a radius are
+# (5e-324 is the least positive float; nan fails both tests).
+_LOW = np.array([0.0, 0.0, 5e-324])
+_HIGH = np.array([EASTING_MAX, NORTHING_MAX, math.inf])
+_MASKS = (1 << (CHANNEL_MAX - CHANNEL_MIN + 1)) - 1  # every channel of 21-68
 
 
 def _stat_keys(paths: list[str]) -> np.ndarray:
@@ -469,10 +485,53 @@ def _fresh(keys: np.ndarray, packed: np.ndarray, mtime_ns: int) -> np.ndarray:
     return keys.any(axis=1) & (keys == packed).all(axis=1) & (newest < mtime_ns)
 
 
-def _fresh_file(key: list[int], packed: list[int], mtime_ns: int) -> bool:
-    """:func:`_fresh` for one file, its keys as Python ints."""
-    newest = max(t - (t >> 63 << 64) for t in key[1:3])  # each time read as int64, as there
-    return any(key) and key == packed and newest < mtime_ns
+def _all_fresh(keys: np.ndarray, mtime_ns: int, *packed: np.ndarray) -> bool:
+    """Whether :func:`_fresh` holds for every row, ``packed`` holding the packed keys in order.
+
+    Decided on the whole arrays, with no per-row array: the keys' bytes equal
+    the packed ones (a host that is not little-endian only ever misses), and
+    each file's mtime and ctime are positive, so its key is nonzero, and
+    older than the pack.  A miss is decided again row by row.
+    """
+    times = keys.view(np.int64)[:, 1:3]
+    return (keys.tobytes() == b"".join(column.tobytes() for column in packed)
+            and times.min(initial=1) > 0 and times.max(initial=0) < mtime_ns)
+
+
+def _in_bounds(rows: np.ndarray) -> bool:
+    """Whether every row (easting, northing, v) is between ``_LOW`` and ``_HIGH``."""
+    return bool(((_LOW <= rows) & (rows < _HIGH)).all())
+
+
+def _stations_plausible(pack: dict[str, np.ndarray]) -> bool:
+    """Whether every value of a parsed station pack is one a load could have written.
+
+    These are the rules :class:`~tvws.txdb.Transmitter`, :class:`NgPoint`
+    and :class:`CoverageDisk` enforce: a position inside the envelope, ERP
+    and radius finite and positive, a nonzero mask of channels 21-68.  A
+    disk's centre is taken only where it is its station's position.
+    """
+    channels, radii = pack["tx_channels"], pack["disk_floats"][:, 2]
+    return (_in_bounds(pack["tx_floats"][:, :3])
+            and 0 < channels.min(initial=1) and channels.max(initial=0) <= _MASKS
+            and 0 < radii.min(initial=1.0) and radii.max(initial=1.0) < math.inf)  # nan fails
+
+
+def _raster_starts(pack: dict[str, np.ndarray]) -> np.ndarray | None:
+    """Each packed raster's offset into ``cells``; None where a value is one no load could have written.
+
+    Origins lie inside the envelope, cell sizes are finite and positive,
+    and every raster has at least one row and one column, its shares
+    filling ``cells`` exactly: what a :class:`CoverageRaster` and
+    :func:`read_asc` ask of theirs.
+    """
+    shapes, size = pack["shapes"], pack["cells"].size
+    # a side past the cell count cannot fit, and keeps each product far from overflow
+    if not (_in_bounds(pack["floats"]) and ((1 <= shapes) & (shapes <= size)).all()):
+        return None
+    sizes = shapes.prod(axis=1)
+    ends = np.cumsum(sizes)
+    return ends - sizes if (ends[-1] if ends.size else 0) == size else None
 
 
 def _empty_pack(kind: str) -> dict[str, np.ndarray]:
@@ -483,10 +542,8 @@ def _empty_pack(kind: str) -> dict[str, np.ndarray]:
     }
 
 
-def _pack_dtype(text: object, want: str, size: int) -> np.dtype | None:
-    """The dtype a header names for a field of dtype ``want``, if it is that dtype."""
-    if want != "U":
-        return np.dtype(want) if text == want else None
+def _text_dtype(text: object, size: int) -> np.dtype | None:
+    """The ``<U<n>`` dtype a header names for a text field, if it names one."""
     if type(text) is not str or text[:2] != "<U":
         return None
     chars = text[2:]
@@ -497,27 +554,32 @@ def _pack_dtype(text: object, want: str, size: int) -> np.dtype | None:
     return np.dtype(text)
 
 
-def _parse_pack(data: bytes, kind: str) -> dict[str, np.ndarray] | None:
-    """Each field of a well-formed pack of ``kind`` as a view of ``data``, else None."""
-    fields = _PACK_FIELDS[kind]
-    line_end = data.find(b"\n")
-    if line_end < 0:
-        return None
+@functools.lru_cache(maxsize=8)  # a pure function; a directory's few pack headers recur
+def _pack_layout(header: bytes, kind: str, size: int) -> tuple[tuple, ...] | None:
+    """Each field's (name, dtype, count, offset, shape or None for 1-d) in a pack of ``kind``.
+
+    ``header`` is the pack's first line and ``size`` its length in bytes;
+    None unless the header is well-formed and its fields account for every byte.
+    """
+    specs = _PACK_SPECS[kind]
     try:
-        header = json.loads(data[:line_end].decode("ascii"))
+        parsed = json.loads(header.decode("ascii"))
     except (ValueError, RecursionError):  # not ASCII, not JSON, or nested past the stack
         return None
-    if not (type(header) is dict and header.keys() == {"format", "kind", "fields"}
-            and header["format"] == _PACK_FORMAT and header["kind"] == kind
-            and type(header["fields"]) is list and len(header["fields"]) == len(fields)):
+    if not (type(parsed) is dict and parsed.keys() == _HEADER_KEYS
+            and parsed["format"] == _PACK_FORMAT and parsed["kind"] == kind
+            and type(parsed["fields"]) is list and len(parsed["fields"]) == len(specs)):
         return None
-    arrays: dict[str, np.ndarray] = {}
+    layout = []
     lengths: dict[str, int] = {}
-    end = line_end + 1
-    for entry, (name, (want_dtype, want_shape)) in zip(header["fields"], fields.items()):
+    end = len(header) + 1
+    for entry, (name, want_dtype, dtype, want_shape) in zip(parsed["fields"], specs):
         if not (type(entry) is list and len(entry) == 3 and entry[0] == name):
             return None
-        dtype = _pack_dtype(entry[1], want_dtype, len(data))
+        if dtype is None:
+            dtype = _text_dtype(entry[1], size)
+        elif entry[1] != want_dtype:
+            return None
         shape = entry[2]
         if dtype is None or type(shape) is not list or len(shape) != len(want_shape):
             return None
@@ -529,22 +591,35 @@ def _parse_pack(data: bytes, kind: str) -> dict[str, np.ndarray] | None:
         start = end + -end % _PACK_ALIGN
         count = math.prod(shape)
         end = start + count * dtype.itemsize
-        if end > len(data):  # also a shape of 10**30, before numpy overflows on it
+        if end > size:  # also a shape of 10**30, before numpy overflows on it
             return None
-        arrays[name] = np.frombuffer(data, dtype, count, start).reshape(shape)
-    return arrays if end == len(data) else None
+        layout.append((name, dtype, count, start, tuple(shape) if len(shape) > 1 else None))
+    return tuple(layout) if end == size else None
+
+
+def _parse_pack(data: bytes, kind: str) -> dict[str, np.ndarray] | None:
+    """Each field of a well-formed pack of ``kind`` as a read-only view of ``data``, else None."""
+    line_end = data.find(b"\n")
+    layout = None if line_end < 0 else _pack_layout(data[:line_end], kind, len(data))
+    if layout is None:
+        return None
+    arrays = {}
+    for name, dtype, count, start, shape in layout:
+        array = np.frombuffer(data, dtype, count, start)
+        arrays[name] = array if shape is None else array.reshape(shape)
+    return arrays
 
 
 def _read_pack(path: str, kind: str) -> tuple[int, dict[str, np.ndarray]] | None:
     """(mtime in ns, read-only arrays by field) of a well-formed pack of ``kind``, else None."""
     try:
-        with open(path, "rb") as f:
-            mtime_ns = os.fstat(f.fileno()).st_mtime_ns
-            data = f.read()
+        with open(path, "rb", buffering=0) as f:  # one open, fstat, read and close
+            st = os.fstat(f.fileno())
+            data = f.read(st.st_size)  # a pack is replaced whole, never grown in place
     except (OSError, MemoryError):
         return None
     arrays = _parse_pack(data, kind)
-    return None if arrays is None else (mtime_ns, arrays)
+    return None if arrays is None else (st.st_mtime_ns, arrays)
 
 
 def _write_pack(path: str, kind: str, arrays: dict[str, np.ndarray]) -> None:
@@ -584,62 +659,104 @@ def _pack_rows(pack_ids: np.ndarray, ids: list[str]) -> np.ndarray:
     return np.array([index.get(tx_id, -1) for tx_id in ids], dtype=np.intp)
 
 
+@functools.lru_cache(maxsize=8)  # a pure function, called with the same directory on each load
 def _prefix(coverage_dir: str | Path) -> str:
     """What ``str(coverage_dir / name)`` starts with, so paths need no Path each."""
     return str(Path(coverage_dir) / "_")[:-1]
 
 
-def _packed_rasters(pack_path: str, ids: list[str], keys: np.ndarray) -> dict[str, CoverageRaster]:
-    """The pack's rasters whose ``.asc`` still has the packed key and is older than the pack."""
-    found = _read_pack(pack_path, "rasters")
-    if found is None:
-        return {}
-    mtime_ns, pack = found
-    shapes, cells = pack["shapes"], pack["cells"]
-    ends = np.cumsum(shapes.prod(axis=1))
-    if not ends.size or (shapes < 1).any() or ends[-1] != cells.size:
-        return {}
-    rows = _pack_rows(pack["ids"], ids)
-    fresh = (rows >= 0) & _fresh(keys, pack["keys"][rows], mtime_ns)
-    floats, shapes, ends = pack["floats"].tolist(), shapes.tolist(), ends.tolist()
-    rasters = {}
-    try:
-        for i, row in zip(np.flatnonzero(fresh).tolist(), rows[fresh].tolist()):
-            (e, n, cell), (nr, nc), end = floats[row], shapes[row], ends[row]
-            raster = cells[end - nr * nc : end].reshape(nr, nc)
-            rasters[ids[i]] = CoverageRaster(ids[i], NgPoint(e, n), cell, raster)
-    except ValueError:  # values no load could have written
-        return {}
-    return rasters
+class RasterSet(Mapping):
+    """Coverage rasters as columns, row ``i`` for station ``ids[i]``.
+
+    ``floats`` rows are (origin easting, origin northing, cell size) and
+    ``shapes`` rows (nrows, ncols); station ``i``'s cells, row 0 south, are
+    the ``nrows * ncols`` values of the flat bool ``cells`` from
+    ``starts[i]`` on.  A :class:`CoverageRaster` is built for each raster
+    looked up; the raster kernel reads the columns instead.
+    """
+
+    def __init__(self, ids: list[str], floats: np.ndarray, shapes: np.ndarray,
+                 starts: np.ndarray, cells: np.ndarray):
+        self.ids = ids
+        self.floats = floats
+        self.shapes = shapes
+        self.starts = starts
+        self.cells = cells
+        self._index: dict[str, int] | None = None
+
+    @classmethod
+    def of(cls, rasters: Mapping[str, CoverageRaster], ids: list[str]) -> RasterSet:
+        """``rasters`` for the stations ``ids``, as columns; ValueError names one it lacks."""
+        if isinstance(rasters, RasterSet) and rasters.ids == ids:
+            return rasters
+        entries = []
+        for tx_id in ids:
+            raster = rasters.get(tx_id)
+            if raster is None:
+                raise ValueError(f"no coverage raster for transmitter {tx_id!r}")
+            entries.append(raster)
+        return cls.stack(ids, entries)
+
+    @classmethod
+    def stack(cls, ids: list[str], rasters: list[CoverageRaster]) -> RasterSet:
+        """``rasters[i]`` as row ``i``, the cells copied into one array."""
+        floats = np.array([(r.origin.easting, r.origin.northing, r.cell_size_m) for r in rasters],
+                          dtype=np.float64).reshape(-1, 3)
+        shapes = np.array([r.cells.shape for r in rasters], dtype=np.int64).reshape(-1, 2)
+        sizes = shapes.prod(axis=1)
+        cells = np.concatenate([r.cells.ravel() for r in rasters]) if rasters else np.zeros(0, bool)
+        return cls(ids, floats, shapes, np.cumsum(sizes) - sizes, cells)
+
+    def raster(self, i: int) -> CoverageRaster:
+        """Row ``i`` as a :class:`CoverageRaster` whose cells are a view of ``cells``."""
+        (e, n, cell), (nrows, ncols) = self.floats[i].tolist(), self.shapes[i].tolist()
+        start = int(self.starts[i])
+        cells = self.cells[start : start + nrows * ncols].reshape(nrows, ncols)
+        return CoverageRaster(self.ids[i], NgPoint(e, n), cell, cells)
+
+    def __getitem__(self, tx_id: str) -> CoverageRaster:
+        if self._index is None:
+            self._index = {key: i for i, key in enumerate(self.ids)}
+        return self.raster(self._index[tx_id])
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-def load_rasters(coverage_dir: str | Path, db: TransmitterDb) -> dict[str, CoverageRaster]:
+def load_rasters(coverage_dir: str | Path, db: TransmitterDb) -> RasterSet:
     """Read ``<id>.asc`` for every transmitter in the database.
 
     Fresh entries come from the directory's raster pack, which is rewritten
-    when any raster was read from its file.
+    when any raster was read from its file.  When every entry is fresh the
+    set is the pack's own columns, and no raster object is built.
     """
     prefix = _prefix(coverage_dir)
     pack_path = prefix + _PACK_NAMES["rasters"]
-    paths = [prefix + tx_id + ".asc" for tx_id in db.ids]
+    paths = [f"{prefix}{tx_id}.asc" for tx_id in db.ids]
     keys = _stat_keys(paths)
-    rasters = _packed_rasters(pack_path, db.ids, keys)
-    read = [i for i, tx_id in enumerate(db.ids) if tx_id not in rasters]
-    for i in read:
-        rasters[db.ids[i]] = read_raster(paths[i], db.ids[i])
-    rasters = {tx_id: rasters[tx_id] for tx_id in db.ids}
-    if read:
-        entries = list(rasters.values())
-        _write_pack(pack_path, "rasters", {
-            "ids": np.array(db.ids, dtype=str),
-            "keys": keys,
-            "floats": np.array(
-                [(r.origin.easting, r.origin.northing, r.cell_size_m) for r in entries],
-                dtype=np.float64,
-            ).reshape(-1, 3),
-            "shapes": np.array([r.cells.shape for r in entries], dtype=np.int64).reshape(-1, 2),
-            "cells": np.concatenate([r.cells.ravel() for r in entries]),
-        })
+    mtime_ns, pack = _read_pack(pack_path, "rasters") or (0, _empty_pack("rasters"))
+    starts = _raster_starts(pack)
+    if starts is None:
+        mtime_ns, pack = 0, _empty_pack("rasters")
+        starts = np.zeros(0, dtype=np.int64)
+    if pack["ids"].tolist() == db.ids and _all_fresh(keys, mtime_ns, pack["keys"]):
+        return RasterSet(db.ids, pack["floats"], pack["shapes"], starts, pack["cells"])
+    rows = _pack_rows(pack["ids"], db.ids)
+    listed = rows >= 0
+    fresh = np.zeros(len(db.ids), dtype=bool)
+    fresh[listed] = _fresh(keys[listed], pack["keys"][rows[listed]], mtime_ns)
+    packed = RasterSet(pack["ids"].tolist(), pack["floats"], pack["shapes"], starts, pack["cells"])
+    rasters = RasterSet.stack(db.ids, [
+        packed.raster(row) if hit else read_raster(path, tx_id)
+        for tx_id, path, hit, row in zip(db.ids, paths, fresh.tolist(), rows.tolist())
+    ])
+    if not fresh.all():
+        _write_pack(pack_path, "rasters", {"ids": np.array(db.ids, dtype=str), "keys": keys,
+                                           "floats": rasters.floats, "shapes": rasters.shapes,
+                                           "cells": rasters.cells})
     return rasters
 
 
@@ -674,32 +791,25 @@ class DiskSet(Mapping):
 
 
 def _station_disks(
-    prefix: str, db: TransmitterDb, mtime_ns: int, pack: dict[str, np.ndarray]
+    paths: list[str], keys: np.ndarray, db: TransmitterDb, mtime_ns: int,
+    pack: dict[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], bool]:
     """Every station's disk fields for the next station pack, and whether any was derived here.
 
-    A station's disk is derived from its ``<id>.asc`` about its position.  It
+    ``paths`` are the stations' ``<id>.asc`` and ``keys`` their stat keys.  A
+    station's disk is derived from its ``<id>.asc`` about its position.  It
     is taken from ``pack`` while that file is fresh and the packed disk is
     centred on the station's position.
     """
     n = len(db)
-    paths = [prefix + tx_id + ".asc" for tx_id in db.ids]
-    keys = _stat_keys(paths)
-    in_order = pack["disk_ids"].tolist() == db.ids  # the same stations in the same order
-    if in_order:
-        packed_keys, floats = pack["disk_keys"], pack["disk_floats"]
-    else:
-        rows = _pack_rows(pack["disk_ids"], db.ids)
-        listed = rows >= 0
-        packed_keys = np.zeros((n, 4), dtype=np.uint64)  # a key no regular file has
-        floats = np.zeros((n, 3))
-        packed_keys[listed] = pack["disk_keys"][rows[listed]]
-        floats[listed] = pack["disk_floats"][rows[listed]]
+    rows = _pack_rows(pack["disk_ids"], db.ids)
+    listed = rows >= 0
+    packed_keys = np.zeros((n, 4), dtype=np.uint64)  # a key no regular file has
+    floats = np.zeros((n, 3))
+    packed_keys[listed] = pack["disk_keys"][rows[listed]]
+    floats[listed] = pack["disk_floats"][rows[listed]]
     fresh = (_fresh(keys, packed_keys, mtime_ns)
              & (floats[:, 0] == db.east) & (floats[:, 1] == db.north))
-    if in_order and fresh.all():  # the pack's own views, no copy
-        return {name: pack[name] for name in ("disk_ids", "disk_keys", "disk_floats")}, False
-    floats = np.array(floats)  # a view of the pack is read-only
     for i in np.flatnonzero(~fresh).tolist():
         disk = derive_disk(paths[i], db.transmitters[i])
         floats[i] = disk.center.easting, disk.center.northing, disk.radius_m
@@ -710,33 +820,65 @@ def _station_disks(
 def _load_stations(
     coverage_dir: str | Path, db: TransmitterDb | None, txdb_path: str | None, with_disks: bool
 ) -> tuple[TransmitterDb, DiskSet | None, list[str]]:
-    """``db`` (or the database read from ``txdb_path``), its disks if asked, and its ERP notes."""
+    """``db`` (or the database read from ``txdb_path``), its disks if asked, and its ERP notes.
+
+    The call keys on the CSV (unless ``db`` is given) and, for disks, on
+    each station's ``<id>.asc``, each stat-ed once.  When the pack holds
+    them all fresh, lists the stations in order and centres each disk on
+    its station, the pack's own arrays are handed out; any other case goes
+    row by row.
+    """
     prefix = _prefix(coverage_dir)
     pack_path = prefix + _PACK_NAMES["stations"]
     mtime_ns, pack = _read_pack(pack_path, "stations") or (0, _empty_pack("stations"))
+    if not _stations_plausible(pack):
+        mtime_ns, pack = 0, _empty_pack("stations")
+    ids = pack["tx_ids"].tolist() if db is None else db.ids  # the pack's stations, until a miss
+    paths = [f"{prefix}{tx_id}.asc" for tx_id in ids] if with_disks else []
+    keys = _stat_keys(paths if db is not None else [txdb_path, *paths])
+    if db is None and not keys[0].any():
+        raise FileNotFoundError(f"transmitter database not found: {txdb_path}")
+    # every file fresh, in one test: the CSV's key comes first
+    packed = [pack["txdb_key"]] if db is None else []
+    positions = pack["tx_floats"] if db is None else db.floats
+    hit = db is not None or pack["txdb_text"][0] == txdb_path
+    if with_disks:
+        hit = (hit and pack["disk_ids"].tolist() == ids
+               and bool((pack["disk_floats"][:, :2] == positions[:, :2]).all()))
+        packed.append(pack["disk_keys"])
+    if hit and _all_fresh(keys, mtime_ns, *packed):
+        notes = []
+        if db is None:
+            db = TransmitterDb.from_columns(ids, pack["tx_floats"], pack["tx_channels"],
+                                            str(pack["txdb_text"][1]))
+            notes = pack["tx_notes"].tolist()
+        return db, DiskSet(ids, pack["disk_floats"]) if with_disks else None, notes
+
     txdb_fields: Mapping[str, np.ndarray] = {}  # the pack's, or those of the CSV read here
     disk_fields: dict[str, np.ndarray] = {}
     notes: list[str] = []
     stale = False
     if db is None:
-        key = _stat_keys([txdb_path])[0]
-        packed = pack["txdb_key"].tolist()
-        if pack["txdb_text"][0] == txdb_path and _fresh_file(key.tolist(), packed, mtime_ns):
-            db = TransmitterDb.from_columns(pack["tx_ids"].tolist(), pack["tx_floats"],
-                                            pack["tx_channels"], str(pack["txdb_text"][1]))
+        key, keys = keys[:1], keys[1:]
+        if pack["txdb_text"][0] == txdb_path and _fresh(key, pack["txdb_key"], mtime_ns)[0]:
+            db = TransmitterDb.from_columns(ids, pack["tx_floats"], pack["tx_channels"],
+                                            str(pack["txdb_text"][1]))
             notes = pack["tx_notes"].tolist()
             txdb_fields = pack
         else:
             db = load_txdb(read_text(txdb_path), source=txdb_path, notes=notes)
             txdb_fields = dict(
-                txdb_text=np.array([txdb_path, db.source]), txdb_key=key,
+                txdb_text=np.array([txdb_path, db.source]), txdb_key=key[0],
                 tx_ids=np.array(db.ids, dtype=str), tx_floats=db.floats,
                 tx_channels=db.channels, tx_notes=np.array(notes, dtype=str),
             )
             stale = True
     disks = None
     if with_disks:
-        disk_fields, read = _station_disks(prefix, db, mtime_ns, pack)
+        if db.ids != ids:  # the CSV lists other stations than the pack did
+            paths = [f"{prefix}{tx_id}.asc" for tx_id in db.ids]
+            keys = _stat_keys(paths)
+        disk_fields, read = _station_disks(paths, keys, db, mtime_ns, pack)
         stale = stale or read
         disks = DiskSet(db.ids, disk_fields["disk_floats"])
     if stale:
@@ -759,6 +901,7 @@ def load_stations(
     from the coverage files as :func:`load_disks` reads them; the pack is
     then rewritten with the parts this call checked.  ERP-range warnings are
     issued the same way whether the database came from the pack or the CSV.
+    A ``txdb_path`` that is not a regular file raises FileNotFoundError.
     """
     db, disk_set, notes = _load_stations(coverage_dir, None, str(txdb_path), disks)
     for note in notes:

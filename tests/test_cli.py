@@ -545,6 +545,28 @@ def test_a_subnormal_keepout_radius_answers_without_a_warning(tmp_path, capsys):
     assert "occupied: none" in captured.out
 
 
+def test_a_raster_query_far_from_a_subnormal_cell_is_uncovered(tmp_path, capsys):
+    """(x - x0) / 1e-323 overflows to inf a few metres away: outside the raster, not an error."""
+    from tvws.channel_plan import default_plan
+
+    _e, _n, _tx_id, _asc = one_cell_station(tmp_path, "1e-323")
+    locations = tmp_path / "locations.csv"
+    locations.write_text("far,400000,400000\nnear,250000,250000\n")
+    rho = len(default_plan().interleaved)
+    capsys.readouterr()
+    assert main(["query", *base_args(tmp_path), "--loc", "400000,400000", "--mode", "raster"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"vacant (rho={rho}, {8 * rho} MHz)" in captured.out
+    assert "occupied: none" in captured.out
+    assert main(["batch", *base_args(tmp_path), "--locations", str(locations),
+                 "--mode", "raster"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines() if line.startswith(("far,", "near,"))]
+    assert [(row[0], row[1]) for row in rows] == [("far", str(rho)), ("near", str(rho))]
+
+
 @pytest.mark.parametrize("command", ["query", "grid", "disks"])
 def test_a_disk_radius_that_rounds_to_zero_names_the_station_and_file(tmp_path, capsys, command):
     e, n, tx_id, asc = one_cell_station(tmp_path, "5e-324")

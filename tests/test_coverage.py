@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covered_cell_corners, enclosing_disk_of_every_cell, min_containing_radius
+from oracles import (asc_cell_tokens, asc_text, covered_cell_corners,
+                     enclosing_disk_of_every_cell, min_containing_radius)
+from tvws.availability import availability_lowpower, raster_kernel
+from tvws.channel_plan import default_plan, mask_channels
 from tvws.coverage import (
     CoverageDisk,
     CoverageRaster,
@@ -21,9 +24,9 @@ from tvws.coverage import (
     write_disk,
 )
 from tvws.errors import ParseError
-from tvws.geo import NgPoint, distance
+from tvws.geo import EASTING_MAX, NORTHING_MAX, NgPoint, distance
 from tvws.keepout import PropagationParams
-from tvws.txdb import Transmitter
+from tvws.txdb import Transmitter, TransmitterDb
 
 PROP = PropagationParams()
 
@@ -335,3 +338,97 @@ class TestDirectoryLoaders:
         (cov_dir / "s0.asc").unlink()
         with pytest.raises(FileNotFoundError, match="s0.asc"):
             load_disks(cov_dir, db)
+
+
+ENVELOPE_LAST = (math.nextafter(EASTING_MAX, 0.0), math.nextafter(NORTHING_MAX, 0.0))
+
+
+@st.composite
+def raster_world(draw):
+    """1-6 small rasters as ``.asc`` text, and points on their cell edges and the envelope's."""
+    plan = default_plan()
+    interleaved = sorted(plan.interleaved)
+    stations = []
+    for i in range(draw(st.integers(1, 6), label="stations")):
+        ncols, nrows = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        cell = draw(st.one_of(st.sampled_from([1e-323, 1e-300, 0.1, 1.0, 1000.0, 5000.0]),
+                              st.floats(1e-323, 5000.0)), label="cell")
+        # an extent from the envelope's west or south edge, or ending at its east
+        # or north edge, or anywhere
+        origin = []
+        for axis, limit in ((0, EASTING_MAX), (1, NORTHING_MAX)):
+            span = (ncols, nrows)[axis] * cell
+            choice = draw(st.sampled_from(["low", "high", "free"]))
+            if choice == "low":
+                origin.append(0.0)
+            elif choice == "high":  # a tiny span rounds to the limit, which lies past the envelope
+                origin.append(min(max(0.0, limit - span), ENVELOPE_LAST[axis]))
+            else:
+                origin.append(draw(st.floats(0.0, limit, exclude_max=True)))
+        values = draw(st.lists(st.lists(st.sampled_from([0, 1, 1, -9999]), min_size=ncols,
+                                        max_size=ncols), min_size=nrows, max_size=nrows))
+        channels = draw(st.sets(st.sampled_from(interleaved), min_size=1, max_size=4))
+        stations.append((f"r{i}", origin, cell, values, channels))
+    points = []
+    for _ in range(draw(st.integers(1, 12), label="points")):
+        _id, (e0, n0), cell, values, _ch = draw(st.sampled_from(stations))
+        kind = draw(st.sampled_from(["corner", "edge", "envelope", "free"]))
+        col = draw(st.integers(-1, len(values[0]) + 1))
+        row = draw(st.integers(-1, len(values) + 1))
+        e, n = e0 + col * cell, n0 + row * cell
+        if kind == "edge":
+            e += draw(st.sampled_from([0.5, 0.25])) * cell
+        elif kind == "envelope":
+            e = draw(st.sampled_from([0.0, ENVELOPE_LAST[0], e]))
+            n = draw(st.sampled_from([0.0, ENVELOPE_LAST[1], n]))
+        elif kind == "free":
+            e = draw(st.floats(0.0, EASTING_MAX, exclude_max=True))
+            n = draw(st.floats(0.0, NORTHING_MAX, exclude_max=True))
+        points.append((min(max(e, 0.0), ENVELOPE_LAST[0]), min(max(n, 0.0), ENVELOPE_LAST[1])))
+    return stations, points
+
+
+def raster_by_tokens(text: str, tx_id: str) -> CoverageRaster:
+    """The ``.asc`` text read with the oracle's token reader, not ``read_asc``."""
+    lines = text.split("\n")
+    header = {line.split()[0].lower(): float(line.split()[1]) for line in lines[:6]}
+    cells = np.array(asc_cell_tokens("\n".join(lines[6:])))
+    cells = cells.reshape(int(header["nrows"]), int(header["ncols"]))[::-1] == 1
+    origin = NgPoint(header["xllcorner"], header["yllcorner"])
+    return CoverageRaster(tx_id, origin, header["cellsize"], cells)
+
+
+class TestRasterKernel:
+    @given(world=raster_world())
+    @settings(max_examples=150, deadline=None)
+    def test_nominated_rasters_decide_as_covers_on_every_station(self, world, tmp_path_factory):
+        """The raster kernel over a loaded set, a dict and a per-station ``covers`` loop agree.
+
+        Cells from 1e-323 to 5 km, extents on the envelope's edges, and points
+        on cell corners and edges, outside each extent by a cell, and on the
+        envelope's edges.
+        """
+        stations, points = world
+        plan = default_plan()
+        cov_dir = tmp_path_factory.mktemp("rasters")
+        texts = {}
+        for tx_id, (e0, n0), cell, values, _channels in stations:
+            texts[tx_id] = asc_text(e0, n0, cell, values)
+            (cov_dir / f"{tx_id}.asc").write_text(texts[tx_id])
+        db = TransmitterDb(tuple(Transmitter(tx_id, NgPoint(350_000.0, 650_000.0), 1000.0, 10.0,
+                                             frozenset(channels))
+                                 for tx_id, _o, _c, _v, channels in stations))
+        loaded = load_rasters(cov_dir, db)
+        plain = {tx_id: loaded[tx_id] for tx_id in db.ids}
+        by_tokens = {tx_id: raster_by_tokens(texts[tx_id], tx_id) for tx_id in db.ids}
+        east, north = (np.array(axis, dtype=float) for axis in zip(*points))
+        masks = raster_kernel(db, plain, plan)(east, north)
+        for k, (e, n) in enumerate(points):
+            p = NgPoint(e, n)
+            want = set()
+            for tx in db.transmitters:
+                if covers(by_tokens[tx.id], p):
+                    want |= tx.channels & plan.interleaved
+            assert availability_lowpower(db, loaded, plan, p).occupied == want, p
+            assert availability_lowpower(db, plain, plan, p).occupied == want, p
+            assert set(mask_channels(int(masks[k]))) == want, p

@@ -359,11 +359,32 @@ def bad_packs(kind, good: bytes):
     def column(name, array):
         return variant(name, array.dtype.str, list(array.shape), array.tobytes())
 
+    def value(name, index, v):
+        """The good pack with ``fields[name][index]`` set to ``v``: a value no load writes."""
+        array = fields[name].copy()
+        array[index] = v
+        return column(name, array)
+
+    if kind == "disks":  # the disk radius; a pack load_stations wrote also holds stations
+        values = [(f"radius-{v}", value(floats, (0, 2), v)) for v in (0.0, -1.0, math.nan, math.inf)]
+        if len(fields["tx_ids"]):
+            values += [
+                ("erp-0", value("tx_floats", (0, 2), 0.0)),
+                ("easting-off-the-envelope", value("tx_floats", (0, 0), 700_000.0)),
+                ("northing-negative", value("tx_floats", (1, 1), -1.0)),
+                ("no-channel", value("tx_channels", 0, 0)),
+                ("channel-69", value("tx_channels", 0, 1 << 48)),
+            ]
+    else:  # the cell size and the origin
+        values = [(f"cell-{v}", value(floats, (0, 2), v)) for v in (0.0, math.nan)]
+        values += [("origin-off-the-envelope", value(floats, (1, 1), 1_300_000.0))]
+
     swapped = [keys if n == ids else ids if n == keys else n for n in entries]
     name, number = cov._PACK_FORMAT.rsplit(" ", 1)
     body = good[good.index(b"\n"):]
     structured = np.dtype([("e", "<f8"), ("n", "<f8"), ("r", "<f8")])
     return [
+        *values,
         ("empty", b""),
         ("garbage", bytes(range(256)) * 4),
         ("truncated-header", good[:40]),
@@ -1132,9 +1153,9 @@ class TestStatCount:
     @pytest.mark.parametrize("command", ["query", "batch", "grid"])
     def test_a_warm_disk_call_stats_one_source_file_per_station(self, tmp_path, monkeypatch,
                                                                  capsys, command):
-        """The loader stats the CSV and each station's .asc, and no .disk.
+        """The loader stats the CSV and each station's .asc once each, and no .disk.
 
-        The CLI's own check that the CSV is a file is the one other stat of a data file.
+        The CLI does not stat the CSV itself: the loader's stat also finds a missing one.
         """
         out = tmp_path / "tree"
         assert main(["synth", "--n", "4", "--region", "200000,200000,300000,300000",
@@ -1165,6 +1186,6 @@ class TestStatCount:
         assert packs == pack_stamps(cov_dir)  # a hit: no pack was rewritten
         data_files = [p for p in stats if p == str(txdb) or p.startswith(str(cov_dir))]
         assert sorted(data_files) == sorted([
-            str(txdb), str(txdb),
+            str(txdb),
             *(str(cov_dir / f"tx{i}.asc") for i in range(1, 5)),
         ])
