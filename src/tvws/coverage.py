@@ -410,10 +410,10 @@ def derive_disk(path: str, tx: Transmitter) -> CoverageDisk:
 # is rewritten.  A pack that is missing, unreadable, damaged or not in
 # this format (one an older version wrote, too) reads as empty, and is
 # rebuilt by the next load that reads a source file.  So does one holding a
-# value no load could have written (see _plausible): a position off the
-# envelope, an ERP, cell size or radius that is not finite and positive, a
-# channel mask that is empty or past channel 68, or a raster shape that is
-# not its share of the cells.
+# value no load could have written (_stations_plausible, _raster_starts): a
+# position off the envelope, an ERP, cell size or radius that is not finite
+# and positive, a channel mask that is empty or past channel 68, or raster
+# shapes that do not share out the cells.
 
 _PACK_NAMES = {"stations": ".tvws-stations.pack", "rasters": ".tvws-rasters.pack"}
 _PACK_FORMAT = "tvws coverage pack 6"
@@ -442,7 +442,7 @@ _PACK_FIELDS = {
         "cells": ("|b1", ("c",)),
     },
 }
-# per kind, each field as _parse_pack checks it: (name, dtype string, its dtype or None for "U", shape)
+# per kind, each field as _pack_layout checks it: (name, dtype string, its dtype or None for "U", shape)
 _PACK_SPECS = {
     kind: [(name, dtype, None if dtype == "U" else np.dtype(dtype), shape)
            for name, (dtype, shape) in fields.items()]
@@ -455,7 +455,7 @@ _HEADER_KEYS = {"format", "kind", "fields"}
 # (5e-324 is the least positive float; nan fails both tests).
 _LOW = np.array([0.0, 0.0, 5e-324])
 _HIGH = np.array([EASTING_MAX, NORTHING_MAX, math.inf])
-_MASKS = (1 << (CHANNEL_MAX - CHANNEL_MIN + 1)) - 1  # every channel of 21-68
+_MASKS = (1 << (CHANNEL_MAX - CHANNEL_MIN + 1)) - 1  # the mask of every channel 21-68
 
 
 def _stat_keys(paths: list[str]) -> np.ndarray:
