@@ -1067,8 +1067,9 @@ class TestPowerStaircase:
             d = math.hypot(loc.easting - e, loc.northing - n)
             shape = data.draw(st.sampled_from(["step", "step", "edge", "covers", "any"]))
             if shape == "step" and d > 0:  # a power within ulps of R' = d, and its neighbours
-                radius = d / data.draw(st.floats(1.0, 40.0))
-                p = self.step_power(d, tx.erp_watts, radius, prop)
+                # the disk's own radius: d / k underflows to 0 for a subnormal d
+                radius = max(d / data.draw(st.floats(1.0, 40.0)), 1e-9)
+                p = self.step_power(d, tx.erp_watts, radius, prop) if radius <= d else math.inf
                 if math.isfinite(p):
                     powers += [float(x) for x in ulp_neighbours(p)]
                     powers += [float(np.nextafter(p, -math.inf) * (1 - 2**-52)), p * (1 + 2**-50)]
