@@ -148,7 +148,10 @@ def _powers_list(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 "range needs 0 < lo < hi and at least 2 points"
             )
-        return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+        powers = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+        if not all(map(math.isfinite, powers)):  # hi / lo, or a power near hi, overflowed
+            raise argparse.ArgumentTypeError(f"range {text!r} has powers past the float range")
+        return powers
     powers = [_watts(tok) for tok in text.split(",") if tok.strip()]
     if not powers:
         raise argparse.ArgumentTypeError("empty power list")
@@ -240,6 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="coverage contour raggedness, 0..1 (default %(default)s)")
 
     add("disks", parents=[data, disk], help="write each raster's enclosing disk to <id>.disk")
+    parser.subcommands = sub.choices  # name -> that subcommand's own parser, for main()
     return parser
 
 
@@ -586,7 +590,17 @@ def main(argv: list[str] | None = None) -> int:
     for stream in (sys.stdout, sys.stderr):
         if isinstance(stream, io.TextIOWrapper) and codecs.lookup(stream.encoding).name != "utf-8":
             stream.reconfigure(encoding="utf-8", errors="surrogateescape")
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    # The subcommand's own parser reads its flags, as the tree would hand them
+    # to it; the tree parses again only what that parser cannot, so every
+    # refusal, usage text and exit code is still argparse's own.
+    args = extra = None
+    if argv and argv[0] in parser.subcommands:
+        args, extra = parser.subcommands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extra:
+        args = parser.parse_args(argv)
     if args.mode == "raster" and args.power:  # only query and batch take --mode raster
         return _fail("--mode raster is the zero-power model; use --power 0", EXIT_USAGE)
     try:

@@ -487,11 +487,12 @@ def _fresh(keys: np.ndarray, mtime_ns: int, packed: np.ndarray) -> bool:
     host that is not little-endian only ever misses), and each file's mtime
     and ctime are positive, so it is a regular file, and strictly older than
     the pack: a file changed within the timestamp tick the pack was written
-    in can still show its old key (git's racy-clean rule).
+    in can still show its old key (git's racy-clean rule).  A time read as
+    int64 is in (0, mtime_ns) just when, as uint64, time - 1 wraps to below
+    mtime_ns - 1; a pack not written after the epoch vouches for nothing.
     """
-    times = keys.view(np.int64)[:, 1:3]
-    return (keys.tobytes() == packed.tobytes()
-            and times.min(initial=1) > 0 and times.max(initial=0) < mtime_ns)
+    return (keys.tobytes() == packed.tobytes() and mtime_ns > 0
+            and bool((keys[:, 1:3] - 1 < mtime_ns - 1).all()))
 
 
 def _in_bounds(rows: np.ndarray) -> bool:

@@ -26,9 +26,14 @@ class ParseError(ValueError):
 
 
 def read_text(path: str) -> str:
-    """An input file's text; a file that does not decode is a :class:`ParseError` naming it."""
+    """An input file's text; a file that does not decode is a :class:`ParseError` naming it.
+
+    One leading byte-order mark, which spreadsheet "CSV UTF-8" exports
+    write, is dropped.  It is decoded first, so an error's byte offset
+    counts from the file's first byte, the mark included.
+    """
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not text: {exc.reason} at byte {exc.start}", source=path) from None

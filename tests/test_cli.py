@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -1000,6 +1001,56 @@ class TestUndecodableInputs:
                               ).encode()
 
 
+class TestByteOrderMark:
+    """One leading byte-order mark, as spreadsheet "CSV UTF-8" exports write, is ignored."""
+
+    @staticmethod
+    def outcomes(fixture, root, kind, mark, capsys):
+        """Each call's exit code, stdout and stderr, then the artifacts, with ``kind`` marked."""
+        import shutil
+
+        data = root / "data"
+        shutil.copytree(fixture, data)
+        for pack in (data / "coverage").glob(".tvws-*"):
+            pack.unlink()
+        plan, locs, out = root / "plan.txt", root / "locs.csv", root / "out"
+        plan.write_text("interleaved = 21-40\nexcluded = 41\n")
+        locs.write_text("a,300000,300000\nb,SP 513 061\n")  # a mark would join the label
+        marked = {"txdb": [data / "transmitters.csv"], "locations": [locs], "plan": [plan],
+                  "asc": sorted((data / "coverage").glob("*.asc"))}[kind]
+        for path in marked:
+            path.write_bytes(mark + path.read_bytes())
+        argvs = {
+            "txdb": [["batch", "--locations", str(locs)], ["disks"]],
+            "locations": [["batch", "--locations", str(locs), "--out", str(out)]],
+            "plan": [["query", "--loc", "300000,300000", "--plan", str(plan)]],
+            "asc": [["query", "--loc", "300000,300000", "--mode", "raster"], ["disks"]],
+        }[kind]
+        results = []
+        for argv in argvs:
+            code = main([argv[0], *base_args(data), *argv[1:]])
+            results.append((code, *capsys.readouterr()))
+        return results, tree_files(out) if out.exists() else {}
+
+    @pytest.mark.parametrize("kind", ["txdb", "locations", "plan", "asc"])
+    def test_an_input_with_a_mark_gives_the_same_bytes(self, small_fixture, tmp_path, capsys,
+                                                       kind):
+        plain = self.outcomes(small_fixture, tmp_path / "plain", kind, b"", capsys)
+        assert all(code == 0 for code, _out, _err in plain[0])
+        assert self.outcomes(small_fixture, tmp_path / "mark", kind, b"\xef\xbb\xbf",
+                             capsys) == plain
+
+    def test_only_one_mark_is_dropped_and_offsets_count_it(self, tmp_path):
+        from tvws.errors import read_text
+
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\r\nb")
+        assert read_text(str(path)) == "\ufeffa\nb"
+        path.write_bytes(b"\xef\xbb\xbfa\xff")
+        with pytest.raises(ParseError, match=r"at byte 4$"):
+            read_text(str(path))
+
+
 def test_negative_zero_power_echoes_as_zero(small_fixture, tmp_path, capsys):
     (tmp_path / "locs.csv").write_text("a,300000,300000\n")
     flags = ["--power=-0", "--mode", "raster"]
@@ -1029,7 +1080,8 @@ class TestBadNumbers:
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("powers", ["0.1,nan", "inf", "0.01:nan:3"])
+    @pytest.mark.parametrize("powers", ["0.1,nan", "inf", "0.01:nan:3",
+                                        "1e-320:1e308:3", "3:1.7976931348623157e308:3"])
     def test_sweep_refuses_non_finite_powers(self, small_fixture, powers):
         with pytest.raises(SystemExit) as exc:
             main(["sweep"] + base_args(small_fixture) + ["--loc", "1,2", "--powers", powers])
@@ -1258,6 +1310,93 @@ class TestParserReuse:
                                    capture_output=True, text=True, env=env)
             assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0, 2, 0]
+
+
+class TestSubcommandParse:
+    """``main`` parses argv with the subcommand's own parser, as the parser tree would.
+
+    An accepted argv gives the tree's Namespace without the tree's own pass;
+    a refused one gives the tree's exit code, stdout and stderr.
+    """
+
+    ACCEPTED = {
+        "query": [["--loc", "1,2"],
+                  ["--loc=SP 513 061", "--txdb", "T", "--coverage", "C", "--plan", "P",
+                   "--alpha", "3.5", "--beta-db", "3", "--power", "0", "--mode", "raster",
+                   "--adjacent-filter", "--strict-excluded", "--out", "O"],
+                  ["--power=-0", "--beta", "2", "--loc=-1,2"]],
+        "batch": [["--locations", "L"],
+                  ["--locations", "L", "--workers", "4", "--power", "100mW", "--mode", "disk",
+                   "--strict-excluded", "--alpha", "4", "--out", "O"]],
+        "sweep": [["--loc", "1,2", "--powers", "0.01,1"],
+                  ["--powers", "0.01:10:5", "--loc", "1,2", "--mode", "disk", "--beta", "0.5"]],
+        "grid": [["--region", "0,0,1000,1000"],
+                 ["--region", "0,0,700000,1300000", "--cell", "500", "--power", "1kW",
+                  "--plan", "P", "--out", "O"]],
+        "synth": [[], ["--preset", "uk81", "--seed", "3", "--out", "O"],
+                  ["--n", "2", "--region", "0,0,1000,1000", "--cell", "100",
+                   "--irregularity", "0.5", "--beta-db", "-3"]],
+        "disks": [[], ["--txdb", "T", "--coverage", "C", "--mode", "disk"]],
+    }
+    REFUSED = {
+        "query": [["--loc", "1,2", "--frob"], ["--loc", "1,2", "--cov", "C"], [],
+                  ["--loc", "1,2", "--mode", "frob"], ["--loc", "1,2", "--power", "x"],
+                  ["--loc", "1,2", "--beta", "2", "--beta-db", "3"], ["-h"],
+                  ["--loc", "1,2", "extra"], ["--", "--loc", "1,2"], ["--loc", "-1,2"]],
+        "batch": [["--locations", "L", "--frob"], ["--loc", "L"], ["--workers", "2"],
+                  ["--locations", "L", "--mode", "frob"], ["--locations", "L", "--workers", "x"],
+                  ["--locations", "L", "--beta-db", "3", "--beta", "2"], ["--help"]],
+        "sweep": [["--loc", "1,2", "--powers", "1", "--frob", "2"],
+                  ["--loc", "1,2", "--powers", "0.1", "--power", "5"], ["--loc", "1,2"],
+                  ["--loc", "1,2", "--powers", "1", "--mode", "raster"],
+                  ["--loc", "1,2", "--powers", "1:x:3"],
+                  ["--loc", "1,2", "--powers", "1", "--beta", "2", "--beta-db", "3"],
+                  ["-h", "--loc", "1,2"]],
+        "grid": [["--region", "0,0,1,1", "--frob"], ["--reg", "0,0,1,1"], ["--cell", "5"],
+                 ["--region", "0,0,1,1", "--mode", "raster"], ["--region", "0,0,1,1", "--cell", "0"],
+                 ["--region", "0,0,1,1", "--beta", "2", "--beta-db", "3"], ["-h"]],
+        "synth": [["--frob"], ["--pre", "uk81"], ["--mode", "frob"], ["--seed", "x"],
+                  ["--beta", "2", "--beta-db", "3"], ["-h"], ["--txdb", "T"]],
+        "disks": [["--frob"], ["--txd", "T"], ["--mode", "raster"], ["--beta", "2"], ["-h"],
+                  ["--txdb"]],
+    }
+
+    @staticmethod
+    def outcome(call, capsys):
+        """``call()``'s exit code, stdout and stderr; 0 when it returns."""
+        capsys.readouterr()
+        try:
+            call()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [[command, *flags] for command, cases in ACCEPTED.items()
+                                      for flags in cases])
+    def test_accepted_argv_gives_the_trees_namespace(self, monkeypatch, argv):
+        from tvws import cli
+
+        tree = cli._build_parser()
+        expected = vars(tree.parse_args(argv))
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda *a: pytest.fail("the tree parsed"))
+        assert main(argv) == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("argv", [[command, *flags] for command, cases in REFUSED.items()
+                                      for flags in cases]
+                             + [[], ["--loc", "1,2"], ["frob"], ["Query", "--loc", "1,2"],
+                                ["-h"]])
+    def test_refused_argv_gives_the_trees_refusal(self, capsys, argv):
+        from tvws import cli
+
+        expected = self.outcome(lambda: cli._build_parser().parse_args(argv), capsys)
+        assert expected[0] in (0, 2)  # -h exits 0 with help, a refusal exits 2
+        assert self.outcome(lambda: main(argv), capsys) == expected
 
 
 class TestRasterDataErrors:

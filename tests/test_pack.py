@@ -12,6 +12,7 @@ checks the load against ``load_txdb`` and ``oracles.coverage_from_files``.
 
 import builtins
 import io
+import itertools
 import json
 import math
 import os
@@ -290,6 +291,45 @@ class TestFreshness:
             assert coverage_values(got) == coverage_values(old)
         else:
             check(kind, cov_dir, db)
+
+
+class TestFreshRule:
+    """``_fresh`` against its rule written out in Python, one stat time at a time."""
+
+    MTIME = 1_700_000_000_123_456_789
+    # each time as stored (uint64); 1 << 63 reads as the least int64
+    TIMES = [0, -1 & cov._U64, 1, MTIME - 1, MTIME, MTIME + 1, 1 << 63]
+
+    @staticmethod
+    def rule(keys, mtime_ns, packed):
+        """Equal key bytes, a pack stamped after the epoch, and every time in (0, mtime_ns)."""
+        times = [t - (1 << 64) if t >> 63 else t for t in keys[:, 1:3].ravel().tolist()]
+        return (keys.tobytes() == packed.tobytes() and mtime_ns > 0
+                and all(0 < t < mtime_ns for t in times))
+
+    @pytest.mark.parametrize("mtime_ns", [MTIME, 2, 1, 0, -1])
+    def test_every_pair_of_times(self, mtime_ns):
+        good = self.MTIME - 10**9
+        for mtime, ctime in itertools.product(self.TIMES + [good], repeat=2):
+            for rows in ([(100, mtime, ctime, 7)], [(100, good, good, 7), (5, mtime, ctime, 8)]):
+                keys = np.array(rows, dtype=np.uint64)
+                expected = self.rule(keys, mtime_ns, keys.copy())
+                assert cov._fresh(keys, mtime_ns, keys.copy()) == expected, (rows, mtime_ns)
+
+    @pytest.mark.parametrize("mtime_ns", [MTIME, 1, 0, -1])
+    def test_empty_keys(self, mtime_ns):
+        keys = np.empty((0, 4), dtype=np.uint64)
+        assert cov._fresh(keys, mtime_ns, keys.copy()) == (mtime_ns > 0)
+        assert not cov._fresh(keys, mtime_ns, np.zeros((1, 4), dtype=np.uint64))
+
+    def test_one_byte_of_the_key_differs(self):
+        keys = np.array([(100, self.MTIME - 5, self.MTIME - 3, 7)], dtype=np.uint64)
+        assert cov._fresh(keys, self.MTIME, keys.copy())
+        for k in range(keys.nbytes):
+            packed = bytearray(keys.tobytes())
+            packed[k] ^= 1
+            packed = np.frombuffer(bytes(packed), dtype=np.uint64).reshape(1, 4)
+            assert not cov._fresh(keys, self.MTIME, packed), k
 
 
 def npy(*arrays, allow_pickle=False):
