@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import re
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -254,13 +254,15 @@ class SweepPoints(tuple):
 
     ``texts`` holds each power's text, made once: ``repr``'s, which is also
     json's for a finite float or an int, so a sweep's CSV and JSON share it.
-    Other powers raise ValueError.
+    Other powers, and no points at all, raise ValueError.
     """
 
     texts: list[str]
 
     def __new__(cls, points: Iterable[tuple[float, int, int]]) -> SweepPoints:
         self = super().__new__(cls, sorted(points, key=itemgetter(0)))
+        if not self:
+            raise ValueError("no sweep points to emit")
         powers = [point[0] for point in self]
         if not set(map(type, powers)) <= {float, int}:
             raise ValueError("sweep powers must be floats or ints")
@@ -271,18 +273,6 @@ class SweepPoints(tuple):
         return self
 
 
-def _sweep_rows(
-    points: Sequence[tuple[float, int, int]], text: Callable[[list], list[str]]
-) -> tuple[Sequence[tuple[float, int, int]], list[str]]:
-    """``points`` in ascending power, and each power's text (a :class:`SweepPoints`' own)."""
-    if not points:
-        raise ValueError("no sweep points to emit")
-    if isinstance(points, SweepPoints):
-        return points, points.texts
-    ordered = sorted(points, key=itemgetter(0))
-    return ordered, text([point[0] for point in ordered])
-
-
 def emit_sweep(
     points: Sequence[tuple[float, int, int]],
     *,
@@ -291,10 +281,11 @@ def emit_sweep(
     plan_digest: str,
 ) -> str:
     """Power-sweep curve as CSV: power_watts, channels, mhz (ascending power; csv's ``repr``)."""
-    ordered, powers = _sweep_rows(points, lambda powers: list(map(repr, powers)))
+    if not isinstance(points, SweepPoints):
+        points = SweepPoints(points)
     head = f"# alpha={alpha!r} beta_th={beta_th!r} plan={plan_digest}\npower_watts,channels,mhz\n"
     return head + "".join([f"{power},{rho},{CHANNEL_WIDTH_MHZ * rho}\n"
-                           for power, (_, rho, _filtered) in zip(powers, ordered)])
+                           for power, (_, rho, _filtered) in zip(points.texts, points)])
 
 
 def emit_sweep_json(
@@ -305,14 +296,14 @@ def emit_sweep_json(
     plan_digest: str,
 ) -> str:
     """JSON mirror of :func:`emit_sweep`, as ``json.dumps(indent=2)`` writes it."""
-    # json's own text for every power, from one call
-    ordered, powers = _sweep_rows(points, lambda powers: json.dumps(powers)[1:-1].split(", "))
+    if not isinstance(points, SweepPoints):
+        points = SweepPoints(points)
     params = {"alpha": alpha, "beta_th": beta_th, "plan": plan_digest}
     head = json.dumps({"params": params, "sweep": []}, indent=2)
     entries = [
         f'    {{\n      "power_watts": {power},\n      "channels": {rho},\n'
         f'      "mhz": {CHANNEL_WIDTH_MHZ * rho}\n    }}'
-        for power, (_, rho, _filtered) in zip(powers, ordered)
+        for power, (_, rho, _filtered) in zip(points.texts, points)
     ]
     return head[: -len("[]\n}")] + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
 

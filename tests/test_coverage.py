@@ -316,8 +316,8 @@ class TestDirectoryLoaders:
         db, cov_dir = tree
         disks = load_disks(cov_dir, db)
         assert set(disks) == {tx.id for tx in db}
-        assert not list(cov_dir.glob("*.disk"))  # the station pack is the only cache
-        assert (cov_dir / ".tvws-stations.pack").is_file()
+        assert not list(cov_dir.glob("*.disk"))  # the disk pack is the only cache
+        assert (cov_dir / ".tvws-disks.pack").is_file()
         again = load_disks(cov_dir, db)
         assert again == disks
 

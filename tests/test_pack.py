@@ -1,13 +1,13 @@
 """Coverage packs: a packed load always equals a file-by-file read.
 
-``load_stations``/``load_disks``/``load_rasters`` take each pack part
-(the txdb, the disks, the rasters) whole from the directory's pack only
-while every one of its source files' stat keys matches and every source is
-older than the pack; otherwise they read every file of that part again, so
-a read count after a miss is the part's whole file count.  A station's
-disk has one source file, its ``.asc``; the ``.disk`` beside it is output
-only.  Every test here changes the directory behind the pack's back and
-checks the load against ``load_txdb`` and ``oracles.coverage_from_files``.
+``load_stations``/``load_disks``/``load_rasters`` take each pack kind
+(the txdb, the disks, the rasters) whole from its own pack file only while
+every one of its source files' stat keys matches and every source is older
+than the pack; otherwise they read every file of that kind again, so a read
+count after a miss is the kind's whole file count.  A station's disk has
+one source file, its ``.asc``; the ``.disk`` beside it is output only.
+Every test here changes the directory behind the packs' back and checks the
+load against ``load_txdb`` and ``oracles.coverage_from_files``.
 """
 
 import builtins
@@ -41,9 +41,7 @@ from tvws.geo import NgPoint
 from tvws.keepout import PropagationParams, QueryParams
 from tvws.txdb import Transmitter, TransmitterDb, load_txdb, serialize
 
-KINDS = ("disks", "rasters")
-PACK = {"disks": "stations", "rasters": "rasters"}  # the pack of each
-KEYS = {"disks": "disk_keys", "rasters": "keys"}
+KINDS = ("disks", "rasters")  # the kinds keyed on the .asc files
 LOAD = {"disks": cov.load_disks, "rasters": cov.load_rasters}
 
 
@@ -83,13 +81,13 @@ def settle(cov_dir, *more):
 
 
 def pack_path(cov_dir, kind):
-    return cov_dir / cov._PACK_NAMES[PACK[kind]]
+    return cov_dir / cov._PACK_NAMES[kind]
 
 
 def rewrite_pack(cov_dir, kind, **changes):
     """Write the pack again with some fields replaced."""
-    _mtime, arrays = cov._read_pack(str(pack_path(cov_dir, kind)), PACK[kind])
-    cov._write_pack(str(pack_path(cov_dir, kind)), PACK[kind], {**arrays, **changes})
+    _mtime, arrays = cov._read_pack(str(pack_path(cov_dir, kind)), kind)
+    cov._write_pack(str(pack_path(cov_dir, kind)), kind, {**arrays, **changes})
 
 
 @pytest.fixture
@@ -281,7 +279,7 @@ class TestFreshness:
         source.write_text(same_size_edit(source))
         os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
         forged = cov._stat_keys([str(cov_dir / f"{tx.id}.asc") for tx in db])
-        rewrite_pack(cov_dir, kind, **{KEYS[kind]: forged})
+        rewrite_pack(cov_dir, kind, keys=forged)
         now = source.stat()
         pack_mtime = {"mtime": now.st_mtime_ns, "ctime": now.st_ctime_ns,
                       "older": now.st_ctime_ns + 1}[stamp]
@@ -369,16 +367,14 @@ def old_format_pack(kind, good):
     """
     _header, fields = unpack(good)
     fields = {name: np.ones_like(a) if a.dtype.kind == "f" else a for name, a in fields.items()}
-    return npy(np.array(f"tvws coverage pack 2 {PACK[kind]}"), *fields.values())
+    return npy(np.array(f"tvws coverage pack 2 {kind}"), *fields.values())
 
 
 def bad_packs(kind, good: bytes):
     """(name, bytes) of packs a load must ignore."""
     _header, fields = unpack(good)
-    pack = PACK[kind]
-    other = {"stations": "rasters", "rasters": "stations"}[pack]
-    ids, keys = ("disk_ids", "disk_keys") if kind == "disks" else ("ids", "keys")
-    floats = "disk_floats" if kind == "disks" else "floats"
+    other = {"stations": "disks", "disks": "rasters", "rasters": "stations"}[kind]
+    ids, keys, floats = "ids", "keys", "floats"
     rows = len(fields[ids])
     entries = {name: [a.dtype.str, list(a.shape)] for name, a in fields.items()}
     blobs = {name: a.tobytes() for name, a in fields.items()}
@@ -394,7 +390,7 @@ def bad_packs(kind, good: bytes):
             changed[name][1] = shape
         if data is not None:
             data_of[name] = data
-        header = {"format": cov._PACK_FORMAT, "kind": pack,
+        header = {"format": cov._PACK_FORMAT, "kind": kind,
                   "fields": [[n, *changed[n]] for n in order], **head}
         return layout(header, [data_of[n] for n in order])
 
@@ -407,16 +403,16 @@ def bad_packs(kind, good: bytes):
         array[index] = v
         return column(name, array)
 
-    if kind == "disks":  # the disk radius; a pack load_stations wrote also holds stations
+    if kind == "stations":  # the ERP, the position and the channel mask
+        values = [
+            ("erp-0", value(floats, (0, 2), 0.0)),
+            ("easting-off-the-envelope", value(floats, (0, 0), 700_000.0)),
+            ("northing-negative", value(floats, (1, 1), -1.0)),
+            ("no-channel", value("channels", 0, 0)),
+            ("channel-69", value("channels", 0, 1 << 48)),
+        ]
+    elif kind == "disks":  # the disk radius
         values = [(f"radius-{v}", value(floats, (0, 2), v)) for v in (0.0, -1.0, math.nan, math.inf)]
-        if len(fields["tx_ids"]):
-            values += [
-                ("erp-0", value("tx_floats", (0, 2), 0.0)),
-                ("easting-off-the-envelope", value("tx_floats", (0, 0), 700_000.0)),
-                ("northing-negative", value("tx_floats", (1, 1), -1.0)),
-                ("no-channel", value("tx_channels", 0, 0)),
-                ("channel-69", value("tx_channels", 0, 1 << 48)),
-            ]
     else:  # the cell size and the origin
         values = [(f"cell-{v}", value(floats, (0, 2), v)) for v in (0.0, math.nan)]
         values += [("origin-off-the-envelope", value(floats, (1, 1), 1_300_000.0))]
@@ -437,6 +433,7 @@ def bad_packs(kind, good: bytes):
         ("truncated-last-byte", good[:-1]),
         ("trailing-bytes", good + b"\0"),
         ("other-kind", variant(kind=other)),
+        ("previous-format", variant(format=f"{name} {int(number) - 1}")),
         ("future-format", variant(format=f"{name} {int(number) + 1}")),
         ("signed-keys", column(keys, fields[keys].astype(np.int64))),
         ("float32-columns", column(floats, fields[floats].astype(np.float32))),
@@ -523,18 +520,20 @@ def fuzz_tree(tmp_path_factory):
     cov_dir = tmp_path_factory.mktemp("fuzz") / "coverage"
     cov_dir.mkdir()
     write_sources(cov_dir, db)
+    txdb = cov_dir.parent / "transmitters.csv"
+    txdb.write_text(serialize(db))
+    settle(cov_dir, cov_dir.parent)
+    cov.load_stations(txdb, cov_dir)
+    cov.load_rasters(cov_dir, db)
+    good = {kind: pack_path(cov_dir, kind).read_bytes() for kind in cov._PACK_NAMES}
     settle(cov_dir)
-    good = {}
-    for kind in KINDS:
-        LOAD[kind](cov_dir, db)
-        good[kind] = pack_path(cov_dir, kind).read_bytes()
-    settle(cov_dir)
-    return db, cov_dir, good
+    return db, txdb, cov_dir, good
 
 
 # what a header edit puts in place of a field's name, dtype or shape
 HEADER_VALUES = {
-    0: st.one_of(st.sampled_from([*cov._PACK_FIELDS["stations"], *cov._PACK_FIELDS["rasters"], ""]),
+    0: st.one_of(st.sampled_from(sorted({"", *(name for fields in cov._PACK_FIELDS.values()
+                                               for name in fields)})),
                  st.text(max_size=8)),
     1: st.one_of(st.sampled_from(["<u8", "<i8", "<f8", "<f4", "|b1", "|u1", "<U0", "<U1", "<U3",
                                   "<U003", "<U99", "<U", "U2", ">f8", ">u8", "|O", "|V24",
@@ -566,10 +565,10 @@ def header_edits(good):
 
 
 class TestFuzz:
-    @given(kind=st.sampled_from(KINDS), data=st.data())
+    @given(kind=st.sampled_from(sorted(cov._PACK_NAMES)), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_a_damaged_pack_is_never_an_error(self, fuzz_tree, kind, data):
-        db, cov_dir, good = fuzz_tree
+        db, txdb, cov_dir, good = fuzz_tree
         damaged = data.draw(st.one_of(
             st.integers(0, len(good[kind]) - 1).map(lambda n: good[kind][:n]),
             st.binary(max_size=300).map(lambda b: good[kind][:128] + b),
@@ -578,7 +577,10 @@ class TestFuzz:
         ))
         pack_path(cov_dir, kind).write_bytes(damaged)
         os.utime(pack_path(cov_dir, kind), ns=(time.time_ns(),) * 2)
-        check(kind, cov_dir, db)
+        if kind == "stations":
+            load_checked(txdb, cov_dir, disks=False)
+        else:
+            check(kind, cov_dir, db)
 
 
 class TestCli:
@@ -690,13 +692,11 @@ class TestWriteWarnings:
             disk_run = capsys.readouterr()
             assert main(raster) == 0  # reads three rasters, and cannot pack them
             raster_run = capsys.readouterr()
-        assert disk_run.err.splitlines() == [
-            f"tvws: warning: could not write coverage pack {out / 'coverage' / '.tvws-stations.pack'}: full"
-        ]
-        assert raster_run.err.splitlines() == [  # the txdb is packed too: it was never written
-            f"tvws: warning: could not write coverage pack {out / 'coverage' / name}: full"
-            for name in (".tvws-stations.pack", ".tvws-rasters.pack")
-        ]
+        for run, name in ((disk_run, ".tvws-disks.pack"), (raster_run, ".tvws-rasters.pack")):
+            assert run.err.splitlines() == [  # the txdb is packed too: it was never written
+                f"tvws: warning: could not write coverage pack {out / 'coverage' / pack}: full"
+                for pack in (".tvws-stations.pack", name)
+            ]
         for argv, refused in ((query, disk_run), (raster, raster_run)):
             assert main(argv) == 0
             written = capsys.readouterr()
@@ -826,11 +826,11 @@ class TestStationPack:
         st = txdb.stat()
         txdb.write_text(same_size_csv_edit(txdb.read_text(), ",42\n", ",45\n"))
         os.utime(txdb, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
-        rewrite_pack(cov_dir, "disks", txdb_key=cov._stat_keys([str(txdb)])[0])
+        rewrite_pack(cov_dir, "stations", keys=cov._stat_keys([str(txdb)]))
         now = txdb.stat()
         pack_mtime = {"mtime": now.st_mtime_ns, "ctime": now.st_ctime_ns,
                       "older": now.st_ctime_ns + 1}[stamp]
-        os.utime(pack_path(cov_dir, "disks"), ns=(pack_mtime, pack_mtime))
+        os.utime(pack_path(cov_dir, "stations"), ns=(pack_mtime, pack_mtime))
         if stamp == "older":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -876,6 +876,20 @@ class TestStationPack:
         assert file_reads["txdb"] == 4
         assert file_reads[".asc"] == 3  # both share the coverage files
 
+    def test_one_csv_by_two_paths(self, stations, file_reads):
+        """The station pack names the CSV's path as given, which the ERP warnings name.
+
+        A symlink to the CSV has the CSV's stat key, so only the path tells
+        the two apart: each switch reads the CSV again.
+        """
+        txdb, cov_dir = stations
+        link = txdb.parent / "link.csv"
+        link.symlink_to(txdb)
+        settle(cov_dir, txdb.parent)
+        for path in (txdb, link, txdb):
+            load_checked(path, cov_dir)
+        assert file_reads == {"txdb": 3, ".asc": 3}
+
     def test_stations_reordered_in_the_csv(self, stations, file_reads):
         """The same stations in another order each keep their own disk and cells.
 
@@ -909,18 +923,20 @@ class TestStationPack:
         assert file_reads["txdb"] == 1
 
     @pytest.mark.parametrize("racy", ["disk", "csv"])
-    def test_a_rewrite_drops_the_part_it_did_not_check(self, stations, file_reads, racy):
-        """A racy entry stays racy when another part's miss rewrites the pack.
+    def test_a_miss_rewrites_only_its_own_pack(self, stations, file_reads, racy):
+        """A racy pack stays racy, with its bytes and mtime, when another pack misses.
 
-        As in test_racy_source, one part is forged as written within the tick
-        of a same-size edit of its source, and the pack stamped at that
-        source's ctime.  Then a load that checks only the other part misses
-        and rewrites the pack with a later stamp: a raster-mode load after a
-        CSV edit (racy ``.asc``), or ``load_disks`` after a disk was touched
-        (racy CSV).  The next full load must still read the racy source.
+        As in test_racy_source, one pack is forged as written within the tick
+        of a same-size edit of its source, and stamped at that source's
+        ctime.  Then a load of another kind misses and rewrites its own pack:
+        a raster-mode load after a CSV edit (racy ``.asc``), or
+        ``load_disks`` after a disk was touched (racy CSV).  Every other pack
+        keeps its bytes and mtime, and the next full load still reads the
+        racy source.
         """
         txdb, cov_dir = stations
         db, _disks = cov.load_stations(txdb, cov_dir)
+        cov.load_rasters(cov_dir, db)
         source = cov_dir / "s1.asc" if racy == "disk" else txdb
         st = source.stat()
         if racy == "disk":
@@ -930,36 +946,79 @@ class TestStationPack:
         os.utime(source, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
         if racy == "disk":
             forged = cov._stat_keys([str(cov_dir / f"{tx_id}.asc") for tx_id in db.ids])
-            rewrite_pack(cov_dir, "disks", disk_keys=forged)
+            rewrite_pack(cov_dir, "disks", keys=forged)
         else:
-            rewrite_pack(cov_dir, "disks", txdb_key=cov._stat_keys([str(txdb)])[0])
+            rewrite_pack(cov_dir, "stations", keys=cov._stat_keys([str(txdb)]))
         ctime = source.stat().st_ctime_ns
-        os.utime(pack_path(cov_dir, "disks"), ns=(ctime, ctime))
+        os.utime(pack_path(cov_dir, "disks" if racy == "disk" else "stations"), ns=(ctime, ctime))
+        missed = "stations" if racy == "disk" else "disks"
+        kept = {kind: (pack_path(cov_dir, kind).read_bytes(), pack_path(cov_dir, kind).stat().st_mtime_ns)
+                for kind in cov._PACK_NAMES if kind != missed}
         reads = dict(file_reads)
 
         if racy == "disk":
             txdb.write_text(same_size_csv_edit(txdb.read_text(), "s2,280000.0,200000.0,50000.0",
                                                "s2,280000.0,200000.0,60000.0"))
+            settle(cov_dir, txdb.parent)
             load_checked(txdb, cov_dir, disks=False)
         else:
             (cov_dir / "s0.asc").write_text((cov_dir / "s0.asc").read_text())
+            settle(cov_dir, txdb.parent)
             cov.load_disks(cov_dir, db)
-        assert pack_path(cov_dir, "disks").stat().st_mtime_ns > ctime  # the pack was rewritten
+        assert pack_path(cov_dir, missed).stat().st_mtime_ns > ctime  # the miss rewrote its pack
+        assert {kind: (pack_path(cov_dir, kind).read_bytes(), pack_path(cov_dir, kind).stat().st_mtime_ns)
+                for kind in kept} == kept
         load_checked(txdb, cov_dir)
         assert file_reads["txdb"] == reads["txdb"] + 1
-        assert file_reads[".asc"] == reads[".asc"] + len(db)  # one whole disk part either way
+        assert file_reads[".asc"] == reads[".asc"] + len(db)  # one whole disk set either way
+
+    def test_a_raster_query_after_a_csv_edit_keeps_the_disks(self, stations, file_reads, capsys):
+        """A CSV edit that keeps every station and position costs the disk pack nothing.
+
+        A raster-mode query reads the edited CSV and rewrites the station
+        pack; the disk-mode query after it reads no ``.asc``.
+        """
+        txdb, cov_dir = stations
+        data = ["--txdb", str(txdb), "--coverage", str(cov_dir), "--loc", "200000,200000"]
+        raster = [*data, "--mode", "raster", "--power", "0"]
+        for argv in (data, raster):
+            assert main(["query", *argv]) == 0
+        settle(cov_dir, txdb.parent)
+        txdb.write_text(same_size_csv_edit(txdb.read_text(), ",41\n", ",43\n"))
+        reads = dict(file_reads)
+        capsys.readouterr()
+        for argv in (raster, data):
+            assert main(["query", *argv]) == 0
+            assert "occupied: 43\n" in capsys.readouterr().out
+        assert file_reads == {"txdb": reads["txdb"] + 1, ".asc": reads[".asc"]}
+
+    def test_a_disk_miss_keeps_the_stations(self, stations, file_reads):
+        """After ``load_disks`` derives a stale disk set again, ``load_stations`` reads no CSV."""
+        txdb, cov_dir = stations
+        db, _disks = load_checked(txdb, cov_dir)
+        (cov_dir / "s0.asc").write_text((cov_dir / "s0.asc").read_text())
+        settle(cov_dir, txdb.parent)
+        cov.load_disks(cov_dir, db)
+        assert file_reads == {"txdb": 1, ".asc": 2 * len(db)}
+        load_checked(txdb, cov_dir)
+        assert file_reads == {"txdb": 1, ".asc": 2 * len(db)}
 
     def test_old_format_and_damaged_packs_read_as_empty(self, stations, file_reads):
+        """A station pack a load must ignore is replaced by one CSV read; the disks still hit."""
         txdb, cov_dir = stations
         load_checked(txdb, cov_dir)
-        good = pack_path(cov_dir, "disks").read_bytes()
-        bad = [*bad_packs("disks", good), ("old-format", old_format_pack("disks", good))]
+        good = pack_path(cov_dir, "stations").read_bytes()
+        bad = [*bad_packs("stations", good), ("old-format", old_format_pack("stations", good))]
         for name, data in bad:
-            pack_path(cov_dir, "disks").write_bytes(data)
+            pack_path(cov_dir, "stations").write_bytes(data)
             settle(cov_dir, txdb.parent)
             before = file_reads["txdb"]
             load_checked(txdb, cov_dir)
             assert file_reads["txdb"] == before + 1, name
+            assert pack_path(cov_dir, "stations").read_bytes() != data, name
+            load_checked(txdb, cov_dir)
+            assert file_reads["txdb"] == before + 1, f"{name}: pack not rewritten"
+        assert file_reads[".asc"] == 3
 
     def test_erp_warnings_are_the_same_cli_stderr_on_a_hit(self, stations):
         txdb, cov_dir = stations
@@ -970,9 +1029,9 @@ class TestStationPack:
         env.pop("PYTHONWARNINGS", None)
         miss = subprocess.run(argv, capture_output=True, env=env, timeout=60)
         settle(cov_dir, txdb.parent)
-        pack = pack_path(cov_dir, "disks").stat()
+        pack = pack_path(cov_dir, "stations").stat()
         hit = subprocess.run(argv, capture_output=True, env=env, timeout=60)
-        assert pack_path(cov_dir, "disks").stat().st_mtime_ns == pack.st_mtime_ns  # a hit
+        assert pack_path(cov_dir, "stations").stat().st_mtime_ns == pack.st_mtime_ns  # a hit
         assert (miss.returncode, hit.returncode) == (0, 0)
         assert f"{txdb}:4: ERP 5 W outside the typical UK DTT range".encode() in miss.stderr
         assert hit.stderr == miss.stderr
@@ -1196,11 +1255,12 @@ class TestRasterEdits:
 
 
 class TestStatCount:
-    @pytest.mark.parametrize("command", ["query", "batch", "grid"])
+    @pytest.mark.parametrize("command", ["query", "batch", "grid", "raster"])
     def test_a_warm_disk_call_stats_one_source_file_per_station(self, tmp_path, monkeypatch,
                                                                  capsys, command):
-        """The loader stats the CSV and each station's .asc once each, and no .disk.
+        """The loaders stat the CSV and each station's .asc once each, and no .disk.
 
+        So does a raster query, which loads the rasters in place of the disks.
         The CLI does not stat the CSV itself: the loader's stat also finds a missing one.
         """
         out = tmp_path / "tree"
@@ -1215,6 +1275,7 @@ class TestStatCount:
             "query": ["query", *data, "--loc", "250000,250000"],
             "batch": ["batch", *data, "--locations", str(locations)],
             "grid": ["grid", *data, "--region", "200000,200000,300000,300000", "--cell", "5000"],
+            "raster": ["query", *data, "--loc", "250000,250000", "--mode", "raster", "--power", "0"],
         }[command]
         assert main(argv) == 0
         settle(cov_dir, out)
@@ -1282,8 +1343,7 @@ def apply_edit(root, edit, k):
     """
     txdb, cov_dir = root / "transmitters.csv", root / "coverage"
     if edit == "pack deleted":
-        for kind in (("disks",), ("rasters",), KINDS)[k]:
-            pack_path(cov_dir, kind).unlink(missing_ok=True)
+        pack_path(cov_dir, ("stations", "disks", "rasters")[k]).unlink(missing_ok=True)
         return
     source = cov_dir / f"s{k}.asc" if edit.startswith("asc") else txdb
     st = source.stat()

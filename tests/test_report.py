@@ -221,8 +221,12 @@ class TestEmitSweep:
 
     @pytest.mark.parametrize("power", [np.float64(0.5), True, Fraction(1, 3), math.inf, math.nan])
     def test_shared_text_only_for_finite_floats_and_ints(self, power):
+        """Both emitters refuse what SweepPoints refuses: numpy's repr and JSON's Infinity are not the text."""
         with pytest.raises(ValueError, match="sweep powers"):
             SweepPoints([(0.25, 3, 3), (power, 2, 2)])
+        for emit in (emit_sweep, emit_sweep_json):
+            with pytest.raises(ValueError, match="sweep powers"):
+                emit([(0.25, 3, 3), (power, 2, 2)], alpha=3.0, beta_th=1.0, plan_digest="abc")
         assert SweepPoints([(4, 3, 3), (0.5, 2, 2)]).texts == ["0.5", "4"]
 
     @pytest.mark.parametrize("emit", [emit_sweep, emit_sweep_json])
