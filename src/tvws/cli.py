@@ -31,7 +31,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -41,17 +41,17 @@ from tvws import coverage as cov
 from tvws import report as rep
 from tvws.availability import (
     _BLOCK_POINTS,
-    AvailabilityResult,
     adjacent_filter,
     availability,
     availability_grid,
     availability_lowpower,
     batch_kernel,
+    contiguity,
     power_sweep,
     raster_kernel,
     vacancy,
 )
-from tvws.channel_plan import ChannelPlan, default_plan, load_plan, plan_hash
+from tvws.channel_plan import ChannelPlan, channel_mask, default_plan, load_plan, plan_hash
 from tvws.errors import ParseError, read_text
 from tvws.geo import (EASTING_MAX, NORTHING_MAX, OSGB_ENVELOPE, BoundingBox, NgPoint,
                       decode_coords, parse_coords, parse_location)
@@ -279,53 +279,29 @@ def _plan(args: argparse.Namespace) -> ChannelPlan:
 
 
 def _load_data(args: argparse.Namespace) -> tuple[TransmitterDb, Mapping]:
-    """The txdb and its coverage model for ``--mode``, through the packs."""
+    """The txdb and its coverage model for ``--mode``, each through its pack."""
     txdb_path, coverage_dir = _data_paths(args)
-    db, disks = cov.load_stations(txdb_path, coverage_dir, disks=args.mode == "disk")
-    return db, cov.load_rasters(coverage_dir, db) if args.mode == "raster" else disks
+    db = cov.load_stations(txdb_path, coverage_dir)
+    load = cov.load_rasters if args.mode == "raster" else cov.load_disks
+    return db, load(coverage_dir, db)
 
 
-def _query_result(
-    args: argparse.Namespace, plan: ChannelPlan, db: TransmitterDb, model: Mapping, loc: NgPoint
-) -> AvailabilityResult:
-    """The location's result under ``--mode``, with its blockers and N+-1 filtered set."""
-    if args.mode == "raster":
-        result = availability_lowpower(db, model, plan, loc)
-    else:
-        prop = PropagationParams(args.alpha, args.beta)
-        result = availability(db, model, plan, QueryParams(loc, args.power, prop))
-    adjacent_filter(result, plan.excluded if args.strict_excluded else ())
-    return result
-
-
-def _masks_of_part(
-    args: argparse.Namespace, plan: ChannelPlan, db: TransmitterDb, model: Mapping
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Occupied-channel masks of the locations (``east[k]``, ``north[k]``) under ``--mode``."""
-    if args.mode == "raster":
-        return raster_kernel(db, model, plan)
-    return batch_kernel(db, model, plan, args.power, PropagationParams(args.alpha, args.beta))
+def _write_out(out: str | Path, files: Mapping[str, str]) -> None:
+    """Write each file's text as UTF-8 under ``out``, made first if need be."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
 
 
 def _write_artifacts(
-    out: str | None,
-    plan: ChannelPlan,
-    stem: str,
-    rows: rep.ChannelRows | list[rep.LocationReport],
-    csv_text: str | None = None,
+    out: str, plan: ChannelPlan, stem: str, rows: rep.ChannelRows, csv_text: str
 ) -> None:
-    """Write the CSV/JSON(/SVG) artifacts; ``csv_text`` is ``emit_csv(rows)`` if known."""
-    if not out:
-        return
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = rep.ChannelRows.of(rows)
-    if csv_text is None:
-        csv_text = rep.emit_csv(rows)
-    (out_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
-    (out_dir / f"{stem}.json").write_text(rep.emit_json(rows), encoding="utf-8")
+    """Write ``rows`` as CSV (``csv_text``, their ``emit_csv``), JSON and, for one row, SVG."""
+    files = {f"{stem}.csv": csv_text, f"{stem}.json": rep.emit_json(rows)}
     if len(rows.labels) == 1:
-        (out_dir / f"{stem}.svg").write_text(rep.emit_channel_chart(rows, plan), encoding="utf-8")
+        files[f"{stem}.svg"] = rep.emit_channel_chart(rows, plan)
+    _write_out(out, files)
 
 
 def _channels(channels: frozenset[int]) -> str:
@@ -339,33 +315,39 @@ def _format_runs(runs: list[tuple[int, int]]) -> str:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    plan = _plan(args)
     try:
         loc = parse_location(args.loc)
     except ParseError as exc:
         return _fail(f"bad location: {exc}", EXIT_USAGE)
 
+    plan = _plan(args)
     db, model = _load_data(args)
-    result = _query_result(args, plan, db, model, loc)
-    report = rep.build_report(args.loc, result, plan, args.alpha, args.beta)
+    if args.mode == "raster":
+        result = availability_lowpower(db, model, plan, loc)
+    else:
+        prop = PropagationParams(args.alpha, args.beta)
+        result = availability(db, model, plan, QueryParams(loc, args.power, prop))
+    filtered = adjacent_filter(result, plan.excluded if args.strict_excluded else ())
+    runs, max_mhz = contiguity(result.vacant)
+    digest = plan_hash(plan)
 
-    filtered = result.filtered_vacant or frozenset()
     e, n = (repr(v).removesuffix(".0") for v in (loc.easting, loc.northing))  # exact
     print(f"location: {args.loc} -> {e},{n}")
     print(
         f"mode: {args.mode}   power: {args.power!r} W   "
-        f"alpha: {args.alpha!r}   beta_th: {args.beta!r}   plan: {report.plan_digest}"
+        f"alpha: {args.alpha!r}   beta_th: {args.beta!r}   plan: {digest}"
     )
     print(f"vacant (rho={result.rho}, {8 * result.rho} MHz): {_channels(result.vacant)}")
     print(f"occupied: {_channels(result.occupied)}")
-    print(
-        f"contiguous runs: {_format_runs(report.runs)}   "
-        f"max contiguous: {report.max_contiguous_mhz} MHz"
-    )
+    print(f"contiguous runs: {_format_runs(runs)}   max contiguous: {max_mhz} MHz")
     print(f"adjacent-filtered ({len(filtered)}, {8 * len(filtered)} MHz): {_channels(filtered)}")
     if args.adjacent_filter:
         print(f"available for use: {_channels(filtered)}")
-    _write_artifacts(args.out, plan, "query", [report])
+    if args.out:
+        vacant, kept = np.array([[channel_mask(result.vacant)], [channel_mask(filtered)]],
+                                dtype=np.uint64)
+        rows = rep.ChannelRows([args.loc], vacant, kept, args.alpha, args.beta, args.power, digest)
+        _write_artifacts(args.out, plan, "query", rows, rep.emit_csv(rows))
     return EXIT_OK
 
 
@@ -414,13 +396,16 @@ def _read_locations_file(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    plan = _plan(args)
     if args.workers < 1:
         return _fail("--workers must be >= 1", EXIT_USAGE)
 
+    plan = _plan(args)
     labels, east, north = _read_locations_file(args.locations)
     db, model = _load_data(args)
-    masks = _masks_of_part(args, plan, db, model)
+    if args.mode == "raster":
+        masks = raster_kernel(db, model, plan)
+    else:
+        masks = batch_kernel(db, model, plan, args.power, PropagationParams(args.alpha, args.beta))
 
     # one contiguous part of at least a kernel block per thread, joined back in input order
     parts = min(args.workers, len(labels) // _BLOCK_POINTS)
@@ -435,17 +420,18 @@ def cmd_batch(args: argparse.Namespace) -> int:
                            plan_hash(plan))
     csv_text = rep.emit_csv(rows)
     print(csv_text, end="")
-    _write_artifacts(args.out, plan, "batch", rows, csv_text)
+    if args.out:
+        _write_artifacts(args.out, plan, "batch", rows, csv_text)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    plan = _plan(args)
     try:
         loc = parse_location(args.loc)
     except ParseError as exc:
         return _fail(f"bad location: {exc}", EXIT_USAGE)
 
+    plan = _plan(args)
     db, disks = _load_data(args)
     prop = PropagationParams(args.alpha, args.beta)
     points = rep.SweepPoints(power_sweep(db, disks, plan, loc, args.powers, prop))
@@ -457,13 +443,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     csv_text = rep.emit_sweep(points, alpha=args.alpha, beta_th=args.beta, plan_digest=digest)
     print(csv_text, end="")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.csv").write_text(csv_text, encoding="utf-8")
-        (out_dir / "sweep.json").write_text(
-            rep.emit_sweep_json(points, alpha=args.alpha, beta_th=args.beta, plan_digest=digest),
-            encoding="utf-8",
-        )
+        json_text = rep.emit_sweep_json(points, alpha=args.alpha, beta_th=args.beta,
+                                        plan_digest=digest)
+        _write_out(args.out, {"sweep.csv": csv_text, "sweep.json": json_text})
     return EXIT_OK
 
 
@@ -478,10 +460,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
         f"rho min {values.min()} max {values.max()} mean {values.mean():.2f}"
     )
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "rho.asc"
-        path.write_text(cov.write_asc_grid(grid.origin, grid.cell_size_m, values), encoding="utf-8")
         # ASC takes no comments, so the parameter echo rides in a sidecar
         meta = {
             "alpha": args.alpha,
@@ -490,14 +468,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
             "plan": plan_hash(plan),
             "cell_size_m": grid.cell_size_m,
         }
-        (out_dir / "rho.meta.json").write_text(json.dumps(meta, indent=2) + "\n",
-                                               encoding="utf-8")
-        print(f"wrote {path}")
+        _write_out(args.out, {"rho.asc": cov.write_asc_grid(grid.origin, grid.cell_size_m, values),
+                              "rho.meta.json": json.dumps(meta, indent=2) + "\n"})
+        print(f"wrote {Path(args.out) / 'rho.asc'}")
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    plan = _plan(args)
     if not args.out:
         return _fail("synth needs --out", EXIT_USAGE)
     if args.preset == "uk81":
@@ -514,6 +491,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if not 0.0 <= args.irregularity <= 1.0:
         return _fail("--irregularity must be within [0, 1]", EXIT_USAGE)
 
+    plan = _plan(args)
     db = generate_synthetic(args.seed, n, region, plan)
     out = Path(args.out)
     coverage_dir = out / "coverage"

@@ -327,9 +327,12 @@ def read_asc(text: str, transmitter_id: str, source: str = "raster") -> Coverage
     # only "\n" ends a line; str.splitlines would also end one at \x85, U+2028, ...
     for i, line in enumerate(text.split("\n")):
         parts = line.split()
-        if len(parts) == 2 and parts[0].lower() in expected:
+        if len(parts) == 2 and (key := parts[0].lower()) in expected:
+            if key in header:
+                raise ParseError(f"repeated header line {key!r} (first on line {header[key][1]})",
+                                 source=source, line=i + 1)
             try:
-                header[parts[0].lower()] = (float(parts[1]), i + 1)
+                header[key] = (float(parts[1]), i + 1)
             except ValueError:
                 raise ParseError(
                     f"bad header value {parts[1]!r}", source=source, line=i + 1
@@ -392,7 +395,7 @@ def derive_disk(path: str, tx: Transmitter) -> CoverageDisk:
 # directory, each one ASCII JSON header line, then the raw C-order bytes of
 # the kind's fields below, each column at an 8-byte-aligned offset:
 #
-#   {"format":"tvws coverage pack 7","kind":"rasters","fields":[["ids","<U5",[81]],...]}
+#   {"format":"tvws coverage pack 8","kind":"rasters","fields":[["ids","<U5",[81]],...]}
 #
 # The header names every field in order with its dtype string and shape, so
 # one read() and one JSON parse give each field as a read-only np.frombuffer
@@ -408,21 +411,26 @@ def derive_disk(path: str, tx: Transmitter) -> CoverageDisk:
 # * the raster pack: every <id>.asc's cells, keyed on the station list and
 #   on the stat key of every <id>.asc.
 #
+# load_stations, load_disks and load_rasters each read one of them, so a
+# call reads the station pack and then the one its coverage model needs.
+#
 # A stat key is (size, mtime, ctime, inode), all zeros for a path that is
 # not a regular file.  A pack is taken whole while every one of its keys
 # holds and every keyed file is older than the pack (see _fresh); otherwise
 # every one of its source files is read again and that pack, and no other,
 # rewritten (see _snapshot), so a load after an edit costs about what a load
 # with no pack does.  So is a pack that is missing, unreadable, damaged or
-# not in this format (one an older version wrote, too), or that holds a
-# value no load could have written (each loader's ``holds``): a position off
-# the envelope, an ERP, cell size or radius that is not finite and
-# positive, a channel mask that is empty or past channel 68, raster shapes
-# that do not share out the cells, or a cell byte other than 0 or 1.
+# not in this format (one an older version wrote, too: format 7 read a
+# repeated .asc header line by its last value, which read_asc refuses), or
+# that holds a value no load could have written (each loader's ``holds``):
+# a position off the envelope, an ERP, cell size or radius that is not
+# finite and positive, a channel mask that is empty or past channel 68,
+# raster shapes that do not share out the cells, or a cell byte other
+# than 0 or 1.
 
 _PACK_NAMES = {"stations": ".tvws-stations.pack", "disks": ".tvws-disks.pack",
                "rasters": ".tvws-rasters.pack"}
-_PACK_FORMAT = "tvws coverage pack 7"
+_PACK_FORMAT = "tvws coverage pack 8"
 _PACK_ALIGN = 8  # column offsets are multiples of this, so 8-byte number views are aligned
 _U64 = (1 << 64) - 1  # keys are stored as uint64; times wrap modulo 2**64 ns
 _NO_FILE = (0, 0, 0, 0)
@@ -762,18 +770,16 @@ class DiskSet(Mapping):
         return len(self.ids)
 
 
-def load_stations(
-    txdb_path: str | Path, coverage_dir: str | Path, disks: bool = True
-) -> tuple[TransmitterDb, DiskSet | None]:
-    """The transmitter database at ``txdb_path`` and, with ``disks``, every station's disk.
+def load_stations(txdb_path: str | Path, coverage_dir: str | Path) -> TransmitterDb:
+    """The transmitter database at ``txdb_path``, through the coverage directory's station pack.
 
-    The database comes whole from the coverage directory's station pack
-    while the pack names ``txdb_path`` and vouches for the CSV, else from
-    the CSV as :func:`~tvws.txdb.load_txdb` reads it, and the station pack
-    is rewritten.  The disks are then :func:`load_disks`' for that database.
-    ERP-range warnings are issued the same way whether the database came
-    from the pack or the CSV.  A ``txdb_path`` that is not a regular file
-    raises FileNotFoundError.
+    The database comes whole from the station pack while the pack names
+    ``txdb_path`` and vouches for the CSV, else from the CSV as
+    :func:`~tvws.txdb.load_txdb` reads it, and the station pack is
+    rewritten.  Callers pass it to :func:`load_disks` or :func:`load_rasters`
+    for its coverage.  ERP-range warnings are issued the same way whether the
+    database came from the pack or the CSV.  A ``txdb_path`` that is not a
+    regular file raises FileNotFoundError.
     """
     txdb_path = str(txdb_path)
     read: list[TransmitterDb] = []  # the database parsed on a miss, its stations already built
@@ -800,7 +806,7 @@ def load_stations(
         pack["ids"].tolist(), pack["floats"], pack["channels"], str(pack["source"][1]))
     for note in pack["notes"].tolist():
         warnings.warn(note, stacklevel=2)
-    return db, load_disks(coverage_dir, db) if disks else None
+    return db
 
 
 def load_disks(coverage_dir: str | Path, db: TransmitterDb) -> DiskSet:

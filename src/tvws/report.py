@@ -368,5 +368,11 @@ def emit_channel_chart(report: LocationReport | ChannelRows, plan: ChannelPlan) 
     return "\n".join(parts) + "\n"
 
 
+# what XML 1.0 does not allow in a document, even as a character reference
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _escape(text: str) -> str:
+    """``text`` as SVG character data: markup escaped, each character XML forbids as U+FFFD."""
+    text = _XML_FORBIDDEN.sub("\ufffd", text)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -209,6 +209,18 @@ class TestReader:
         with pytest.raises(ParseError, match=f"^r.asc:{lineno}: {message}"):
             read_asc(text, "t", source="r.asc")
 
+    @pytest.mark.parametrize("again", ["ncols 3", "NCOLS 2", "cellsize 1", "nodata_value 5"])
+    def test_a_repeated_header_line_names_its_second_line(self, again):
+        """A key given twice is refused, not read from its last line (3 columns for ``ncols 3``)."""
+        lines = ["ncols 2", "nrows 1", "xllcorner 0", "yllcorner 0", "cellsize 1",
+                 "NODATA_value -9999"]
+        key = again.split()[0].lower()
+        first = next(i for i, line in enumerate(lines, 1) if line.split()[0].lower() == key)
+        text = "\n".join([*lines, again]) + "\n1 0 1\n"
+        with pytest.raises(ParseError, match=f"^r.asc:7: repeated header line '{key}' "
+                                             f"\\(first on line {first}\\)$"):
+            read_asc(text, "t", source="r.asc")
+
     def test_integral_header_spellings_still_accepted(self):
         text = "ncols 2.0\nnrows 1e0\nxllcorner 5\nyllcorner 0\ncellsize 0.5\n1 1\n"
         raster = read_asc(text, "t")

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import re
+from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ def tree_files(root):
     for dirpath, _dirnames, filenames in os.walk(root):
         for name in filenames:
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 
@@ -221,6 +223,24 @@ class TestQuery:
         payload = json.loads((out / "query.json").read_text())
         assert payload["reports"][0]["label"] == "SP 513 061"
 
+    @pytest.mark.parametrize("loc", ["300000,300000\x0c", "SP 513 061\x1e", "SP\x0b513061",
+                                     "SP 513 061\x1f", "300000,300000\x0b"])
+    def test_svg_is_well_formed_for_a_location_with_a_control_character(
+            self, small_fixture, tmp_path, capsys, loc):
+        """The location text parses, since float and str.split take these for blanks.
+
+        The chart shows each character XML forbids as U+FFFD; the JSON and
+        stdout keep the text as given.
+        """
+        out = tmp_path / "artifacts"
+        assert main(["query", *base_args(small_fixture), "--loc", loc, "--out", str(out)]) == 0
+        svg = minidom.parse(str(out / "query.svg"))
+        title = svg.getElementsByTagName("text")[0].firstChild.data
+        assert title.startswith(re.sub("[\x0b\x0c\x1c-\x1f]", "\ufffd", loc) + ": ")
+        payload = json.loads((out / "query.json").read_text(encoding="utf-8"))
+        assert payload["reports"][0]["label"] == loc
+        assert capsys.readouterr().out.startswith(f"location: {loc} -> ")
+
     def test_adjacent_filter_flag_prints_available(self, small_fixture, capsys):
         code = main(
             ["query"] + base_args(small_fixture)
@@ -274,6 +294,19 @@ class TestBatch:
         code = main(["batch"] + base_args(small_fixture) + ["--locations", str(locs)])
         assert code == 3
         assert ":2:" in capsys.readouterr().err
+
+    def test_one_row_svg_is_well_formed_for_a_label_with_a_control_character(
+            self, small_fixture, tmp_path, capsys):
+        locs = tmp_path / "locs.csv"
+        locs.write_text("a\x0bb\x1fc,300000,300000\n", encoding="utf-8")
+        out = tmp_path / "artifacts"
+        assert main(["batch", *base_args(small_fixture), "--locations", str(locs),
+                     "--out", str(out)]) == 0
+        svg = minidom.parse(str(out / "batch.svg"))
+        assert svg.getElementsByTagName("text")[0].firstChild.data.startswith("a\ufffdb\ufffdc: ")
+        payload = json.loads((out / "batch.json").read_text(encoding="utf-8"))
+        assert payload["reports"][0]["label"] == "a\x0bb\x1fc"
+        assert "\na\x0bb\x1fc," in capsys.readouterr().out
 
     def test_workers_do_not_change_output(self, small_fixture, tmp_path, capsys):
         locs = tmp_path / "par.csv"
@@ -904,6 +937,27 @@ class TestFlagContract:
         if command == "synth":
             own.add("--preset")
         assert listed == shared | own | {"--help"}
+
+    @pytest.mark.parametrize("command, argv, named", [
+        ("batch", ["--locations", "LOCS", "--workers", "0"], "--workers"),
+        ("synth", ["--n", "0", "--region", "0,0,1000,1000", "--out", "OUT"], "--n"),
+        ("synth", ["--preset", "uk81", "--irregularity", "1.5", "--out", "OUT"],
+         "--irregularity"),
+        ("synth", ["--preset", "uk81"], "--out"),
+        ("query", ["--loc", "nowhere"], "bad location"),
+        ("sweep", ["--loc", "nowhere", "--powers", "0.1"], "bad location"),
+    ])
+    def test_a_usage_error_is_refused_before_the_plan_is_read(self, tmp_path, capsys,
+                                                              command, argv, named):
+        """Exit 2 with the usage error, though the --plan file is missing as well."""
+        (tmp_path / "locs.csv").write_text("a,300000,300000\n")
+        out = tmp_path / "out"
+        paths = {"LOCS": str(tmp_path / "locs.csv"), "OUT": str(out)}
+        assert main([command, *(paths.get(a, a) for a in argv),
+                     "--plan", str(tmp_path / "missing.txt")]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and "missing.txt" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("extra", [["--n", "2"], ["--region", "0,0,1000,1000"]])
     def test_synth_preset_refuses_n_and_region(self, tmp_path, capsys, extra):

@@ -37,6 +37,7 @@ from tvws import coverage as cov
 from tvws.availability import availability, availability_lowpower
 from tvws.channel_plan import default_plan
 from tvws.cli import main
+from tvws.errors import ParseError
 from tvws.geo import NgPoint
 from tvws.keepout import PropagationParams, QueryParams
 from tvws.txdb import Transmitter, TransmitterDb, load_txdb, serialize
@@ -472,6 +473,33 @@ class TestBadPack:
             check(kind, cov_dir, db)
             assert file_reads[".asc"] == before + len(db), f"{name}: pack not rewritten"
 
+    def test_a_format_7_pack_over_a_repeated_header_line_does_not_hit(self, kind, tree, file_reads):
+        """Format 7 read a repeated ``.asc`` header line by its last value; its
+        pack over such a file is read as empty, so the file is refused as a
+        load with no pack refuses it.
+
+        The pack is forged with the edited files' keys, and the same bytes in
+        the current format do hit, so only the format tells the two apart.
+        """
+        db, cov_dir = tree
+        check(kind, cov_dir, db)
+        header, fields = unpack(pack_path(cov_dir, kind).read_bytes())
+        asc = cov_dir / "s0.asc"
+        lines = asc.read_text().split("\n")
+        cellsize = next(line for line in lines if line.startswith("cellsize"))
+        asc.write_text("\n".join([*lines[:5], cellsize, *lines[5:]]))  # same value twice
+        fields["keys"] = cov._stat_keys([str(cov_dir / f"{tx_id}.asc") for tx_id in db.ids])
+        settle(cov_dir)
+        for fmt in (cov._PACK_FORMAT, "tvws coverage pack 7"):
+            pack_path(cov_dir, kind).write_bytes(layout({**header, "format": fmt},
+                                                        [a.tobytes() for a in fields.values()]))
+            if fmt == cov._PACK_FORMAT:
+                before = file_reads[".asc"]
+                LOAD[kind](cov_dir, db)
+                assert file_reads[".asc"] == before  # the forged pack hits
+        with pytest.raises(ParseError, match="repeated header line 'cellsize'"):
+            LOAD[kind](cov_dir, db)
+
     def test_failed_write_is_skipped(self, kind, tree, monkeypatch):
         db, cov_dir = tree
 
@@ -523,7 +551,7 @@ def fuzz_tree(tmp_path_factory):
     txdb = cov_dir.parent / "transmitters.csv"
     txdb.write_text(serialize(db))
     settle(cov_dir, cov_dir.parent)
-    cov.load_stations(txdb, cov_dir)
+    cov.load_disks(cov_dir, cov.load_stations(txdb, cov_dir))
     cov.load_rasters(cov_dir, db)
     good = {kind: pack_path(cov_dir, kind).read_bytes() for kind in cov._PACK_NAMES}
     settle(cov_dir)
@@ -713,14 +741,16 @@ def same_size_csv_edit(text, old, new):
     return text.replace(old, new)
 
 
-def load_checked(txdb, cov_dir, **kwargs):
-    """``load_stations``, checked against ``load_txdb`` and the file-by-file disks.
+def load_checked(txdb, cov_dir, disks=True):
+    """``load_stations`` then, with ``disks``, ``load_disks``, as a disk-mode call loads.
 
-    The ERP-range warnings must be those ``load_txdb`` issues, in order.
+    The database is checked against ``load_txdb`` and the disks against the
+    file-by-file ones.  The ERP-range warnings must be those ``load_txdb``
+    issues, in order.  Returns the database and the disks (None without ``disks``).
     """
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
-        db, disks = cov.load_stations(txdb, cov_dir, **kwargs)
+        db = cov.load_stations(txdb, cov_dir)
     with warnings.catch_warnings(record=True) as want_warnings:
         warnings.simplefilter("always")
         want = load_txdb(txdb.read_text(), source=str(txdb))
@@ -729,8 +759,10 @@ def load_checked(txdb, cov_dir, **kwargs):
     assert db.floats.tobytes() == want.floats.tobytes()
     assert db.channels.tolist() == want.channels.tolist()
     assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
-    if kwargs.get("disks", True):
-        assert coverage_values(disks) == coverage_values(coverage_from_files(cov_dir, want, "disks"))
+    if not disks:
+        return db, None
+    disks = cov.load_disks(cov_dir, db)
+    assert coverage_values(disks) == coverage_values(coverage_from_files(cov_dir, want, "disks"))
     return db, disks
 
 
@@ -767,7 +799,8 @@ class TestStationPack:
         load_checked(txdb, cov_dir)
         assert (file_reads["txdb"], file_reads[".asc"]) == (1, 3)
         assert db._transmitters is not None
-        hit, _disks = cov.load_stations(txdb, cov_dir)
+        hit = cov.load_stations(txdb, cov_dir)
+        cov.load_disks(cov_dir, hit)  # the whole warm disk-mode load
         assert hit._transmitters is None  # no per-station object until asked for
 
     def test_same_size_csv_edit_with_mtime_restored(self, stations, file_reads):
@@ -822,7 +855,7 @@ class TestStationPack:
         edited CSV's key beside the old columns.
         """
         txdb, cov_dir = stations
-        old, _disks = cov.load_stations(txdb, cov_dir)
+        old = cov.load_stations(txdb, cov_dir)
         st = txdb.stat()
         txdb.write_text(same_size_csv_edit(txdb.read_text(), ",42\n", ",45\n"))
         os.utime(txdb, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))  # ctime > mtime
@@ -834,7 +867,7 @@ class TestStationPack:
         if stamp == "older":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                got, _disks = cov.load_stations(txdb, cov_dir)
+                got = cov.load_stations(txdb, cov_dir)
             assert got == old
         else:
             load_checked(txdb, cov_dir)
@@ -935,7 +968,8 @@ class TestStationPack:
         racy source.
         """
         txdb, cov_dir = stations
-        db, _disks = cov.load_stations(txdb, cov_dir)
+        db = cov.load_stations(txdb, cov_dir)
+        cov.load_disks(cov_dir, db)
         cov.load_rasters(cov_dir, db)
         source = cov_dir / "s1.asc" if racy == "disk" else txdb
         st = source.stat()
@@ -1053,11 +1087,13 @@ class TestWarmCalls:
     def test_a_warm_load_hands_out_read_only_views(self, stations, file_reads):
         """Columns taken from a pack are views of its bytes, which nothing may write through."""
         txdb, cov_dir = stations
-        db, _disks = cov.load_stations(txdb, cov_dir)
+        db = cov.load_stations(txdb, cov_dir)
+        cov.load_disks(cov_dir, db)
         cov.load_rasters(cov_dir, db)
         settle(cov_dir, txdb.parent)
         reads = dict(file_reads)
-        db, disks = cov.load_stations(txdb, cov_dir)
+        db = cov.load_stations(txdb, cov_dir)
+        disks = cov.load_disks(cov_dir, db)
         rasters = cov.load_rasters(cov_dir, db)
         assert file_reads == reads  # all three parts came from the packs
         for array in (db.floats, db.channels, disks.floats, rasters["s1"].cells):
@@ -1317,7 +1353,7 @@ def sequence_tree(tmp_path_factory):
 # hypothesis draws the first choice most often
 EDITS = ("station moved", "asc edited", "asc replaced", "csv reordered", "channel edited",
          "pack deleted")
-LOADS = ("stations", "stations without disks", "disks", "rasters")
+LOADS = ("stations and disks", "stations", "disks", "rasters")
 ONE_TICK_NS = 1_700_000_000 * 10**9
 
 
@@ -1367,7 +1403,7 @@ def apply_edit(root, edit, k):
 
 def check_load(load, txdb, cov_dir):
     if load.startswith("stations"):
-        load_checked(txdb, cov_dir, disks=load == "stations")
+        load_checked(txdb, cov_dir, disks=load == "stations and disks")
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -1382,7 +1418,7 @@ class TestEditSequences:
     def test_every_load_equals_the_files_after_each_edit(self, sequence_tree, data):
         """Random edits of a three-station tree, each followed by every load in a random order.
 
-        ``load_stations`` with and without disks, ``load_disks`` and
+        ``load_stations`` with and without ``load_disks`` after it, ``load_disks`` and
         ``load_rasters`` must each equal ``load_txdb`` and the file-by-file
         read after every edit.  Either the clock advances between an edit
         and the loads, so parts are taken from the packs, or every file and

@@ -149,6 +149,18 @@ class TestChannelChart:
         assert "a&lt;b&amp;c" in svg
         assert "a<b" not in svg
 
+    def test_characters_xml_forbids_become_replacement_characters(self):
+        from xml.dom import minidom
+
+        forbidden = [*"\x00\x08\x0b\x0c\x0e\x1c\x1f\ud800\udfff\ufffe\uffff"]
+        kept = ["\t", "\n", "\r", " ", "\x7f", "\x85", "\u2028", "\ufffd", "\U0001f4e1"]
+        label = "".join(f"a{ch}" for ch in forbidden + kept) + "<&>"
+        report = build_report(label, make_result(set(), PLAN.interleaved), PLAN, 3.0, 1.0)
+        svg = emit_channel_chart(report, PLAN)
+        minidom.parseString(svg.encode("utf-8"))  # refuses any character XML 1.0 forbids
+        want = "a\ufffd" * len(forbidden) + "".join(f"a{ch}" for ch in kept) + "&lt;&amp;&gt;"
+        assert f">{want}: 0 vacant channels" in svg
+
 
 def sweep_scenario():
     tx = Transmitter("s", NgPoint(300_000, 300_000), 10_000.0, 50.0, frozenset({21, 22}))
