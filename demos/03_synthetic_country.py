@@ -19,6 +19,7 @@ from tvws import (
     adjacent_filter,
     availability,
     build_report,
+    contiguity,
     default_plan,
     emit_channel_chart,
     emit_csv,
@@ -49,23 +50,20 @@ def demo():
         raster = synth_coverage(tx, prop, 1_000.0, irregularity=0.3, seed=7_000_021 + i)
         disks[tx.id] = enclosing_disk(raster, tx)
 
-    reports = []
+    results = []
     for label, gridref in PLACES.items():
-        loc = parse_gridref(gridref)
-        result = availability(db, disks, plan, QueryParams(loc, 0.1, prop))
-        adjacent_filter(result)
-        report = build_report(label, result, plan, prop.alpha, prop.beta_th)
-        reports.append(report)
-        filtered = result.filtered_vacant or frozenset()
+        result = availability(db, disks, plan, QueryParams(parse_gridref(gridref), 0.1, prop))
+        results.append(result)
         print(
             f"  {label:15s} rho={result.rho:2d} ({8 * result.rho} MHz), "
-            f"after N+-1 filter {len(filtered):2d}, "
-            f"widest block {report.max_contiguous_mhz} MHz"
+            f"after N+-1 filter {len(adjacent_filter(result)):2d}, "
+            f"widest block {contiguity(result.vacant)[1]} MHz"
         )
+    rows = build_report(list(PLACES), results, plan, prop.alpha, prop.beta_th)
 
     OUT.mkdir(exist_ok=True)
-    (OUT / "synthetic_places.csv").write_text(emit_csv(reports))
-    (OUT / "synthetic_manchester.svg").write_text(emit_channel_chart(reports[0], plan))
+    (OUT / "synthetic_places.csv").write_text(emit_csv(rows))
+    (OUT / "synthetic_manchester.svg").write_text(emit_channel_chart(rows, plan))  # first row
     print(f"wrote {OUT / 'synthetic_places.csv'} and a channel chart SVG")
 
 

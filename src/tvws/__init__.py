@@ -47,7 +47,6 @@ from tvws.geo import (
 )
 from tvws.keepout import PropagationParams, QueryParams, keepout_radius, margin
 from tvws.report import (
-    LocationReport,
     build_report,
     emit_channel_chart,
     emit_csv,
@@ -72,7 +71,6 @@ __all__ = [
     "ChannelPlan",
     "CoverageDisk",
     "CoverageRaster",
-    "LocationReport",
     "NgPoint",
     "ParseError",
     "PropagationParams",

@@ -87,7 +87,6 @@ class AvailabilityResult:
     occupied: frozenset[int]
     rho: int
     per_channel_blockers: dict[int, tuple[str, ...]] | None = None  # None: not computed
-    filtered_vacant: frozenset[int] | None = None
 
 
 def channel_bits(db: TransmitterDb, plan: ChannelPlan) -> np.ndarray:
@@ -394,15 +393,16 @@ def adjacent_filter(
     may bar a vacant channel whose neighbour still carries DTV.  Only
     DTV-occupied channels block; cleared and excluded neighbours do not,
     unless passed in via ``extra_blockers`` (the strict mode used for the
-    withdrawn channels 61/62).  The surviving set is also stored on the
-    result as ``filtered_vacant``.
+    withdrawn channels 61/62), channels 21 and up as in :func:`vacancy`.
+    Nothing is written to the result.
     """
-    blocked = set(result.occupied) | set(extra_blockers)
-    kept = frozenset(
-        ch for ch in result.vacant if ch - 1 not in blocked and ch + 1 not in blocked
-    )
-    result.filtered_vacant = kept
-    return kept
+    blocked = channel_mask(result.occupied) | channel_mask(extra_blockers)
+    return frozenset(mask_channels(_unblocked(channel_mask(result.vacant), blocked)))
+
+
+def _unblocked(vacant, blocked):
+    """The N+-1 rule on channel masks (ints or ``uint64`` arrays): no blocked neighbour."""
+    return vacant & ~(blocked << 1) & ~(blocked >> 1)
 
 
 def contiguity(vacant: Iterable[int]) -> tuple[list[tuple[int, int]], int]:
@@ -428,9 +428,7 @@ def vacancy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vacant and N+-1 filtered masks for occupied ones: ``result.vacant`` and adjacent_filter."""
     vacant = np.uint64(plan.interleaved_mask) & ~occupied
-    blocked = occupied | np.uint64(channel_mask(extra_blockers))
-    one = np.uint64(1)
-    return vacant, vacant & ~(blocked << one) & ~(blocked >> one)
+    return vacant, _unblocked(vacant, occupied | np.uint64(channel_mask(extra_blockers)))
 
 
 def mask_counts(

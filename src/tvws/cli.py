@@ -51,7 +51,7 @@ from tvws.availability import (
     raster_kernel,
     vacancy,
 )
-from tvws.channel_plan import ChannelPlan, channel_mask, default_plan, load_plan, plan_hash
+from tvws.channel_plan import ChannelPlan, default_plan, load_plan, plan_hash
 from tvws.errors import ParseError, read_text
 from tvws.geo import (EASTING_MAX, NORTHING_MAX, OSGB_ENVELOPE, BoundingBox, NgPoint,
                       decode_coords, parse_coords, parse_location)
@@ -252,6 +252,12 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _warn(notes: list[str]) -> None:
+    """Print each note (an ERP-range warning of the database) as one line on stderr."""
+    for note in notes:
+        print(f"tvws: warning: {note}", file=sys.stderr)
+
+
 def _data_paths(args: argparse.Namespace) -> tuple[str, str]:
     """``--txdb`` and ``--coverage``, each defaulting to its place under ``TVWS_DATA_DIR``.
 
@@ -281,7 +287,9 @@ def _plan(args: argparse.Namespace) -> ChannelPlan:
 def _load_data(args: argparse.Namespace) -> tuple[TransmitterDb, Mapping]:
     """The txdb and its coverage model for ``--mode``, each through its pack."""
     txdb_path, coverage_dir = _data_paths(args)
-    db = cov.load_stations(txdb_path, coverage_dir)
+    notes: list[str] = []
+    db = cov.load_stations(txdb_path, coverage_dir, notes=notes)
+    _warn(notes)
     load = cov.load_rasters if args.mode == "raster" else cov.load_disks
     return db, load(coverage_dir, db)
 
@@ -327,7 +335,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         prop = PropagationParams(args.alpha, args.beta)
         result = availability(db, model, plan, QueryParams(loc, args.power, prop))
-    filtered = adjacent_filter(result, plan.excluded if args.strict_excluded else ())
+    extra = plan.excluded if args.strict_excluded else ()
+    filtered = adjacent_filter(result, extra)
     runs, max_mhz = contiguity(result.vacant)
     digest = plan_hash(plan)
 
@@ -344,9 +353,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.adjacent_filter:
         print(f"available for use: {_channels(filtered)}")
     if args.out:
-        vacant, kept = np.array([[channel_mask(result.vacant)], [channel_mask(filtered)]],
-                                dtype=np.uint64)
-        rows = rep.ChannelRows([args.loc], vacant, kept, args.alpha, args.beta, args.power, digest)
+        rows = rep.build_report([args.loc], [result], plan, args.alpha, args.beta, extra)
         _write_artifacts(args.out, plan, "query", rows, rep.emit_csv(rows))
     return EXIT_OK
 
@@ -539,7 +546,9 @@ def cmd_disks(args: argparse.Namespace) -> int:
         raise FileNotFoundError(f"transmitter database not found: {txdb_path}")
     # no loader runs here, so the tree synth and disks leave holds no pack:
     # a pack's stat keys differ from one build of the same tree to the next
-    db = load_txdb(read_text(txdb_path), source=txdb_path)
+    notes: list[str] = []
+    db = load_txdb(read_text(txdb_path), source=txdb_path, notes=notes)
+    _warn(notes)
     coverage_dir = Path(coverage_dir)
     # every disk is derived before any is written: a missing or bad raster writes none
     disks = [cov.derive_disk(str(coverage_dir / f"{tx.id}.asc"), tx) for tx in db]

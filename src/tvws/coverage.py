@@ -770,7 +770,9 @@ class DiskSet(Mapping):
         return len(self.ids)
 
 
-def load_stations(txdb_path: str | Path, coverage_dir: str | Path) -> TransmitterDb:
+def load_stations(
+    txdb_path: str | Path, coverage_dir: str | Path, *, notes: list[str] | None = None
+) -> TransmitterDb:
     """The transmitter database at ``txdb_path``, through the coverage directory's station pack.
 
     The database comes whole from the station pack while the pack names
@@ -778,8 +780,9 @@ def load_stations(txdb_path: str | Path, coverage_dir: str | Path) -> Transmitte
     :func:`~tvws.txdb.load_txdb` reads it, and the station pack is
     rewritten.  Callers pass it to :func:`load_disks` or :func:`load_rasters`
     for its coverage.  ERP-range warnings are issued the same way whether the
-    database came from the pack or the CSV.  A ``txdb_path`` that is not a
-    regular file raises FileNotFoundError.
+    database came from the pack or the CSV; given ``notes``, their texts are
+    appended to it instead, as :func:`~tvws.txdb.load_txdb` does.  A
+    ``txdb_path`` that is not a regular file raises FileNotFoundError.
     """
     txdb_path = str(txdb_path)
     read: list[TransmitterDb] = []  # the database parsed on a miss, its stations already built
@@ -804,8 +807,11 @@ def load_stations(txdb_path: str | Path, coverage_dir: str | Path) -> Transmitte
     pack = _snapshot(coverage_dir, "stations", [txdb_path], holds, build)
     db = read[0] if read else TransmitterDb.from_columns(
         pack["ids"].tolist(), pack["floats"], pack["channels"], str(pack["source"][1]))
-    for note in pack["notes"].tolist():
-        warnings.warn(note, stacklevel=2)
+    if notes is None:
+        for note in pack["notes"].tolist():
+            warnings.warn(note, stacklevel=2)
+    else:
+        notes += pack["notes"].tolist()
     return db
 
 

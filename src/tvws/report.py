@@ -21,8 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from tvws.availability import (AvailabilityResult, adjacent_filter, channel_mask, contiguity,
-                               mask_counts)
+from tvws.availability import AvailabilityResult, channel_mask, mask_counts, vacancy
 from tvws.channel_plan import (
     CHANNEL_MAX,
     CHANNEL_MIN,
@@ -42,41 +41,22 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class LocationReport:
-    """One location's availability plus the parameters that produced it."""
-
-    label: str
-    result: AvailabilityResult
-    runs: list[tuple[int, int]]
-    max_contiguous_mhz: int
-    alpha: float
-    beta_th: float
-    power_watts: float
-    plan_digest: str
-
-
 def build_report(
-    label: str,
-    result: AvailabilityResult,
-    plan: ChannelPlan,
-    alpha: float,
-    beta_th: float,
-) -> LocationReport:
-    """Assemble a report; applies the adjacent-channel filter if not done yet."""
-    if result.filtered_vacant is None:
-        adjacent_filter(result)
-    runs, max_mhz = contiguity(result.vacant)
-    return LocationReport(
-        label=label,
-        result=result,
-        runs=runs,
-        max_contiguous_mhz=max_mhz,
-        alpha=alpha,
-        beta_th=beta_th,
-        power_watts=result.p_cr_watts,
-        plan_digest=plan_hash(plan),
-    )
+    labels: Sequence[str], results: Sequence[AvailabilityResult], plan: ChannelPlan,
+    alpha: float, beta_th: float, extra_blockers: Iterable[int] = (),
+) -> ChannelRows:
+    """Rows for labelled results at one power, by :func:`vacancy` over their occupied masks.
+
+    Labels and results of different lengths, or results at different powers, raise ValueError.
+    """
+    if len(labels) != len(results):
+        raise ValueError(f"{len(labels)} labels for {len(results)} results")
+    powers = {result.p_cr_watts for result in results} or {0.0}  # none: ChannelRows refuses
+    if len(powers) > 1:
+        raise ValueError(f"results at different powers: {sorted(powers)}")
+    occupied = np.array([channel_mask(result.occupied) for result in results], dtype=np.uint64)
+    return ChannelRows(labels, *vacancy(occupied, plan, extra_blockers), alpha, beta_th,
+                       powers.pop(), plan_hash(plan))
 
 
 def _params_comment(alpha: float, beta_th: float, power: float, digest: str) -> str:
@@ -85,7 +65,10 @@ def _params_comment(alpha: float, beta_th: float, power: float, digest: str) -> 
 
 @dataclass(eq=False)
 class ChannelRows:
-    """Report rows as channel masks (bit ``ch - 21`` per channel): what the emitters render."""
+    """Report rows as channel masks (bit ``ch - 21`` per channel): what the emitters render.
+
+    No labels, or a mask count other than the label count, raises ValueError.
+    """
 
     labels: Sequence[str]
     vacant: np.ndarray  # uint64, one mask per row
@@ -95,18 +78,12 @@ class ChannelRows:
     power_watts: float
     plan_digest: str
 
-    @classmethod
-    def of(cls, reports: Sequence[LocationReport] | ChannelRows) -> ChannelRows:
-        """``reports`` as rows (rows are returned as they are); ValueError if empty."""
-        if not isinstance(reports, ChannelRows) and reports:
-            first = reports[0]
-            masks = [[channel_mask(r.result.vacant), channel_mask(r.result.filtered_vacant or ())]
-                     for r in reports]
-            reports = cls([r.label for r in reports], *np.array(masks, dtype=np.uint64).T,
-                          first.alpha, first.beta_th, first.power_watts, first.plan_digest)
-        if not isinstance(reports, ChannelRows) or not len(reports.labels):
+    def __post_init__(self) -> None:
+        if not len(self.labels):
             raise ValueError("no reports to emit")
-        return reports
+        if len(self.vacant) != len(self.labels) or len(self.filtered) != len(self.labels):
+            raise ValueError(f"{len(self.labels)} labels but {len(self.vacant)} vacant and "
+                             f"{len(self.filtered)} filtered masks")
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -223,9 +200,8 @@ def _join_row(
     return "".join(pieces)
 
 
-def emit_csv(reports: Sequence[LocationReport] | ChannelRows) -> str:
+def emit_csv(rows: ChannelRows) -> str:
     """One row per location with before/after-filter channel counts."""
-    rows = ChannelRows.of(reports)
     head = _params_comment(rows.alpha, rows.beta_th, rows.power_watts, rows.plan_digest)
     labels = rows.labels
     if _CSV_SPECIAL.search("".join(labels)):
@@ -234,9 +210,8 @@ def emit_csv(reports: Sequence[LocationReport] | ChannelRows) -> str:
                       ["", ",", ",", ",", ",", ",", ","], _CSV_CHANNELS, ["\n"], "\n")
 
 
-def emit_json(reports: Sequence[LocationReport] | ChannelRows) -> str:
+def emit_json(rows: ChannelRows) -> str:
     """JSON mirror of :func:`emit_csv` with the same field names, as ``json.dumps(indent=2)``."""
-    rows = ChannelRows.of(reports)
     params = {"alpha": rows.alpha, "beta_th": rows.beta_th,
               "power_watts": rows.power_watts, "plan": rows.plan_digest}
     head = json.dumps({"params": params, "reports": []}, indent=2)
@@ -321,7 +296,7 @@ _FILL_EXCLUDED = "#b5b5b5"
 _FILL_OCCUPIED = "#ffffff"
 
 
-def emit_channel_chart(report: LocationReport | ChannelRows, plan: ChannelPlan) -> str:
+def emit_channel_chart(rows: ChannelRows, plan: ChannelPlan) -> str:
     """Per-channel bar chart as a standalone SVG document.
 
     Vacant interleaved channels are solid bars, occupied ones blank slots,
@@ -332,7 +307,6 @@ def emit_channel_chart(report: LocationReport | ChannelRows, plan: ChannelPlan) 
     n_slots = CHANNEL_MAX - CHANNEL_MIN + 1
     width = _MARGIN_L * 2 + n_slots * _SLOT_W
     height = _MARGIN_T + _BAR_H + _LABEL_H
-    rows = ChannelRows.of([report] if isinstance(report, LocationReport) else report)
     vacant = int(rows.vacant[0])
     rho = vacant.bit_count()
 

@@ -215,7 +215,6 @@ class TestAdjacentFilter:
     def test_neighbours_of_occupied_dropped(self):
         result = make_result({21, 23, 25}, {22})
         assert adjacent_filter(result) == {25}
-        assert result.filtered_vacant == {25}
 
     def test_no_occupied_is_identity(self):
         result = make_result({21, 25, 60}, set())

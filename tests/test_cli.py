@@ -1055,6 +1055,54 @@ class TestUndecodableInputs:
                               ).encode()
 
 
+class TestErpNote:
+    """Each ERP-range note is one ``tvws: warning:`` line on stderr, on every call."""
+
+    @staticmethod
+    def calls(n, *args):
+        """``main(args)`` ``n`` times in one fresh process; its exit status sums their codes."""
+        import subprocess
+        import sys
+
+        import tvws
+
+        src = str(Path(tvws.__file__).resolve().parent.parent)
+        code = "import sys; from tvws.cli import main; sys.exit(sum(main(sys.argv[2:]) " \
+               "for _ in range(int(sys.argv[1]))))"
+        return subprocess.run([sys.executable, "-c", code, str(n), *args], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    def test_cold_warm_and_repeated_calls(self, tmp_path, capsys):
+        assert main(["synth", "--n", "2", "--region", "200000,200000,300000,300000",
+                     "--seed", "3", "--cell", "2000", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        txdb = tmp_path / "transmitters.csv"
+        lines = txdb.read_text().split("\n")
+        fields = lines[2].split(",")
+        fields[3] = "5"  # line 3's ERP, below the typical range
+        lines[2] = ",".join(fields)
+        txdb.write_text("\n".join(lines))
+        probe = tmp_path / "probe"
+        while True:  # a pack written within the CSV's timestamp tick would not vouch for it
+            probe.write_bytes(b"")
+            if probe.stat().st_mtime_ns > max(txdb.stat().st_mtime_ns, txdb.stat().st_ctime_ns):
+                break
+        note = (f"tvws: warning: {txdb}:3: ERP 5 W outside the typical UK DTT range "
+                "[25 W, 200000 W]\n")
+        query = ["query", *base_args(tmp_path), "--loc", "250000,250000"]
+        pack = tmp_path / "coverage" / ".tvws-stations.pack"
+        cold = self.calls(2, *query)  # the first call writes the pack, the second reads it
+        assert (cold.returncode, cold.stderr) == (0, note * 2)
+        written = pack.stat().st_mtime_ns
+        warm = self.calls(1, *query)
+        assert (warm.returncode, warm.stderr) == (0, note)
+        assert pack.stat().st_mtime_ns == written  # the warm call hit the pack
+        assert warm.stdout == cold.stdout[: len(cold.stdout) // 2]
+        for argv in (query, ["disks", *base_args(tmp_path)]):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == note
+
+
 class TestByteOrderMark:
     """One leading byte-order mark, as spreadsheet "CSV UTF-8" exports write, is ignored."""
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -16,6 +17,7 @@ from tvws.availability import (
     adjacent_filter,
     availability,
     channel_mask,
+    contiguity,
     power_sweep,
     vacancy,
 )
@@ -51,15 +53,22 @@ def make_result(vacant, occupied, power=0.0):
     )
 
 
-def make_reports(n):
+def make_occupied(n):
     rng = random.Random(42)
-    reports = []
     interleaved = sorted(PLAN.interleaved)
-    for i in range(n):
-        occupied = set(rng.sample(interleaved, rng.randint(0, 10)))
-        result = make_result(PLAN.interleaved - occupied, occupied)
-        reports.append(build_report(f"loc{i:02d}", result, PLAN, 3.0, 1.0))
-    return reports
+    return [set(rng.sample(interleaved, rng.randint(0, 10))) for _ in range(n)]
+
+
+def make_rows(n):
+    """Rows for ``n`` labelled results, as ``build_report`` gives them."""
+    results = [make_result(PLAN.interleaved - occupied, occupied) for occupied in make_occupied(n)]
+    return build_report([f"loc{i:02d}" for i in range(n)], results, PLAN, 3.0, 1.0)
+
+
+def one_row(label, vacant):
+    """One labelled row whose vacant channels are ``vacant``, all other interleaved occupied."""
+    result = make_result(vacant, PLAN.interleaved - set(vacant))
+    return build_report([label], [result], PLAN, 3.0, 1.0)
 
 
 def data_rows(text):
@@ -69,83 +78,85 @@ def data_rows(text):
 
 class TestEmitCsv:
     def test_18_locations_18_rows(self):
-        text = emit_csv(make_reports(18))
+        text = emit_csv(make_rows(18))
         rows = data_rows(text)
         assert rows[0] == list(CSV_COLUMNS)
         assert len(rows) - 1 == 18
 
     def test_empty_vacant_row_not_omitted(self):
-        result = make_result(set(), PLAN.interleaved)
-        report = build_report("dead-zone", result, PLAN, 3.0, 1.0)
-        rows = data_rows(emit_csv([report]))
+        rows = data_rows(emit_csv(one_row("dead-zone", set())))
         assert rows[1][0] == "dead-zone"
         assert rows[1][1:6] == ["0", "0", "0", "0", "0"]
         assert rows[1][6] == ""
 
     def test_total_mhz_is_8_rho(self):
-        for row in data_rows(emit_csv(make_reports(12)))[1:]:
+        for row in data_rows(emit_csv(make_rows(12)))[1:]:
             assert int(row[3]) == 8 * int(row[1])
             assert int(row[4]) == 8 * int(row[2])
 
     def test_metadata_first_line(self):
-        text = emit_csv(make_reports(1))
+        text = emit_csv(make_rows(1))
         first = text.splitlines()[0]
         assert first.startswith("# alpha=3.0 beta_th=1.0 ")
         assert f"plan={plan_hash(PLAN)}" in first
 
     def test_round_trip_numeric_fields(self):
-        reports = make_reports(6)
-        for report, row in zip(reports, data_rows(emit_csv(reports))[1:]):
-            assert row[0] == report.label
-            assert int(row[1]) == report.result.rho
-            assert int(row[5]) == report.max_contiguous_mhz
+        occupied = make_occupied(6)
+        for i, (row, occ) in enumerate(zip(data_rows(emit_csv(make_rows(6)))[1:], occupied)):
+            vacant = PLAN.interleaved - occ
+            assert row[0] == f"loc{i:02d}"
+            assert int(row[1]) == len(vacant)
+            assert int(row[5]) == contiguity(vacant)[1]
             channels = [int(c) for c in row[6].split(";")] if row[6] else []
-            assert channels == sorted(report.result.vacant)
+            assert channels == sorted(vacant)
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            emit_csv([])
+        empty = np.zeros(0, dtype=np.uint64)
+        with pytest.raises(ValueError, match="no reports to emit"):
+            ChannelRows([], empty, empty, 3.0, 1.0, 0.0, "abc")
+        with pytest.raises(ValueError, match="no reports to emit"):
+            build_report([], [], PLAN, 3.0, 1.0)
+
+    @pytest.mark.parametrize("labels, vacant, filtered", [(1, 2, 2), (3, 2, 2), (2, 2, 1),
+                                                          (2, 0, 0)])
+    def test_masks_and_labels_of_different_lengths_rejected(self, labels, vacant, filtered):
+        masks = [np.zeros(n, dtype=np.uint64) for n in (vacant, filtered)]
+        message = f"^{labels} labels but {vacant} vacant and {filtered} filtered masks$"
+        with pytest.raises(ValueError, match=message):
+            ChannelRows(["x"] * labels, *masks, 3.0, 1.0, 0.0, "abc")
 
 
 class TestEmitJson:
     def test_mirrors_csv_fields(self):
-        reports = make_reports(3)
-        payload = json.loads(emit_json(reports))
+        payload = json.loads(emit_json(make_rows(3)))
         assert payload["params"]["plan"] == plan_hash(PLAN)
         assert len(payload["reports"]) == 3
-        for entry, report in zip(payload["reports"], reports):
+        for entry, occupied in zip(payload["reports"], make_occupied(3)):
             assert set(entry) == set(CSV_COLUMNS)
-            assert entry["rho"] == report.result.rho
-            assert entry["vacant_channels"] == sorted(report.result.vacant)
+            assert entry["rho"] == len(PLAN.interleaved - occupied)
+            assert entry["vacant_channels"] == sorted(PLAN.interleaved - occupied)
 
 
 class TestChannelChart:
     def test_all_vacant_renders_30_filled_bars(self):
-        result = make_result(PLAN.interleaved, set())
-        report = build_report("everywhere", result, PLAN, 3.0, 1.0)
-        svg = emit_channel_chart(report, PLAN)
+        svg = emit_channel_chart(one_row("everywhere", PLAN.interleaved), PLAN)
         assert svg.count('fill="#2d7dd2"') == 30
 
     def test_none_vacant_renders_no_filled_bars(self):
-        result = make_result(set(), PLAN.interleaved)
-        report = build_report("nowhere", result, PLAN, 3.0, 1.0)
-        svg = emit_channel_chart(report, PLAN)
+        svg = emit_channel_chart(one_row("nowhere", set()), PLAN)
         assert svg.count('fill="#2d7dd2"') == 0
 
     def test_one_slot_per_channel(self):
-        report = build_report("x", make_result({21}, PLAN.interleaved - {21}), PLAN, 3.0, 1.0)
-        svg = emit_channel_chart(report, PLAN)
+        svg = emit_channel_chart(one_row("x", {21}), PLAN)
         assert svg.count("<rect") == 48
 
     def test_byte_identical_for_identical_input(self):
-        result = make_result({21, 25}, PLAN.interleaved - {21, 25})
-        a = emit_channel_chart(build_report("x", result, PLAN, 3.0, 1.0), PLAN)
-        b = emit_channel_chart(build_report("x", result, PLAN, 3.0, 1.0), PLAN)
+        a = emit_channel_chart(one_row("x", {21, 25}), PLAN)
+        b = emit_channel_chart(one_row("x", {21, 25}), PLAN)
         assert a == b
 
     def test_label_escaped(self):
-        report = build_report("a<b&c", make_result(set(), PLAN.interleaved), PLAN, 3.0, 1.0)
-        svg = emit_channel_chart(report, PLAN)
+        svg = emit_channel_chart(one_row("a<b&c", set()), PLAN)
         assert "a&lt;b&amp;c" in svg
         assert "a<b" not in svg
 
@@ -155,8 +166,7 @@ class TestChannelChart:
         forbidden = [*"\x00\x08\x0b\x0c\x0e\x1c\x1f\ud800\udfff\ufffe\uffff"]
         kept = ["\t", "\n", "\r", " ", "\x7f", "\x85", "\u2028", "\ufffd", "\U0001f4e1"]
         label = "".join(f"a{ch}" for ch in forbidden + kept) + "<&>"
-        report = build_report(label, make_result(set(), PLAN.interleaved), PLAN, 3.0, 1.0)
-        svg = emit_channel_chart(report, PLAN)
+        svg = emit_channel_chart(one_row(label, set()), PLAN)
         minidom.parseString(svg.encode("utf-8"))  # refuses any character XML 1.0 forbids
         want = "a\ufffd" * len(forbidden) + "".join(f"a{ch}" for ch in kept) + "&lt;&amp;&gt;"
         assert f">{want}: 0 vacant channels" in svg
@@ -259,22 +269,33 @@ class TestEmitSweep:
 
 
 class TestBuildReport:
-    def test_applies_filter_when_missing(self):
-        result = make_result({21, 23}, {22})
-        assert result.filtered_vacant is None
-        report = build_report("x", result, PLAN, 3.0, 1.0)
-        assert report.result.filtered_vacant == frozenset()
+    def test_rows_filter_by_the_occupied_mask(self):
+        rows = build_report(["x"], [make_result(PLAN.interleaved - {22}, {22})], PLAN, 3.0, 1.0)
+        assert rows.vacant.tolist() == [channel_mask(PLAN.interleaved - {22})]
+        assert rows.filtered.tolist() == [channel_mask(PLAN.interleaved - {21, 22, 23})]
 
-    def test_preserves_existing_filter(self):
-        result = make_result({60}, set())
-        adjacent_filter(result, extra_blockers=PLAN.excluded)
-        report = build_report("x", result, PLAN, 3.0, 1.0)
-        assert report.result.filtered_vacant == frozenset()
+    def test_extra_blockers_filter_as_adjacent_filter(self):
+        result = make_result({60}, PLAN.interleaved - {60})
+        for extra in ((), PLAN.excluded):
+            rows = build_report(["x"], [result], PLAN, 3.0, 1.0, extra)
+            assert rows.filtered.tolist() == [channel_mask(adjacent_filter(result, extra))]
+        assert rows.filtered.tolist() == [0]
 
     def test_params_echo(self):
-        report = build_report("x", make_result({21}, set()), PLAN, 2.5, 0.5)
-        assert (report.alpha, report.beta_th) == (2.5, 0.5)
-        assert report.plan_digest == plan_hash(PLAN)
+        rows = build_report(["x"], [make_result({21}, set(), power=0.5)], PLAN, 2.5, 0.5)
+        assert (rows.alpha, rows.beta_th, rows.power_watts) == (2.5, 0.5, 0.5)
+        assert rows.plan_digest == plan_hash(PLAN)
+
+    def test_results_at_different_powers_rejected(self):
+        results = [make_result({21}, set(), power=p) for p in (0.5, 1.0)]
+        with pytest.raises(ValueError, match="different powers"):
+            build_report(["a", "b"], results, PLAN, 3.0, 1.0)
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_labels_and_results_of_different_lengths_rejected(self, labels):
+        results = [make_result({21}, set())] * 2
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 results"):
+            build_report(labels, results, PLAN, 3.0, 1.0)
 
 
 def plans():
@@ -328,25 +349,31 @@ class TestMaskRowsAgainstTheSetPath:
         n = data.draw(st.integers(1, 10))
         labels = data.draw(st.lists(LABELS, min_size=n, max_size=n))
         interleaved = channel_mask(plan.interleaved)
-        # any channels, or none, every one, one channel or all but one
+        # any channels, or none, every one, one channel or all but one, or the band's edges
         singles = st.sampled_from([1 << (c - CHANNEL_MIN) for c in sorted(plan.interleaved)])
+        edges = st.sampled_from([1 << (c - CHANNEL_MIN) for c in (CHANNEL_MIN, CHANNEL_MAX)]
+                                + [1 | 1 << (CHANNEL_MAX - CHANNEL_MIN)])
         masks = st.one_of(st.integers(0, 2**48 - 1), st.sampled_from([0, interleaved]), singles,
-                          singles.map(lambda bit: ~bit))
+                          singles.map(lambda bit: ~bit), edges, edges.map(lambda bits: ~bits))
         occupied = [data.draw(masks) & interleaved for _ in range(n)]
         params = (data.draw(st.sampled_from([3.0, 2.5, 4])), 1.0,
                   data.draw(st.sampled_from([0.0, 0.1, 1e-3, 4.0, -0.0])), plan_hash(plan))
         extra = plan.excluded if strict else ()
-        sets, reports = [], []
+        sets, results = [], []
         for label, mask in zip(labels, occupied):
             occ = frozenset(c for c in plan.interleaved if mask >> (c - CHANNEL_MIN) & 1)
             vacant = plan.interleaved - occ
-            sets.append((label, vacant, oracles.filtered_by_sets(vacant, occ, extra)))
+            want = oracles.filtered_by_sets(vacant, occ, extra)
+            sets.append((label, vacant, want))
             result = AvailabilityResult(NgPoint(1.0, 2.0), params[2], vacant, occ, len(vacant))
-            adjacent_filter(result, extra)
-            reports.append(build_report(label, result, plan, params[0], params[1]))
+            before = copy.deepcopy(result)
+            assert adjacent_filter(result, extra) == want
+            assert result == before  # the filter writes nothing to the result
+            results.append(result)
         vacant, filtered = vacancy(np.array(occupied, dtype=np.uint64), plan, extra)
         rows = ChannelRows(labels, vacant, filtered, *params)
         csv_text = oracles.report_csv(sets, *params)
         json_text = oracles.report_json(sets, *params)
         assert emit_csv(rows) == csv_text and emit_json(rows) == json_text
+        reports = build_report(labels, results, plan, params[0], params[1], extra)
         assert emit_csv(reports) == csv_text and emit_json(reports) == json_text
