@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tvws.channel_plan import CHANNEL_WIDTH_MHZ, ChannelPlan, channel_mask, mask_channels
-from tvws.coverage import CoverageDisk, CoverageRaster, DiskSet, RasterSet, covers
+from tvws.coverage import CoverageDisk, CoverageRaster, DiskSet, RasterSet, check_cell_count, covers
 from tvws.geo import BoundingBox, NgPoint
 from tvws.keepout import PropagationParams, QueryParams, keepout_radius
 from tvws.txdb import TransmitterDb
@@ -393,7 +393,7 @@ def adjacent_filter(
     may bar a vacant channel whose neighbour still carries DTV.  Only
     DTV-occupied channels block; cleared and excluded neighbours do not,
     unless passed in via ``extra_blockers`` (the strict mode used for the
-    withdrawn channels 61/62), channels 21 and up as in :func:`vacancy`.
+    withdrawn channels 61/62), channels 21-68 as :func:`channel_mask` takes.
     Nothing is written to the result.
     """
     blocked = channel_mask(result.occupied) | channel_mask(extra_blockers)
@@ -741,6 +741,7 @@ def availability_grid(
 
     ncols = max(1, int(np.ceil(region.width / cell_size_m)))
     nrows = max(1, int(np.ceil(region.height / cell_size_m)))
+    check_cell_count(nrows, ncols)
     masks = np.zeros((nrows, ncols), dtype=np.uint64)  # first: a grid too large fails here
     centers_e = region.min_e + (np.arange(ncols) + 0.5) * cell_size_m
     centers_n = region.min_n + (np.arange(nrows) + 0.5) * cell_size_m

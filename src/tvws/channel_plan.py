@@ -61,7 +61,14 @@ def channel_to_band(channel: int) -> tuple[int, int]:
 
 
 def channel_mask(channels: Iterable[int]) -> int:
-    """Bit ``ch - 21`` set for each channel ``ch``: the mask form of a channel set."""
+    """Bit ``ch - 21`` set for each channel ``ch``: the mask form of a channel set.
+
+    A repeated channel sets its bit once; a channel outside 21..68 raises ValueError.
+    """
+    channels = frozenset(channels)
+    if outside := channels - ALL_CHANNELS:
+        raise ValueError(
+            f"channel {min(outside)} outside the UK UHF range {CHANNEL_MIN}..{CHANNEL_MAX}")
     return sum(1 << (ch - CHANNEL_MIN) for ch in channels)
 
 

@@ -133,17 +133,18 @@ def enclosing_disk(raster: CoverageRaster, tx: Transmitter) -> CoverageDisk:
     return CoverageDisk(transmitter_id=tx.id, center=tx.position, radius_m=radius)
 
 
-def nominal_coverage_radius(
-    erp_watts: float,
-    prop: PropagationParams,
-    p_min_watts: float = DEFAULT_MIN_RECEIVER_POWER_W,
-) -> float:
+def nominal_coverage_radius(erp_watts: float, prop: PropagationParams) -> float:
     """Pathloss-model coverage radius: (ERP / (beta_th * P_min)) ** (1/alpha)."""
     if erp_watts <= 0:
         raise ValueError("ERP must be positive")
-    if p_min_watts <= 0:
-        raise ValueError("receiver sensitivity power must be positive")
-    return (erp_watts / (prop.beta_th * p_min_watts)) ** (1.0 / prop.alpha)
+    return (erp_watts / (prop.beta_th * DEFAULT_MIN_RECEIVER_POWER_W)) ** (1.0 / prop.alpha)
+
+
+def check_cell_count(nrows: int, ncols: int) -> None:
+    """Raise OverflowError where ``nrows`` x ``ncols`` cells are more than an array holds."""
+    # the widest per-cell arrays (uint64 masks, float64 distances) take 8 bytes a cell
+    if nrows * ncols * 8 > np.iinfo(np.intp).max:
+        raise OverflowError(f"{nrows:.4g} x {ncols:.4g} cells are more than an array holds")
 
 
 def synth_coverage(
@@ -152,7 +153,6 @@ def synth_coverage(
     cell_size_m: float,
     irregularity: float = 0.0,
     seed: int = 0,
-    p_min_watts: float = DEFAULT_MIN_RECEIVER_POWER_W,
 ) -> CoverageRaster:
     """Generate a synthetic coverage raster for one transmitter.
 
@@ -167,7 +167,7 @@ def synth_coverage(
     if not 0.0 <= irregularity <= 1.0:
         raise ValueError(f"irregularity must be within [0, 1], got {irregularity}")
 
-    r_nominal = nominal_coverage_radius(tx.erp_watts, params, p_min_watts)
+    r_nominal = nominal_coverage_radius(tx.erp_watts, params)
     rng = random.Random(seed)
     amps = np.array([rng.uniform(0.0, 1.0) / k for k in range(1, 6)])
     phases = np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(5)])
@@ -186,6 +186,7 @@ def synth_coverage(
         ncols -= 1
     if nrows > 1 and n_lo + (nrows - 0.5) * cell_size_m >= NORTHING_MAX:
         nrows -= 1
+    check_cell_count(nrows, ncols)
 
     cols = e_lo + (np.arange(ncols) + 0.5) * cell_size_m
     rows = n_lo + (np.arange(nrows) + 0.5) * cell_size_m
@@ -218,71 +219,30 @@ def synth_coverage(
 # its numpy temporaries stay about a MB whatever the grid's size
 _FORMAT_BLOCK = 1 << 16
 
-
-def _format_cells(values: np.ndarray) -> np.ndarray:
-    """Each value's ``str(int(v)) + " "``, right-aligned in a zero-padded row of words.
-
-    A row is one ``uint32`` or several ``uint64``, so a gather moves whole words.
-    """
-    signed = values.dtype.kind == "i"
-    flat = values.astype(np.int64 if signed else np.uint64)
-    negative = flat < 0
-    # -(-2**63) wraps to itself, which as uint64 is 2**63
-    mag = np.where(negative, -flat, flat).astype(np.uint64)
-    ndigits = len(str(int(mag.max())))
-    need = ndigits + signed + 1  # sign, digits, separator
-    width = 4 if need <= 4 else -(-need // 8) * 8
-    out = np.zeros((mag.size, width), dtype=np.uint8)
-    length = np.ones(mag.size, dtype=np.intp)  # digits written per cell
-    out[:, width - 2] = 48 + mag % 10
-    for k in range(1, ndigits):
-        mag //= 10
-        more = mag > 0
-        out[:, width - 2 - k] = np.where(more, 48 + mag % 10, 0)
-        length += more
-    if negative.any():
-        cells = np.flatnonzero(negative)
-        out[cells, width - 2 - length[cells]] = ord("-")
-    out[:, -1] = ord(" ")
-    return out.view(np.uint32 if width == 4 else np.uint64)
+# byte value v -> str(v) + " ", right-aligned and zero-padded in one word,
+# so a block of cells is one gather of words
+_CELL_WORDS = np.frombuffer(
+    b"".join(f"{v} ".encode("ascii").rjust(4, b"\0") for v in range(256)), dtype=np.uint32)
 
 
-def _format_rows(rows: np.ndarray) -> bytes:
-    """``str(int(v))`` of each cell, space-separated, a newline after each row.
-
-    Each value of the block's span is formatted once and gathered per cell, or where the
-    span is wider than the block each cell is formatted; the zero padding is then dropped.
-    """
-    lo = rows.min()
-    span = int(rows.max()) - int(lo)
-    if span < rows.size:
-        wide = np.uint64 if rows.dtype.kind == "u" else np.int64
-        table = _format_cells(wide(lo) + np.arange(span + 1, dtype=wide))
-        words = table.take(np.subtract(rows, lo, dtype=np.intp).ravel(), axis=0)
-    else:
-        words = _format_cells(rows.ravel())
-    text = words.view(np.uint8).reshape(rows.shape[0], -1)
-    text[:, -1] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
-
-
-def write_asc_grid(
-    origin: NgPoint, cell_size_m: float, values: np.ndarray, nodata: int = ASC_NODATA
-) -> str:
-    """Serialize an integer grid (row 0 = south) as ESRI-ASCII-style text."""
+def write_asc_grid(origin: NgPoint, cell_size_m: float, values: np.ndarray) -> str:
+    """Serialize a bool or uint8 grid with cells (row 0 = south) as ESRI-ASCII-style text."""
     values = np.asarray(values)
-    if values.dtype.kind not in "biu":
-        raise TypeError(f"write_asc_grid takes an integer grid, got {values.dtype}")
-    nrows, ncols = values.shape
-    head = (f"ncols        {ncols}\nnrows        {nrows}\nxllcorner    {origin.easting!r}\n"
-            f"yllcorner    {origin.northing!r}\ncellsize     {cell_size_m!r}\n"
-            f"NODATA_value {nodata}\n")
+    if values.dtype not in (np.bool_, np.uint8):
+        raise TypeError(f"write_asc_grid takes a bool or uint8 grid, got {values.dtype}")
     if values.size == 0:
-        return head + "\n" * nrows
+        raise ValueError(f"write_asc_grid takes a grid with cells, got shape {values.shape}")
+    nrows, ncols = values.shape
+    blocks = [f"ncols        {ncols}\nnrows        {nrows}\nxllcorner    {origin.easting!r}\n"
+              f"yllcorner    {origin.northing!r}\ncellsize     {cell_size_m!r}\n"
+              f"NODATA_value {ASC_NODATA}\n"]
     step = max(1, _FORMAT_BLOCK // ncols)
-    blocks = [_format_rows(values[max(0, top - step) : top][::-1]).decode("ascii")
-              for top in range(nrows, 0, -step)]  # northernmost row first
-    return "".join([head, *blocks])
+    for top in range(nrows, 0, -step):  # northernmost row first
+        rows = values[max(0, top - step) : top][::-1].view(np.uint8)
+        text = _CELL_WORDS.take(rows).view(np.uint8).reshape(rows.shape[0], -1)
+        text[:, -1] = ord("\n")
+        blocks.append(text.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(blocks)
 
 
 def write_asc(raster: CoverageRaster) -> str:

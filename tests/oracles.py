@@ -84,7 +84,7 @@ def min_containing_radius(raster, tx) -> float:
     return best
 
 
-def asc_text(easting: float, northing: float, cell: float, values, nodata: int = -9999) -> str:
+def asc_text(easting: float, northing: float, cell: float, values) -> str:
     """An integer grid (row 0 = south) as ESRI-ASCII text, one ``str`` per cell."""
     lines = [
         f"ncols        {len(values[0])}",
@@ -92,7 +92,7 @@ def asc_text(easting: float, northing: float, cell: float, values, nodata: int =
         f"xllcorner    {easting!r}",
         f"yllcorner    {northing!r}",
         f"cellsize     {cell!r}",
-        f"NODATA_value {nodata}",
+        "NODATA_value -9999",
     ]
     for row in reversed(list(values)):  # northernmost row first
         lines.append(" ".join(str(int(v)) for v in row))

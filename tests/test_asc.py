@@ -24,20 +24,13 @@ SHAPES = st.one_of(
     st.tuples(st.just(1), st.integers(1, 12)),  # 1 x n, and 1 x 1
     st.tuples(st.integers(1, 12), st.just(1)),  # n x 1
 )
-INTEGER_DTYPES = st.sampled_from(
-    [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
-)
-INT64 = np.iinfo(np.int64)
-# a byte's edges and the values just past them, NODATA and int64's extremes
-EDGES = [0, 1, 254, 255, 256, -1, -9999, INT64.min, INT64.min + 1, INT64.max]
+# the cells the program writes: coverage rasters and rho grids
 GRIDS = st.one_of(
     hnp.arrays(np.bool_, SHAPES),
-    hnp.arrays(np.uint8, SHAPES, elements=st.sampled_from([0, 1, 254, 255])),
-    hnp.arrays(np.int64, SHAPES, elements=st.sampled_from(EDGES)),
-    hnp.arrays(np.int64, SHAPES, elements=st.integers(0, 1)),
-    hnp.arrays(np.int64, SHAPES, elements=st.integers(0, 30)),  # rho values
-    hnp.arrays(np.int64, SHAPES, elements=st.integers(-9999, 99_999)),
-    hnp.arrays(INTEGER_DTYPES, SHAPES),  # each dtype's whole range
+    hnp.arrays(np.uint8, SHAPES, elements=st.sampled_from([0, 1, 9, 10, 99, 100, 254, 255])),
+    hnp.arrays(np.uint8, SHAPES, elements=st.integers(0, 1)),
+    hnp.arrays(np.uint8, SHAPES, elements=st.integers(0, 48)),  # rho values
+    hnp.arrays(np.uint8, SHAPES),  # the whole byte range
 )
 EASTINGS = st.floats(0.0, 699_999.0)
 NORTHINGS = st.floats(0.0, 1_299_999.0)
@@ -45,11 +38,11 @@ CELLS = st.floats(1e-3, 1e5, allow_nan=False)
 
 
 class TestWriter:
-    @given(GRIDS, EASTINGS, NORTHINGS, CELLS, st.integers(-99_999, 99_999))
+    @given(GRIDS, EASTINGS, NORTHINGS, CELLS)
     @settings(max_examples=300, deadline=None)
-    def test_bytes_equal_the_reference(self, grid, east, north, cell, nodata):
-        text = write_asc_grid(NgPoint(east, north), cell, grid, nodata)
-        assert text == asc_text(east, north, cell, grid, nodata)
+    def test_bytes_equal_the_reference(self, grid, east, north, cell):
+        text = write_asc_grid(NgPoint(east, north), cell, grid)
+        assert text == asc_text(east, north, cell, grid)
 
     @given(GRIDS, st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
@@ -58,31 +51,36 @@ class TestWriter:
             text = write_asc_grid(NgPoint(0.0, 0.0), 1.0, grid)
         assert text == asc_text(0.0, 0.0, 1.0, grid)
 
+    @pytest.mark.parametrize("shape", [(1, 256), (256, 1), (16, 16), (2, 128)])
+    def test_every_byte_value(self, shape):
+        grid = np.arange(256, dtype=np.uint8).reshape(shape)
+        assert write_asc_grid(NgPoint(5.0, 7.0), 3.0, grid) == asc_text(5.0, 7.0, 3.0, grid)
+
     # (1, 70_000): one row longer than a block
     @pytest.mark.parametrize("shape", [(1, 1), (2, 20_000), (300, 101), (40_000, 1), (1, 70_000)])
     def test_grids_larger_than_a_block(self, shape):
-        grid = np.random.default_rng(shape[0]).integers(-9999, 31, shape)
+        grid = np.random.default_rng(shape[0]).integers(0, 31, shape, dtype=np.uint8)
         assert write_asc_grid(NgPoint(5.0, 7.0), 3.0, grid) == asc_text(5.0, 7.0, 3.0, grid)
 
-    # two rows per block: cells drawn from +-2**40 span more values than the block has
-    # cells, so each is formatted; the others go through a table of their span
-    @pytest.mark.parametrize("dtype, low, high", [
-        (np.int8, -128, 100), (np.uint8, 0, 256), (np.int64, -(2**40), 2**40),
-        (np.uint64, 2**64 - 300, 2**64), (np.int64, 2**63 - 300, 2**63),
-    ])
+    # two rows per block, the block's cells drawn from all of each type's values
+    @pytest.mark.parametrize("dtype, low, high", [(np.uint8, 0, 256), (np.bool_, 0, 2)])
     def test_full_blocks_of_each_kind(self, dtype, low, high):
-        grid = np.random.default_rng(5).integers(low, high, (3, 30_000), dtype=dtype)
+        grid = np.random.default_rng(5).integers(low, high, (3, 30_000)).astype(dtype)
         assert write_asc_grid(NgPoint(5.0, 7.0), 3.0, grid) == asc_text(5.0, 7.0, 3.0, grid)
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
     def test_empty_grid(self, shape):
-        text = write_asc_grid(NgPoint(0.0, 0.0), 1.0, np.zeros(shape, dtype=int))
-        assert text.startswith(f"ncols        {shape[1]}\nnrows        {shape[0]}\n")
-        assert text.endswith("NODATA_value -9999\n" + "\n" * shape[0])
+        """A grid with no cells is refused, as read_asc refuses the file it would make."""
+        with pytest.raises(ValueError, match="a grid with cells"):
+            write_asc_grid(NgPoint(0.0, 0.0), 1.0, np.zeros(shape, dtype=np.uint8))
 
-    def test_extremes_of_int64(self):
-        grid = np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]])
-        assert write_asc_grid(NgPoint(0.0, 0.0), 1.0, grid) == asc_text(0.0, 0.0, 1.0, grid)
+    # each integer type but uint8, at its extremes
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint16, np.uint64])
+    def test_refuses_other_integer_dtypes(self, dtype):
+        info = np.iinfo(dtype)
+        grid = np.array([[info.min, info.max, 0, 1]], dtype=dtype)
+        with pytest.raises(TypeError, match=f"bool or uint8 grid, got {np.dtype(dtype)}$"):
+            write_asc_grid(NgPoint(0.0, 0.0), 1.0, grid)
 
     def test_refuses_a_float_grid(self):
         with pytest.raises(TypeError):
@@ -175,7 +173,7 @@ class TestReader:
         else:
             assert np.array_equal(read_asc(text, "t").cells, expected)
 
-    @given(GRIDS.filter(lambda g: g.dtype == bool or g.max() <= 1 and g.min() >= 0))
+    @given(GRIDS.filter(lambda g: g.max() <= 1))
     @settings(max_examples=100, deadline=None)
     def test_reads_what_the_writer_wrote(self, grid):
         text = write_asc_grid(NgPoint(0.0, 0.0), 2.0, grid)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import occupied_by_enumeration, rho_by_enumeration
+from oracles import filtered_by_sets, occupied_by_enumeration, rho_by_enumeration
 from tvws.availability import (
     AvailabilityResult,
     KeepoutDisks,
@@ -30,6 +30,7 @@ from tvws.channel_plan import default_plan, load_plan
 from tvws.coverage import CoverageDisk, enclosing_disk, synth_coverage
 from tvws.geo import BoundingBox, NgPoint, distance
 from tvws.keepout import PropagationParams, QueryParams, keepout_radius
+from tvws.report import build_report
 from tvws.txdb import Transmitter, TransmitterDb
 
 PLAN = default_plan()
@@ -241,6 +242,26 @@ class TestAdjacentFilter:
     def test_band_edges_never_blocked_from_outside(self):
         result = make_result({21, 68} & PLAN.interleaved, set())
         assert 21 in adjacent_filter(result)
+
+    @pytest.mark.parametrize("extra", [[41, 41], [21, 21], [68, 68, 68], [40, 41, 40, 41]])
+    def test_repeated_blockers_filter_as_the_sets_do(self, extra):
+        """A repeated channel blocks its neighbours once: its bit does not carry into the next."""
+        expected = channel_mask(filtered_by_sets(PLAN.interleaved, set(), extra))
+        result = make_result(PLAN.interleaved, set())
+        assert channel_mask(adjacent_filter(result, extra)) == expected
+        assert vacancy(np.zeros(1, dtype=np.uint64), PLAN, extra)[1].tolist() == [expected]
+        assert build_report(["x"], [result], PLAN, 3.0, 1.0, extra).filtered.tolist() == [expected]
+
+    @pytest.mark.parametrize("channel", [20, 69, 85])
+    def test_blockers_outside_the_band_refused(self, channel):
+        result = make_result(PLAN.interleaved, set())
+        calls = [lambda: channel_mask([21, channel]),
+                 lambda: adjacent_filter(result, [channel]),
+                 lambda: vacancy(np.zeros(1, dtype=np.uint64), PLAN, [channel]),
+                 lambda: build_report(["x"], [result], PLAN, 3.0, 1.0, [channel])]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^channel {channel} outside the UK UHF range"):
+                call()
 
     @given(st.sets(st.sampled_from(sorted(PLAN.interleaved))))
     def test_soundness_and_idempotence(self, occupied):

@@ -666,6 +666,27 @@ class TestGrid:
         meta = json.loads((out / "rho.meta.json").read_text())
         assert meta["alpha"] == 3.0 and "plan" in meta
 
+    def test_grid_asc_against_the_oracles(self, small_fixture, tmp_path):
+        """Each cell of rho.asc is rho at its centre, and the file is the reference text."""
+        from oracles import asc_text, coverage_from_files, rho_by_enumeration
+        from tvws.channel_plan import default_plan
+        from tvws.geo import NgPoint
+
+        out = tmp_path / "g"
+        assert main(["grid", *base_args(small_fixture), "--region", "250000,250000,370000,350000",
+                     "--cell", "10000", "--power", "1", "--out", str(out)]) == 0
+        db = load_txdb((small_fixture / "transmitters.csv").read_text())
+        disks = coverage_from_files(small_fixture / "coverage", db, "disks")
+        expected = [[rho_by_enumeration(db, disks, default_plan(),
+                                        NgPoint(250000 + (col + 0.5) * 10000,
+                                                250000 + (row + 0.5) * 10000), 1.0, 3.0, 1.0)
+                     for col in range(12)] for row in range(10)]
+        assert 10 <= min(map(min, expected)) < max(map(max, expected))  # two digits, not all one
+        text = (out / "rho.asc").read_text()
+        cells = [[int(v) for v in line.split()] for line in text.splitlines()[6:]]
+        assert cells[::-1] == expected  # the file's first row is the northernmost
+        assert text == asc_text(250000.0, 250000.0, 10000.0, expected)
+
     def test_grid_region_validation(self, small_fixture):
         with pytest.raises(SystemExit) as exc:
             main(["grid"] + base_args(small_fixture) + ["--region", "1,2,3"])
@@ -989,6 +1010,24 @@ class TestHugeRequest:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "tvws: error: request too large: cannot convert float infinity to integer\n")
+
+    @pytest.mark.parametrize("command, cell, shape", [
+        ("grid", "1e-6", "1.3e+12 x 7e+11"),  # ~6 YiB of masks, past intp's maximum
+        ("grid", "1e-200", "1.3e+206 x 7e+205"),  # each side past numpy's largest dimension
+        ("synth", "1e-300", "1.451e+304 x 1.459e+304"),
+    ])
+    def test_a_cell_count_no_array_holds_exits_2(self, uk81_dir, tmp_path, capsys, command,
+                                                 cell, shape):
+        """The cell count is refused before any array is made, naming the grid's shape."""
+        argv = {
+            "grid": ["grid", *base_args(uk81_dir), "--region", "0,0,700000,1300000"],
+            "synth": ["synth", "--n", "1", "--region", "0,0,1000,1000",
+                      "--out", str(tmp_path / "s")],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--cell", cell]) == 2
+        assert capsys.readouterr().err == (
+            f"tvws: error: request too large: {shape} cells are more than an array holds\n")
 
 
 class TestUndecodableInputs:
