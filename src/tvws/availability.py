@@ -69,10 +69,8 @@ _STEP_FLOOR = 2.0**-1060
 # power_sweep's window: the two powers either side of a breakpoint, and one more each way
 _WINDOW = np.array([[-2], [-1], [0], [1]])
 # _grid_fill leaves to KeepoutDisks.inside only the cells between the half-widths
-# of R'(1 - _ZONE) and R'(1 + _ZONE), each widened by _MARGIN times the largest
-# coordinate; the bound is argued there.
+# of R'(1 - _ZONE) and R'(1 + _ZONE); the bound is argued there.
 _ZONE = 2.0**-36
-_MARGIN = 2.0**-48
 # _grid_fill spreads blocks down one level this many cells at a time.
 _FILL_CELLS = 1 << 14
 
@@ -610,12 +608,12 @@ def _lattice_index(c: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
     """``np.searchsorted(c, x, side)`` for ascending centres ``c`` spaced as a lattice.
 
     Each index starts from the lattice formula, ceil((x - c[0]) / step), and
-    takes at most two steps against ``c`` itself until c[k-1] < x <= c[k]
-    (c[k-1] <= x < c[k] for ``"right"``), past the ends at k = 0 and k = n:
-    searchsorted's own definition, so the result is the same integer.  Keys
-    still unsettled, possible only where cells are below the coordinates'
-    ulp and centres repeat, are searched, as is every key when there is one
-    centre or the step is 0.
+    is checked once against ``c`` itself: c[k-1] < x <= c[k] (c[k-1] <= x <
+    c[k] for ``"right"``), past the ends at k = 0 and k = n, is searchsorted's
+    own definition, so a key that passes has the same integer.  Keys that
+    fail, possible only within a few ulps of a centre or where cells are
+    below the coordinates' ulp and centres repeat, are searched, as is every
+    key when there is one centre or the step is 0.
     """
     n = c.size
     step = (c[-1] - c[0]) / (n - 1) if n > 1 else 0.0
@@ -625,16 +623,10 @@ def _lattice_index(c: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
         k = np.ceil((x - c[0]) / step)
     k = np.clip(k, 0, n, out=k).astype(np.intp)
     left = side == "left"
-    for _ in range(3):
-        below, above = c.take(k - 1, mode="clip"), c.take(k, mode="clip")
-        up = (above < x if left else above <= x) & (k < n)
-        down = (below >= x if left else below > x) & (k > 0)
-        moved = up | down
-        if not moved.any():
-            return k
-        k += up
-        k -= down
-    off = np.flatnonzero(moved)
+    below, above = c.take(k - 1, mode="clip"), c.take(k, mode="clip")
+    up = (above < x if left else above <= x) & (k < n)
+    down = (below >= x if left else below > x) & (k > 0)
+    off = np.flatnonzero(up | down)
     k[off] = np.searchsorted(c, x[off], side)
     return k
 
@@ -659,18 +651,18 @@ def _grid_fill(
     Exactness.  Outside the tie band, :meth:`KeepoutDisks.inside` answers
     d < R' with ``np.hypot`` (within an ulp), so a centre closer than
     R'(1 - 2^-39) is inside and one farther than R'(1 + 2^-39) is not.  The
-    half-widths are taken at r = R'(1 -+ _ZONE) as sqrt(r - dy) * sqrt(r + dy),
+    half-widths h are taken at r = R'(1 -+ _ZONE) as sqrt(r - dy) * sqrt(r + dy),
     which cannot overflow; each operation rounds by at most u = 2^-53 of its
-    own result, so a squared half-width lands within 20u * R'^2 of
-    r^2 - dy^2, and 2 * _ZONE = 2^-35 > 2^-38 + 20u.  Rounding an interval
-    end te -+ h cannot move a float centre across it (a float above the
-    rounded end is above the exact one); besides, the half-widths are moved
-    in or out by _MARGIN * X = 32u * X, for X the largest coordinate, which
-    alone exceeds the part of that rounding, u * X, that _ZONE does not
-    cover.  So every cell of an inner interval is closer than R'(1 - 2^-39),
-    and every cell outside the outer one, or in a row the reach box (taken
-    the same way) leaves out, is farther than R'(1 + 2^-39), for any
-    positive R', tiny or infinite.  Only the cells between the two
+    own result, so h^2 lands within 20u * R'^2 of r^2 - dy^2, and
+    2 * _ZONE = 2^-35 > 2^-38 + 20u.  The interval ends need no more slack,
+    however large the coordinates are beside R': rounding is monotone, so
+    for a float centre c and a real end x, c > fl(x) implies c > x and
+    c < fl(x) implies c < x.  Searching the rounded ends te -+ h, and the
+    reach box's rows tn -+ R'(1 + _ZONE), therefore puts every centre on the
+    side of the exact end that it is on.  So every cell of an inner interval
+    is closer than R'(1 - 2^-39), and every cell outside the outer one, or
+    in a row the reach box leaves out, is farther than R'(1 + 2^-39), for
+    any positive R', tiny or infinite.  Only the cells between the two
     intervals go through :meth:`KeepoutDisks.inside`, and typical grids
     have none.
     """
@@ -680,10 +672,8 @@ def _grid_fill(
     nrows, ncols = masks.shape
     east, north, bits, radius = kd.east[keep], kd.north[keep], bits[keep], kd.radii[0, keep]
     r_in, r_out = radius * (1.0 - _ZONE), radius * (1.0 + _ZONE)
-    ends = np.abs([centers_e[0], centers_e[-1], centers_n[0], centers_n[-1]])
-    margin = _MARGIN * max(float(ends.max()), float(east.max()), float(north.max()))
-    first = _lattice_index(centers_n, north - (r_out + margin), "left")
-    last = _lattice_index(centers_n, north + (r_out + margin), "right")
+    first = _lattice_index(centers_n, north - r_out, "left")
+    last = _lattice_index(centers_n, north + r_out, "right")
     edges = np.bincount(first, minlength=nrows + 1) - np.bincount(last, minlength=nrows + 1)
     per_row = np.cumsum(edges[:nrows])  # (transmitter, row) pairs in each row
     through = np.cumsum(per_row)
@@ -698,8 +688,8 @@ def _grid_fill(
         row += np.arange(t.size)
         dy = np.abs(centers_n[row] - north[t])
         e, ri, ro = east[t], r_in[t], r_out[t]
-        h_in = np.sqrt(np.maximum(ri - dy, 0.0)) * np.sqrt(ri + dy) - margin
-        h_out = np.sqrt(np.maximum(ro - dy, 0.0)) * np.sqrt(ro + dy) + margin
+        h_in = np.sqrt(np.maximum(ri - dy, 0.0)) * np.sqrt(ri + dy)
+        h_out = np.sqrt(np.maximum(ro - dy, 0.0)) * np.sqrt(ro + dy)
         lo = _lattice_index(centers_e, e - h_out, "left")
         il = _lattice_index(centers_e, e - h_in, "right")
         ih = np.maximum(_lattice_index(centers_e, e + h_in, "left"), il)

@@ -26,6 +26,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from tvws.errors import ParseError
 
 CHANNEL_MIN = 21
@@ -39,8 +41,8 @@ _SET_NAMES = ("interleaved", "cleared", "excluded")
 
 
 def validate_channel(number: int) -> int:
-    """Return ``number`` if it is a legal UHF channel index, else raise."""
-    if not isinstance(number, int) or isinstance(number, bool):
+    """Return ``number`` if it is a legal UHF channel index, a Python or numpy int, else raise."""
+    if not isinstance(number, (int, np.integer)) or isinstance(number, bool):
         raise ValueError(f"channel number must be an integer, got {number!r}")
     if not CHANNEL_MIN <= number <= CHANNEL_MAX:
         raise ValueError(
@@ -63,13 +65,11 @@ def channel_to_band(channel: int) -> tuple[int, int]:
 def channel_mask(channels: Iterable[int]) -> int:
     """Bit ``ch - 21`` set for each channel ``ch``: the mask form of a channel set.
 
-    A repeated channel sets its bit once; a channel outside 21..68 raises ValueError.
+    A repeated channel sets its bit once, a numpy integer as a Python int would;
+    a channel :func:`validate_channel` refuses, one outside 21..68 or not an
+    integer, raises its ValueError.
     """
-    channels = frozenset(channels)
-    if outside := channels - ALL_CHANNELS:
-        raise ValueError(
-            f"channel {min(outside)} outside the UK UHF range {CHANNEL_MIN}..{CHANNEL_MAX}")
-    return sum(1 << (ch - CHANNEL_MIN) for ch in channels)
+    return sum(1 << (int(validate_channel(ch)) - CHANNEL_MIN) for ch in frozenset(channels))
 
 
 def mask_channels(mask: int) -> list[int]:

@@ -226,12 +226,12 @@ _CELL_WORDS = np.frombuffer(
 
 
 def write_asc_grid(origin: NgPoint, cell_size_m: float, values: np.ndarray) -> str:
-    """Serialize a bool or uint8 grid with cells (row 0 = south) as ESRI-ASCII-style text."""
+    """Serialize a 2-D bool or uint8 grid with cells (row 0 = south) as ESRI-ASCII-style text."""
     values = np.asarray(values)
     if values.dtype not in (np.bool_, np.uint8):
         raise TypeError(f"write_asc_grid takes a bool or uint8 grid, got {values.dtype}")
-    if values.size == 0:
-        raise ValueError(f"write_asc_grid takes a grid with cells, got shape {values.shape}")
+    if values.ndim != 2 or values.size == 0:
+        raise ValueError(f"write_asc_grid takes a grid with cells in 2-D, got shape {values.shape}")
     nrows, ncols = values.shape
     blocks = [f"ncols        {ncols}\nnrows        {nrows}\nxllcorner    {origin.easting!r}\n"
               f"yllcorner    {origin.northing!r}\ncellsize     {cell_size_m!r}\n"

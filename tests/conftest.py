@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 import acceptance_log
 
@@ -12,6 +13,10 @@ from tvws.coverage import load_disks, load_rasters
 from tvws.geo import NgPoint
 from tvws.keepout import PropagationParams
 from tvws.txdb import load_txdb
+
+# tests/mutants.py runs each mutant's killing tests under this profile, so a kill
+# does not depend on the seed
+settings.register_profile("derandomized", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ them to the per-cell ``str(int(v))`` formatter and the per-token ``float``
 parser, which decide what the bytes must be and which bodies are valid.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,13 @@ class TestWriter:
     def test_empty_grid(self, shape):
         """A grid with no cells is refused, as read_asc refuses the file it would make."""
         with pytest.raises(ValueError, match="a grid with cells"):
+            write_asc_grid(NgPoint(0.0, 0.0), 1.0, np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (1, 1, 1)])
+    def test_refuses_a_grid_not_in_2_d(self, shape):
+        """A 1-D or 3-D array is refused by name and shape, not by a bare unpacking error."""
+        message = f"^write_asc_grid .*, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
             write_asc_grid(NgPoint(0.0, 0.0), 1.0, np.zeros(shape, dtype=np.uint8))
 
     # each integer type but uint8, at its extremes

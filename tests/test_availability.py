@@ -28,7 +28,7 @@ from tvws.availability import (
 )
 from tvws.channel_plan import default_plan, load_plan
 from tvws.coverage import CoverageDisk, enclosing_disk, synth_coverage
-from tvws.geo import BoundingBox, NgPoint, distance
+from tvws.geo import EASTING_MAX, NORTHING_MAX, BoundingBox, NgPoint, distance
 from tvws.keepout import PropagationParams, QueryParams, keepout_radius
 from tvws.report import build_report
 from tvws.txdb import Transmitter, TransmitterDb
@@ -873,6 +873,58 @@ def grid_centres(region, cell):
             region.min_n + (np.arange(nrows) + 0.5) * cell)
 
 
+def placed_origin(target, k, cell):
+    """An origin whose lattice origin + (k + 0.5) * cell puts centre k on ``target`` if it can."""
+    off = (k + 0.5) * cell
+    origin = target - off
+    for _ in range(8):
+        if origin + off == target:
+            break
+        origin = np.nextafter(origin, math.inf if origin + off < target else -math.inf)
+    return float(origin)
+
+
+@st.composite
+def tiny_disk_grids(draw):
+    """``(kd, bits, centers_e, centers_n)``: disks of 1e-9 to 1e-3 m at the envelope's far side.
+
+    R' is down to a few ulps of the coordinates there, and one row's centre and
+    one column's lie at, or an ulp either side of, a reach-box end tn -+ R'
+    and an interval end te -+ h of the first disk, h = sqrt(R'^2 - dy^2).
+    """
+    top = (float(np.nextafter(EASTING_MAX, 0)), float(np.nextafter(NORTHING_MAX, 0)))
+    e, n = draw(st.just(top) | st.tuples(st.floats(6e5, top[0]), st.floats(1.2e6, top[1])))
+    radius = 10.0 ** draw(st.floats(-9, -3))
+    cell = radius * draw(st.floats(0.03, 1.0))
+    txs, disks = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        ei = min(e + draw(st.floats(-2, 2)) * radius, top[0]) if i else e
+        ni = min(n + draw(st.floats(-2, 2)) * radius, top[1]) if i else n
+        channels = draw(st.sampled_from([{21}, {22, 35}, {35}, {23, 24, 60}]))
+        txs.append(make_tx(f"t{i}", ei, ni, draw(st.floats(0.5, 2e5)), channels))
+        ri = min(max(radius * draw(st.floats(0.5, 2)), 1e-9), 1e-3) if i else radius
+        disks[txs[-1].id] = disk_for(txs[-1], ri)
+    db = TransmitterDb(tuple(txs))
+    kd = KeepoutDisks.build(db, disks, [draw(st.sampled_from([0.0, 0.0, 1e-3]))], PROP)
+    r = float(kd.radii[0, 0])
+    ncols = nrows = int(2.5 * r / cell) + 2
+    nudge = st.sampled_from([-math.inf, math.inf, None])
+
+    def near(x):
+        step = draw(nudge)
+        return x if step is None else float(np.nextafter(x, step))
+
+    k = draw(st.integers(0, nrows - 1))
+    centers_n = placed_origin(near(n + draw(st.sampled_from([-r, r]))), k, cell) + (
+        np.arange(nrows) + 0.5) * cell
+    dy = abs(centers_n[draw(st.integers(0, nrows - 1))] - n)
+    h = math.sqrt(max(r - dy, 0.0)) * math.sqrt(r + dy)
+    k = draw(st.integers(0, ncols - 1))
+    centers_e = placed_origin(near(e + draw(st.sampled_from([-h, h]))), k, cell) + (
+        np.arange(ncols) + 0.5) * cell
+    return kd, channel_bits(db, PLAN), centers_e, centers_n
+
+
 class TestLatticeKernel:
     """The grid's lattice kernel against the scattered-point kernel and the oracle."""
 
@@ -901,8 +953,8 @@ class TestLatticeKernel:
             if data.draw(st.booleans()):  # R' at power 0 within an ulp of a centre's distance
                 d = math.hypot(east[k] - tx.position.easting, north[k] - tx.position.northing)
                 radius = float(data.draw(st.sampled_from(ulp_neighbours(d))))
-            elif cell < 1e-9:  # R' just past the kernel's margin: interval ends among the centres
-                radius = KERNEL._MARGIN * 1.3e6 + data.draw(st.floats(0, 60 * cell))
+            elif cell < 1e-9:  # R' some 20 ulps of the top northing: interval ends among the centres
+                radius = 2.0**-48 * 1.3e6 + data.draw(st.floats(0, 60 * cell))
             else:
                 radius = data.draw(st.floats(1e-6, 60 * cell))
             disks[tx.id] = disk_for(tx, max(radius, 1e-9))
@@ -914,6 +966,15 @@ class TestLatticeKernel:
         KERNEL._grid_fill(masks, kd, bits, centers_e, centers_n)
         expected = occupied_masks(kd, bits, east, north).reshape(masks.shape)
         assert (masks == expected).all()
+
+    @given(tiny_disk_grids())
+    @settings(max_examples=120, deadline=None)
+    def test_lattice_masks_exact_where_r_is_a_few_ulps_of_the_coordinates(self, grid):
+        kd, bits, centers_e, centers_n = grid
+        masks = np.zeros((centers_n.size, centers_e.size), dtype=np.uint64)
+        KERNEL._grid_fill(masks, kd, bits, centers_e, centers_n)
+        east, north = (a.ravel() for a in np.meshgrid(centers_e, centers_n))
+        assert (masks.ravel() == occupied_masks(kd, bits, east, north)).all()
 
     @pytest.mark.parametrize("e0, cell, n", [
         (0.0, 3_000.0, 234),  # the envelope's eastings at 3 km

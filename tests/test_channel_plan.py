@@ -1,5 +1,7 @@
 import hashlib
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from tvws.channel_plan import (
     ALL_CHANNELS,
     ChannelPlan,
     bandwidth_mhz,
+    channel_mask,
     channel_to_band,
     default_plan,
     load_plan,
@@ -40,6 +43,19 @@ class TestChannelToBand:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             channel_to_band(bad)
+
+
+class TestChannelMask:
+    @pytest.mark.parametrize("channel", [21.0, np.float64(41), 41.5, "41", None])
+    def test_a_channel_not_an_integer_is_refused_by_name(self, channel):
+        message = f"^channel number must be an integer, got {re.escape(repr(channel))}$"
+        with pytest.raises(ValueError, match=message):
+            channel_mask([22, channel])
+
+    # a narrow type would overflow in the shift: np.uint8(41) set no bit
+    @pytest.mark.parametrize("channel", [np.int64(21), np.uint8(41), np.int32(68)])
+    def test_numpy_integers_set_their_bit(self, channel):
+        assert channel_mask([channel]) == channel_mask([int(channel)]) == 1 << (int(channel) - 21)
 
 
 class TestBandwidth:
