@@ -163,16 +163,15 @@ def run(mutant: Mutant) -> int:
     """pytest's exit status for the mutant's killing tests on a mutated copy: 1 is a kill."""
     with tempfile.TemporaryDirectory(prefix="tvws-mutant-") as tmp:
         root = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, root / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", root / "pyproject.toml")
         apply(mutant, root)
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                    "--hypothesis-profile=derandomized", *mutant.killed_by]
-        env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
-        return subprocess.run(command, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL).returncode
+        return subprocess.run(command, cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
 def main(argv: list[str]) -> int:
